@@ -255,9 +255,19 @@ def _solve_row(res: rd.SolveResult, N: int) -> dict:
             "iterations": res.iterations, "converged": res.converged}
 
 
+def _check_radial(alphas: list[float], ns: list[int], Ns: list[int]) -> None:
+    if not all(a > 1.0 for a in alphas):
+        raise ConfigError("radial solves need every exponent > 1")
+    if min(ns) < 1:
+        raise ConfigError("winding counts --n must be >= 1")
+    if min(Ns) < 100:
+        raise ConfigError("grid sizes --N must be >= 100")
+
+
 def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     if len(cfg.alphas) != 1 or len(cfg.ns) != 1 or len(cfg.Ns) != 1:
         raise ConfigError("radial-solve needs one --alpha, one --n, one --N")
+    _check_radial(cfg.alphas + cfg.continuation, cfg.ns, cfg.Ns)
     alpha, n, N = cfg.alphas[0], cfg.ns[0], cfg.Ns[0]
     init = None
     if cfg.init is not None:
@@ -309,6 +319,7 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     if cfg.ns:
         if not cfg.alphas or not cfg.Ns:
             raise ConfigError("radial sweep needs --alpha, --n and --N")
+        _check_radial(cfg.alphas, cfg.ns, cfg.Ns)
         rows, ok = [], True
         for alpha in sorted(cfg.alphas):
             for n in sorted(cfg.ns):

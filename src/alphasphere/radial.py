@@ -16,24 +16,25 @@ and critical profiles solve
         + (alpha - 1) f' (d/dr W) / (2 + W) = 0,   W = f'^2 + sin^2 f/sin^2 r.
 
 The module provides the energy, a finite-difference residual for the above
-equation, a direct minimiser over nodal values (damped Newton, conjugate
-gradient or gradient descent, all with Armijo backtracking and analytic
-discrete derivatives), a shooting integrator as an independent
-construction, and the disc/annulus energy split of the threefold-winding
-solutions.
+equation, a direct minimiser over nodal values (damped Newton with a banded
+Cholesky solve, Armijo backtracking and analytic discrete derivatives), a
+shooting integrator as an independent construction, and the disc/annulus
+energy split of the threefold-winding solutions.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
+
+from .quadrature import _rule
 
 __all__ = [
     "ShootFailedError",
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 _PI = math.pi
+_GL_ORDER = 4          # Gauss points per cell of the discrete energy
+_RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
+_EPS = float(np.finfo(float).eps)
 
 
 class ShootFailedError(RuntimeError):
@@ -144,7 +148,12 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a radial minimisation."""
+    """Outcome of a radial minimisation.
+
+    ``stop_reason`` names the rule that ended the iteration: "gradient",
+    "stagnation", "max_iters" or "line_search".  ``history`` holds the
+    energy of the initial and of every accepted iterate.
+    """
 
     profile: RadialProfile
     alpha: float
@@ -157,23 +166,29 @@ class SolveResult:
     r2: float | None
     iterations: int
     converged: bool
-    history: tuple | None = field(default=None, repr=False)
+    stop_reason: str
+    history: tuple = field(default=(), repr=False)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (0, 1), weights summing to 1."""
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[order]
-
-
-def _density(alpha: float, f: np.ndarray, fp: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _density(alpha: float, r: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.ndarray:
     s = np.sin(r)
     return (2.0 + fp * fp + (np.sin(f) / s) ** 2) ** alpha * s
+
+
+def _cell_quad(profile: RadialProfile, integrand, a: float, b: float,
+               order: int) -> float:
+    """Integral of ``integrand(r, f, f')`` over [a, b] by per-cell
+    Gauss-Legendre on panels cut at the grid nodes, with cubic-spline
+    reconstruction of f and f'; aligned panels make adjacent windows add
+    up to the whole without seam error."""
+    cuts = profile.rs[(profile.rs > a) & (profile.rs < b)]
+    edges = np.concatenate(([a], cuts, [b]))
+    x, w = _rule(order)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    lo, hi = edges[:-1, None], edges[1:, None]
+    xg = lo + (hi - lo) * t[None, :]
+    vals = integrand(xg, profile.value(xg), profile.slope(xg))
+    return float(np.sum(w[None, :] * vals * (hi - lo)))
 
 
 def radial_energy(profile: RadialProfile, alpha: float, *, order: int = 6) -> float:
@@ -181,12 +196,8 @@ def radial_energy(profile: RadialProfile, alpha: float, *, order: int = 6) -> fl
     reconstruction of f and f'."""
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    t, w = _unit_rule(order)
-    h = profile.h
-    xg = profile.rs[:-1, None] + h * t[None, :]
-    f = profile.value(xg)
-    fp = profile.slope(xg)
-    return _PI * h * float(np.sum(w[None, :] * _density(alpha, f, fp, xg)))
+    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp),
+                            0.0, _PI, order)
 
 
 def radial_energy_between(profile: RadialProfile, alpha: float,
@@ -196,24 +207,8 @@ def radial_energy_between(profile: RadialProfile, alpha: float,
     to the total without seam error."""
     if not 0.0 <= a <= b <= _PI:
         raise ValueError("window must satisfy 0 <= a <= b <= pi")
-    cuts = profile.rs[(profile.rs > a) & (profile.rs < b)]
-    edges = np.concatenate(([a], cuts, [b]))
-    t, w = _unit_rule(order)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    xg = lo + (hi - lo) * t[None, :]
-    f = profile.value(xg)
-    fp = profile.slope(xg)
-    vals = w[None, :] * _density(alpha, f, fp, xg) * (hi - lo)
-    return _PI * float(np.sum(vals))
-
-
-def _profile_degree(profile: RadialProfile, *, order: int = 6) -> float:
-    """Degree (1/2) int_0^pi sin(f) f' dr of the equivariant map."""
-    t, w = _unit_rule(order)
-    h = profile.h
-    xg = profile.rs[:-1, None] + h * t[None, :]
-    integrand = np.sin(profile.value(xg)) * profile.slope(xg)
-    return 0.5 * h * float(np.sum(w[None, :] * integrand))
+    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp),
+                            a, b, order)
 
 
 def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
@@ -270,147 +265,124 @@ class _DiscreteEnergy:
     trustworthy; the Hessian is seven-banded, so Newton steps cost O(N).
     """
 
-    def __init__(self, alpha: float, n: int, N: int, *, order: int = 4):
+    def __init__(self, alpha: float, n: int, N: int):
         self.alpha = alpha
         self.n = n
         self.N = N
         self.h = _PI / N
-        t, w = _unit_rule(order)
-        self.w = w
+        x, w = _rule(_GL_ORDER)
+        t = 0.5 * (x + 1.0)
         self.B, self.Bp = _cubic_basis(t)  # (4, G)
-        rs = np.linspace(0.0, _PI, N + 1)
-        self.rs = rs
-        self.xg = rs[:-1, None] + self.h * t[None, :]
-        self.sin_xg = np.sin(self.xg)
-        self.inv_sin2 = 1.0 / (self.sin_xg * self.sin_xg)
-        self._offsets = np.arange(4) - 1  # stencil nodes per cell: i-1 .. i+2
-
-    def _extended(self, fs: np.ndarray) -> np.ndarray:
-        top = 2.0 * self.n * _PI
-        return np.concatenate(([-fs[1]], fs, [top - fs[-2]]))
-
-    def _windows(self, fs: np.ndarray) -> np.ndarray:
-        fe = self._extended(fs)
-        return np.lib.stride_tricks.sliding_window_view(fe, 4)  # (N, 4)
+        xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * t[None, :]
+        sin_xg = np.sin(xg)
+        self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
+        self.wgt = _PI * self.h * (0.5 * w)[None, :] * sin_xg  # (N, G)
 
     def _fields(self, fs: np.ndarray):
-        F = self._windows(fs)
+        top = 2.0 * self.n * _PI
+        fe = np.concatenate(([-fs[1]], fs, [top - fs[-2]]))
+        # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
+        F = np.lib.stride_tricks.sliding_window_view(fe, 4)  # (N, 4)
         fc = F @ self.B          # (N, G)
         fp = (F @ self.Bp) / self.h
         sfc = np.sin(fc)
         W = fp * fp + sfc * sfc * self.inv_sin2
-        return F, fc, fp, W
+        return fc, fp, W
 
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha, h = self.alpha, self.h
-        _, fc, fp, W = self._fields(fs)
+        alpha, h, N = self.alpha, self.h, self.N
+        fc, fp, W = self._fields(fs)
         core = (2.0 + W) ** (alpha - 1.0)
-        wgt = _PI * h * self.w[None, :] * self.sin_xg
-        val = float(np.sum(wgt * core * (2.0 + W)))
-        A = alpha * core * wgt  # (N, G)
+        val = float(np.sum(self.wgt * core * (2.0 + W)))
+        A = alpha * core * self.wgt  # (N, G)
         dW_dfc = np.sin(2.0 * fc) * self.inv_sin2
         # dval/d(node at stencil slot k) per cell: (N, 4)
         cell_grad = (A * 2.0 * fp) @ self.Bp.T / h + (A * dW_dfc) @ self.B.T
-        grad_e = np.zeros(self.N + 3)
+        grad_e = np.zeros(N + 3)
         for k in range(4):
-            np.add.at(grad_e, np.arange(self.N) + k, cell_grad[:, k])
+            grad_e[k:k + N] += cell_grad[:, k]
         grad = grad_e[1:-1].copy()
         grad[1] -= grad_e[0]      # ghost f(-h) = -f(h)
         grad[-2] -= grad_e[-1]    # ghost f(pi+h) = 2 n pi - f(pi-h)
         grad[0] = grad[-1] = 0.0
         return val, grad
 
-    def hessian_interior(self, fs: np.ndarray):
-        """Sparse Hessian over the interior unknowns fs[1:-1]; ghost nodes
-        fold onto nodes 1 and N-1 with a sign flip, endpoint nodes drop."""
-        from scipy.sparse import coo_matrix
-
+    def hessian_band(self, fs: np.ndarray) -> np.ndarray:
+        """Hessian over the interior unknowns fs[1:-1] in LAPACK upper
+        banded form, shape (4, N-1): row 3 - j holds the j-th upper
+        diagonal, right-aligned.  Ghost nodes fold onto nodes 1 and N-1
+        with a sign flip; the endpoint nodes drop out."""
         alpha, h, N = self.alpha, self.h, self.N
-        _, fc, fp, W = self._fields(fs)
-        core = (2.0 + W) ** (alpha - 1.0)
-        wgt = _PI * h * self.w[None, :] * self.sin_xg
-        p1 = alpha * core * wgt
-        p2 = alpha * (alpha - 1.0) * (2.0 + W) ** (alpha - 2.0) * wgt
+        B, Bp = self.B, self.Bp
+        fc, fp, W = self._fields(fs)
+        p1 = alpha * (2.0 + W) ** (alpha - 1.0) * self.wgt
+        p2 = alpha * (alpha - 1.0) * (2.0 + W) ** (alpha - 2.0) * self.wgt
         dW_dfc = np.sin(2.0 * fc) * self.inv_sin2
         d2W_dfc = 2.0 * np.cos(2.0 * fc) * self.inv_sin2
-        cells = np.arange(N)
-        nodes = cells[:, None] + self._offsets[None, :]  # (N, 4) node ids
-        sign = np.ones_like(nodes, dtype=float)
-        mapped = nodes.copy()
-        mapped[nodes == -1] = 1
-        sign[nodes == -1] = -1.0
-        mapped[nodes == N + 1] = N - 1
-        sign[nodes == N + 1] = -1.0
-        valid = (mapped >= 1) & (mapped <= N - 1)
-        rows, cols, vals = [], [], []
+        dW = [2.0 * fp * Bp[k][None, :] / h + dW_dfc * B[k][None, :] for k in range(4)]
+        # band over the extended nodes 0 .. N+2 (f_{-1} .. f_{N+1}): entry
+        # (e - j, e) sits at ab[3 - j, e]; cell c covers nodes c .. c+3
+        ab = np.zeros((4, N + 3))
         for k in range(4):
-            dW_k = 2.0 * fp * self.Bp[k][None, :] / h + dW_dfc * self.B[k][None, :]
-            for l in range(4):
-                dW_l = 2.0 * fp * self.Bp[l][None, :] / h + dW_dfc * self.B[l][None, :]
-                d2W = (2.0 * self.Bp[k][None, :] * self.Bp[l][None, :] / (h * h)
-                       + d2W_dfc * self.B[k][None, :] * self.B[l][None, :])
-                contrib = np.sum(p2 * dW_k * dW_l + p1 * d2W, axis=1)
-                ok = valid[:, k] & valid[:, l]
-                rows.append(mapped[ok, k] - 1)
-                cols.append(mapped[ok, l] - 1)
-                vals.append(contrib[ok] * sign[ok, k] * sign[ok, l])
-        m = N - 1
-        return coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(m, m)).tocsc()
+            for l in range(k, 4):
+                d2W = (2.0 * Bp[k][None, :] * Bp[l][None, :] / (h * h)
+                       + d2W_dfc * B[k][None, :] * B[l][None, :])
+                ab[3 - (l - k), l:l + N] += np.sum(p2 * dW[k] * dW[l] + p1 * d2W, axis=1)
+        # fold f_{-1} = -f_1 (extended node 0 onto 2) and
+        # f_{N+1} = 2 n pi - f_{N-1} (extended node N+2 onto N)
+        ab[3, 2] += ab[3, 0] - 2.0 * ab[1, 2]
+        ab[2, 3] -= ab[0, 3]
+        ab[3, N] += ab[3, N + 2] - 2.0 * ab[1, N + 2]
+        ab[2, N] -= ab[0, N + 2]
+        return ab[:, 2:N + 1]
 
 
 def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
-    """Damped-Newton direction on the interior nodes from the banded
-    Hessian; a Levenberg shift is added until the direction descends."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import spsolve
-
-    H = disc.hessian_interior(fs)
-    base = float(np.max(np.abs(H.diagonal())))
+    """Newton direction on the interior nodes by a banded Cholesky solve;
+    a Levenberg shift of the diagonal, doubling from 1e-12 of its largest
+    entry, guards an indefinite Hessian, and -g is the last resort."""
+    ab = disc.hessian_band(fs)
+    base = float(np.max(np.abs(ab[3])))
     shift = 0.0
-    eye = identity(H.shape[0], format="csc")
     for _ in range(40):
+        shifted = ab.copy()
+        shifted[3] += shift
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                d = spsolve(H + shift * eye, -g)
-        except RuntimeError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0.0:
-            return d
-        shift = max(2.0 * shift, 1e-12 * base)
+            return cho_solve_banded((cholesky_banded(shifted), False), -g)
+        except LinAlgError:
+            shift = max(2.0 * shift, 1e-12 * base)
     return -g
 
 
 def minimize_radial(alpha: float, n: int, N: int = 2000,
                     init: RadialProfile | None = None, *,
-                    max_iters: int = 200_000,
-                    tol_scale: float = 1e-8,
-                    residual_tol: float = 1e-2,
-                    gl_order: int = 4,
-                    method: str = "newton",
-                    track_history: bool = False) -> SolveResult:
+                    max_iters: int = 200,
+                    tol_scale: float = 1e-8) -> SolveResult:
     """Minimise I over profiles with fixed endpoints f(0) = 0, f(pi) = n*pi.
 
-    Descends the interior nodal values with Armijo backtracking along
-    damped-Newton directions by default (the discrete Hessian is banded,
-    so a Newton step costs the same O(N) as a gradient); ``method`` can
-    also select Polak-Ribiere conjugate gradient ("cg") or plain gradient
-    descent ("gd").  The discrete gradient is analytic, and iteration
-    stops when its sup-norm falls below ``tol_scale * h * max(1, I)``.
-    ``converged`` additionally requires the independent finite-difference
-    residual to come out below ``residual_tol``.  The construction needs
-    alpha > 1: at alpha = 1 minimising sequences in the nontrivial classes
-    concentrate and no minimiser exists.
+    Damped Newton on the interior nodal values of the discrete energy: the
+    Hessian is banded, so a direction costs O(N) through a banded Cholesky
+    solve, and an Armijo line search starting at the full step backtracks
+    along it.  The iteration stops on the first of:
+
+    - "gradient": the sup-norm of the analytic discrete gradient is at or
+      below ``tol_scale * h * max(1, I)``;
+    - "stagnation": the Newton decrement -g.d is at or below the roundoff
+      floor eps * |I| * N, where no line search can resolve a decrease; the
+      full step is kept if it lowers the gradient's sup-norm;
+    - "line_search": 60 halvings found no sufficient decrease;
+    - "max_iters": the iteration budget ran out.
+
+    ``converged`` means a gradient or stagnation stop that also leaves the
+    independent finite-difference residual at or below 1e-2.  The
+    construction needs alpha > 1: at alpha = 1 minimising sequences in the
+    nontrivial classes concentrate and no minimiser exists.
     """
     if alpha <= 1.0:
         raise ValueError("minimize_radial requires alpha > 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method not in ("newton", "cg", "gd"):
-        raise ValueError("method must be one of 'newton', 'cg', 'gd'")
     if init is None:
         init = RadialProfile.linear(n, N)
     elif init.N != N or init.n != n:
@@ -418,60 +390,50 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
             raise ValueError("init profile has the wrong winding count")
         init = init.resampled(N)
 
-    disc = _DiscreteEnergy(alpha, n, N, order=gl_order)
+    disc = _DiscreteEnergy(alpha, n, N)
     fs = init.fs.copy()
     val, grad = disc.value_and_grad(fs)
     g = grad[1:-1]
-    d = -g
-    step = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    history = [val] if track_history else None
-    converged = False
+    history = [val]
+    stop_reason = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
-        tol = tol_scale * disc.h * max(1.0, abs(val))
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
-            converged = True
+        if gnorm <= tol_scale * disc.h * max(1.0, abs(val)):
+            stop_reason = "gradient"
             break
-        if method == "newton":
-            d = _newton_direction(disc, fs, g)
-            s0 = 1.0
-        elif method == "cg":
-            s0 = step * 2.5
-        else:
-            d = -g
-            s0 = step * 2.5
+        d = _newton_direction(disc, fs, g)
         gd = float(np.dot(g, d))
-        if gd >= 0.0:  # not a descent direction; restart on steepest descent
-            d = -g
-            gd = -float(np.dot(g, g))
-        s = s0
-        accepted = False
+        if -gd <= _EPS * abs(val) * N:
+            # the predicted decrease is below the energy's roundoff, so the
+            # energy cannot judge this step; the gradient still can
+            trial = fs.copy()
+            trial[1:-1] += d
+            tval, tgrad = disc.value_and_grad(trial)
+            if float(np.max(np.abs(tgrad))) < gnorm:
+                fs, val, g = trial, tval, tgrad[1:-1]
+                history.append(val)
+            stop_reason = "stagnation"
+            break
+        s = 1.0
         for _ in range(60):
             trial = fs.copy()
             trial[1:-1] += s * d
             tval, tgrad = disc.value_and_grad(trial)
             if tval <= val + 1e-4 * s * gd:
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        else:
+            stop_reason = "line_search"
             break
-        step = s
-        g_new = tgrad[1:-1]
-        if method == "cg":
-            beta = max(0.0, float(np.dot(g_new, g_new - g) / np.dot(g, g)))
-            d = -g_new + beta * d
-        fs, val, g = trial, tval, g_new
-        if track_history:
-            history.append(val)
+        fs, val, g = trial, tval, tgrad[1:-1]
+        history.append(val)
 
     final = init.with_values(fs)
-    res = radial_residual(final, alpha)
-    residual_sup = float(np.max(np.abs(res)))
-    converged = converged and residual_sup <= residual_tol
-    energy = radial_energy(final, alpha)
-    deg = _profile_degree(final)
+    residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
+    converged = (stop_reason in ("gradient", "stagnation")
+                 and residual_sup <= _RESIDUAL_TOL)
+    deg = _cell_quad(final, lambda r, f, fp: 0.5 * np.sin(f) * fp, 0.0, _PI, 6)
     r1 = r2 = None
     if n == 3:
         r1 = _first_crossing(final, _PI)
@@ -479,7 +441,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     return SolveResult(
         profile=final,
         alpha=alpha,
-        energy=energy,
+        energy=radial_energy(final, alpha),
         residual_sup=residual_sup,
         grad_norm=float(np.max(np.abs(g))),
         degree=deg,
@@ -488,7 +450,8 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         r2=r2,
         iterations=it,
         converged=converged,
-        history=tuple(history) if track_history else None,
+        stop_reason=stop_reason,
+        history=tuple(history),
     )
 
 

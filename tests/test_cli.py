@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,11 +159,29 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("verify", "--criteria", "c99"),
     ("energy", "--map", "wat", "--alpha", "1.2"),
     ("radial-solve", "--alpha", "1.2", "--n", "3"),
+    # out-of-range radial inputs are configuration errors, not failed checks
+    ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300",
+     "--continuation", "1.0"),
+    ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "50"),
+    ("radial-solve", "--alpha", "1.2", "--n", "0", "--N", "300"),
+    ("sweep", "--alpha", "1.0,1.2", "--n", "1", "--N", "300"),
+    ("sweep", "--alpha", "1.2", "--n", "1", "--N", "50"),
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "config error" in err
+
+
+def test_readme_continuation_chain(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.1", "--n", "3",
+                           "--N", "4000", "--continuation", "1.5,1.3,1.2")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["converged"] == "true"
+    assert float(row["alpha"]) == 1.1
 
 
 def test_bad_config_file_key(capsys, tmp_path):
