@@ -13,8 +13,14 @@ bound checks.  Densities are written projectively, e.g.
     e(M)(zeta) = (1 + |zeta|^2)^2 / (|a zeta + b|^2 + |c zeta + d|^2)^2
 
 for the map induced by (a, b; c, d), which stays finite through poles of
-the chart; inputs with |zeta| > 1 are routed through 1/zeta so nothing
-overflows near the north pole.
+the chart.  Every chart point is lifted once to a projective pair (p, q)
+with zeta = p/q: (zeta, 1) on |zeta| <= 1, (1, 1/zeta) outside and (1, 0)
+at infinity, so no entry exceeds 1 in modulus.  A fractional linear map
+acts on the pair by the matrix, (P, Q) = (a p + b q, c p + d q).  The
+image point P/Q, its position (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2)
+and the density ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 read off the two pairs
+without overflow.  Pulling a fractional linear map back by another one
+multiplies the matrices, so :class:`PullbackMap` serves the other maps.
 """
 
 from __future__ import annotations
@@ -56,20 +62,31 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _sphere_xyz(w: np.ndarray) -> np.ndarray:
-    """Stack of unit vectors for chart points w (may contain inf)."""
-    w = np.asarray(w, dtype=complex)
-    rsq = _abs2(w)
-    big = ~(rsq <= 1.0)  # catches inf/nan as well
-    ws = np.where(big, 0.0, w)
-    denom = 1.0 + _abs2(ws)
-    x, y, z = 2.0 * ws.real / denom, 2.0 * ws.imag / denom, (_abs2(ws) - 1.0) / denom
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(np.isfinite(w), 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    v = np.where(big, v, 0.0)
-    denv = 1.0 + _abs2(v)
-    xb, yb, zb = 2.0 * v.real / denv, -2.0 * v.imag / denv, (1.0 - _abs2(v)) / denv
-    return np.stack([np.where(big, xb, x), np.where(big, yb, y), np.where(big, zb, z)])
+def _lift(z) -> tuple[np.ndarray, np.ndarray]:
+    """Projective pair (p, q) with z = p/q and max(|p|, |q|) = 1:
+    (z, 1) on |z| <= 1, (1, 1/z) outside and (1, 0) at inf."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore"):
+        big = ~(_abs2(z) <= 1.0)  # catches inf/nan as well
+    q = np.divide(1.0, z, out=np.where(big, 0j, 1.0 + 0j),
+                  where=big & np.isfinite(z))
+    return np.where(big, 1.0 + 0j, z), q
+
+
+def _sphere_xyz(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Stack of unit vectors for the points with projective pairs (p, q)."""
+    pp, qq = _abs2(p), _abs2(q)
+    n = pp + qq
+    w = 2.0 * p * np.conj(q) / n
+    return np.stack([w.real, w.imag, (pp - qq) / n])
+
+
+def _mobius_pair(m: MobiusElement, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Image pair (P, Q) of the lifted chart points under m, and the
+    conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2."""
+    p, q = _lift(z)
+    P, Q = m.a * p + m.b * q, m.c * p + m.d * q
+    return P, Q, ((_abs2(p) + _abs2(q)) / (_abs2(P) + _abs2(Q))) ** 2
 
 
 class MapEvaluator(ABC):
@@ -99,36 +116,6 @@ class MapEvaluator(ABC):
                 float(self.density(z)[0]), float(self.jacobian(z)[0]))
 
 
-def _mobius_image(m: MobiusElement, z: np.ndarray) -> np.ndarray:
-    """(a z + b)/(c z + d) routed through 1/z on |z| > 1; poles give inf."""
-    z = np.asarray(z, dtype=complex)
-    rsq = _abs2(z)
-    big = ~(rsq <= 1.0)
-    zs = np.where(big, 0.0, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(big & np.isfinite(z), 1.0 / np.where(z == 0, 1.0, z), 0.0)
-        direct = (m.a * zs + m.b) / (m.c * zs + m.d)
-        inverted = (m.a + m.b * v) / (m.c + m.d * v)
-    out = np.where(big, inverted, direct)
-    return np.where(np.isnan(out), complex(math.inf, 0.0), out)
-
-
-def _mobius_vector_norm2(m: MobiusElement, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (|a z + b|^2 + |c z + d|^2, 1 + |z|^2), both scaled by
-    1/|z|^2 on |z| > 1 so the ratio is overflow-free."""
-    z = np.asarray(z, dtype=complex)
-    rsq = _abs2(z)
-    big = ~(rsq <= 1.0)
-    zs = np.where(big, 0.0, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(big & np.isfinite(z), 1.0 / np.where(z == 0, 1.0, z), 0.0)
-    num_direct = 1.0 + _abs2(zs)
-    den_direct = _abs2(m.a * zs + m.b) + _abs2(m.c * zs + m.d)
-    num_inv = _abs2(v) + 1.0
-    den_inv = _abs2(m.a + m.b * v) + _abs2(m.c + m.d * v)
-    return (np.where(big, den_inv, den_direct), np.where(big, num_inv, num_direct))
-
-
 class MobiusMap(MapEvaluator):
     """The fractional linear map itself, viewed as a map of the sphere.
 
@@ -139,11 +126,10 @@ class MobiusMap(MapEvaluator):
         self.m = m
 
     def position(self, z):
-        return _sphere_xyz(_mobius_image(self.m, z))
+        return _sphere_xyz(*_mobius_pair(self.m, z)[:2])
 
     def density(self, z):
-        den, num = _mobius_vector_norm2(self.m, z)
-        return (num / den) ** 2
+        return _mobius_pair(self.m, z)[2]
 
     def jacobian(self, z):
         return self.density(z)
@@ -153,7 +139,7 @@ class ConjugationMap(MapEvaluator):
     """zeta -> conj(zeta): an isometry reversing orientation (degree -1)."""
 
     def position(self, z):
-        return _sphere_xyz(np.conj(np.asarray(z, dtype=complex)))
+        return _sphere_xyz(*_lift(np.conj(z)))
 
     def density(self, z):
         return np.ones(np.asarray(z).shape)
@@ -178,29 +164,33 @@ class ConstantMap(MapEvaluator):
 
 
 class PullbackMap(MapEvaluator):
-    """Composition u o M for an arbitrary evaluator u and fractional linear
-    M.  Densities follow from the chain rule: the conformal factor
+    """Composition u o M for an evaluator u and fractional linear M.
+    Densities follow from the chain rule: the conformal factor
 
         (1 + |zeta|^2)^2 / (|a zeta + b|^2 + |c zeta + d|^2)^2
 
-    multiplies both e(u) and J(u) at the image point M zeta."""
+    multiplies both e(u) and J(u) at the image point M zeta.  :func:`pullback`
+    builds one only for u that is not itself fractional linear."""
 
     def __init__(self, u: MapEvaluator, m: MobiusElement):
         self.u = u
         self.m = m
 
-    def _factor(self, z):
-        den, num = _mobius_vector_norm2(self.m, z)
-        return (num / den) ** 2
+    def _factor_and_image(self, z):
+        P, Q, factor = _mobius_pair(self.m, z)  # image P/Q, inf where Q = 0
+        inf = np.full(P.shape, complex(math.inf, 0.0))
+        return factor, np.divide(P, Q, out=inf, where=Q != 0)
 
     def position(self, z):
-        return self.u.position(_mobius_image(self.m, z))
+        return self.u.position(self._factor_and_image(z)[1])
 
     def density(self, z):
-        return self._factor(z) * self.u.density(_mobius_image(self.m, z))
+        factor, w = self._factor_and_image(z)
+        return factor * self.u.density(w)
 
     def jacobian(self, z):
-        return self._factor(z) * self.u.jacobian(_mobius_image(self.m, z))
+        factor, w = self._factor_and_image(z)
+        return factor * self.u.jacobian(w)
 
 
 class RadialMap(MapEvaluator):
@@ -260,7 +250,10 @@ def mobius_map(m: MobiusElement) -> MobiusMap:
     return MobiusMap(m)
 
 
-def pullback(u: MapEvaluator, m: MobiusElement) -> PullbackMap:
+def pullback(u: MapEvaluator, m: MobiusElement) -> MapEvaluator:
+    """u o m; for fractional linear u this is the map of the matrix product."""
+    if isinstance(u, MobiusMap):
+        return MobiusMap(u.m @ m)
     return PullbackMap(u, m)
 
 
@@ -278,9 +271,6 @@ class QuadratureGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
-
-    def integrate_map(self, fn) -> float:
-        return self.integrate(fn(self.zs))
 
     @property
     def total_weight(self) -> float:

@@ -4,6 +4,7 @@ criterion (run pytest with -s to see them as they complete)."""
 
 import pytest
 
+from alphasphere import energy
 from alphasphere.verification import CRITERIA, VerifySettings, _Context
 
 
@@ -42,6 +43,28 @@ def test_c04_symmetry_and_monotonicity(ctx):
 
 def test_c05_derivative_consistency(ctx):
     _run(ctx, "c05")
+
+
+def _dloglam_row(seed, level):
+    rows = CRITERIA["c05"](_Context(settings=VerifySettings(seed=seed, level=level)))
+    return next(r for r in rows if r.check == "dloglam_vs_fd")
+
+
+def test_c05_dloglam_detects_a_1e5_relative_error(monkeypatch):
+    assert _dloglam_row(2024, "quick").passed
+    exact = energy.d_energy_d_loglambda
+    monkeypatch.setattr(energy, "d_energy_d_loglambda",
+                        lambda *args: exact(*args) * (1.0 + 1e-5))
+    row = _dloglam_row(2024, "quick")
+    assert not row.passed and row.value > 5e-6
+
+
+@pytest.mark.parametrize("seed", [580431179, 400653122])
+def test_c05_dloglam_passes_where_small_steps_hit_roundoff(seed):
+    # both seeds draw a map with |dE/dlog lam| < 4e-4, where central
+    # differences at step 1e-5 lost the 1e-6 relative bound to roundoff in E
+    row = _dloglam_row(seed, "full")
+    assert row.passed and row.value < 1e-7
 
 
 def test_c06_explicit_lower_bounds(ctx):

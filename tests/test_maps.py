@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from alphasphere import (
     ConjugationMap,
     ConstantMap,
     MobiusElement,
+    MobiusMap,
     NonIntegerDegreeWarning,
+    PullbackMap,
     RadialMap,
     RadialProfile,
     SpherePoint,
@@ -143,12 +146,75 @@ def test_pullback_matches_matrix_product():
     for _ in range(10):
         n = random_element(rng)
         m = random_element(rng)
-        composed = pullback(mobius_map(n), m)
+        # built directly: pullback() itself folds into the product
+        composed = PullbackMap(mobius_map(n), m)
         product = mobius_map(n @ m)
         z = np.array([complex(rng.normal(), rng.normal()) for _ in range(50)])
         assert np.max(np.abs(composed.density(z) - product.density(z))
                       / product.density(z)) < 1e-10
         assert np.max(np.abs(composed.position(z) - product.position(z))) < 1e-9
+
+
+def test_pullback_of_mobius_map_folds_into_product():
+    rng = np.random.default_rng(6)
+    n, m = random_element(rng), random_element(rng)
+    folded = pullback(mobius_map(n), m)
+    assert type(folded) is MobiusMap
+    assert folded.m == n @ m
+
+
+def test_pullback_of_other_maps_stays_a_composition():
+    rng = np.random.default_rng(7)
+    m = random_element(rng)
+    for u in (ConjugationMap(), RadialMap(RadialProfile.linear(3, 200))):
+        v = pullback(u, m)
+        assert type(v) is PullbackMap and v.u is u and v.m == m
+
+
+class _ImageProbe(ConstantMap):
+    """Constant map that records the points it was evaluated at."""
+
+    def density(self, z):
+        self.seen = z
+        return super().density(z)
+
+
+def _closed_form_density(m, z):
+    # (1 + |z|^2)^2 / (|a z + b|^2 + |c z + d|^2)^2, divided through by
+    # |z|^4 when |z| > 1 so that it stays finite out to the pole
+    if cmath.isinf(z):
+        return 1.0 / (abs(m.a) ** 2 + abs(m.c) ** 2) ** 2
+    if abs(z) <= 1.0:
+        return ((1.0 + abs(z) ** 2)
+                / (abs(m.a * z + m.b) ** 2 + abs(m.c * z + m.d) ** 2)) ** 2
+    v = 1.0 / z
+    return ((abs(v) ** 2 + 1.0)
+            / (abs(m.a + m.b * v) ** 2 + abs(m.c + m.d * v) ** 2)) ** 2
+
+
+@pytest.mark.parametrize("m, exact_pole", [
+    (MobiusElement(2.0, 1.0, 1.0, 1.0), True),      # pole -1, on the unit circle
+    (MobiusElement(1.0, 2.0, 0.5, 2.0), True),      # pole -4, outside it
+    (MobiusElement(1.0, 0.25j, 4.0j, 0.0), True),   # pole 0
+    (MobiusElement.normalized(0.3 + 1.1j, -2.0, 0.7j, 0.4 - 0.2j), False),
+])
+def test_mobius_evaluators_at_special_points(m, exact_pole):
+    pole = -m.d / m.c
+    zs = np.array([0.0, 1.0, -1.0, 1j, 1e200, complex(math.inf, 0.0), pole])
+    for u in (mobius_map(m), PullbackMap(identity_map(), m)):
+        dens = u.density(zs)
+        expected = np.array([_closed_form_density(m, z) for z in zs])
+        assert np.all(np.isfinite(dens))
+        assert np.max(np.abs(dens - expected) / expected) < 1e-13
+        xyz = u.position(zs)
+        assert np.all(np.isfinite(xyz))
+        assert np.max(np.abs(np.sum(xyz * xyz, axis=0) - 1.0)) < 1e-14
+        assert np.max(np.abs(xyz[:, -1] - [0.0, 0.0, 1.0])) < 1e-14
+    # the image of the pole: inf when c zeta + d rounds to 0 there, and
+    # otherwise a point within roundoff of it
+    probe = _ImageProbe(SpherePoint(0.0, 0.0, 1.0))
+    PullbackMap(probe, m).density(zs)
+    assert cmath.isinf(probe.seen[-1]) if exact_pole else abs(probe.seen[-1]) > 1e14
 
 
 def test_dilation_pullback_identity_pointwise():
