@@ -56,7 +56,6 @@ from .energy import (
     eaclose_gap,
     energy_floor,
     G_and_Gprime,
-    radial_el_terms,
 )
 from .radial import (
     RadialProfile,

@@ -41,16 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mobius import chi_values, grad_log_chi
+from .mobius import chi_values
 from .maps import MapEvaluator, QuadratureGrid, identity_map
 from .quadrature import adaptive_gauss_legendre, adaptive_gauss_legendre_log
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .radial import RadialProfile
 
 __all__ = [
     "RegimeError",
@@ -64,7 +60,6 @@ __all__ = [
     "check_growth",
     "d_energy_d_loglambda",
     "eaclose_gap",
-    "radial_el_terms",
     "energy_floor",
     "XI_SIGMA_LARGE_CONSTANT",
     "XI_SIGMA_SMALL_CONSTANT",
@@ -379,37 +374,3 @@ def eaclose_gap(u: MapEvaluator, alpha: float, lam: float,
     rhs = -alpha * 2.0 ** (alpha - 2.0) * (1.0 + lam * lam) ** (alpha - 1.0) * l1
     return BoundCheck.compare("deformed_energy_gap", lhs, rhs)
 
-
-def radial_el_terms(profile: "RadialProfile", alpha: float,
-                    lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbative terms of the critical-map equation for an equivariant
-    map, at the interior profile nodes.
-
-    With W = f'^2 + sin^2 f/sin^2 r and chi evaluated along the shared
-    symmetry axis (chart radius cot(r/2) at polar angle r), the two terms
-    are the radial components
-
-        f1 = (alpha-1) chi (dW/dr) f' / (2 + chi W),
-        f2 = (alpha-1) chi W (d log chi/dr) f' / (2 + chi W),
-
-    measured against the unit radial direction of the image.
-    """
-    if alpha < 1.0 or lam < 1.0:
-        raise ValueError("needs alpha >= 1 and lam >= 1")
-    fs, rs, h = profile.fs, profile.rs, profile.h
-    f = fs[1:-1]
-    r = rs[1:-1]
-    fp = (fs[2:] - fs[:-2]) / (2.0 * h)
-    fpp = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / (h * h)
-    s, c = np.sin(r), np.cos(r)
-    sf, cf = np.sin(f), np.cos(f)
-    W = fp * fp + (sf / s) ** 2
-    Wp = 2.0 * fp * fpp + 2.0 * sf * cf * fp / (s * s) - 2.0 * sf * sf * c / (s ** 3)
-    t = 1.0 / np.tan(0.5 * r)  # chart radius along the axis
-    ch = chi_values(lam, t)
-    dlogchi = grad_log_chi(lam, t) * (-0.5 / np.sin(0.5 * r) ** 2)
-    beta = alpha - 1.0
-    denom = 2.0 + ch * W
-    f1 = beta * ch * Wp * fp / denom
-    f2 = beta * ch * W * dlogchi * fp / denom
-    return f1, f2

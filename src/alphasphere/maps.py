@@ -213,8 +213,7 @@ class RadialMap(MapEvaluator):
         return r, np.angle(z)
 
     def _f_fp_ratio(self, r):
-        f = self.profile.value(r)
-        fp = self.profile.slope(r)
+        f, fp = self.profile.value_and_slope(r)
         s = np.sin(r)
         safe = s > 1e-7
         ratio = np.where(safe, np.sin(f) / np.where(safe, s, 1.0), fp)

@@ -15,6 +15,14 @@ and critical profiles solve
     f'' + cot(r) f' - sin f cos f / sin^2 r
         + (alpha - 1) f' (d/dr W) / (2 + W) = 0,   W = f'^2 + sin^2 f/sin^2 r.
 
+A profile is known by its values on a uniform grid.  Its one continuous
+reconstruction is the local cubic through the four nodes around each cell,
+with nodes beyond the endpoints supplied by the odd reflections that every
+regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
+it.  The minimiser minimises exactly this discrete energy, and the reported
+energy, the disc/annulus/cap split, the crossings and the 2-d map all read
+the same reconstruction.
+
 The module provides the energy, a finite-difference residual for the above
 equation, a direct minimiser over nodal values (damped Newton with a banded
 Cholesky solve, Armijo backtracking and analytic discrete derivatives), a
@@ -26,11 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 
@@ -74,7 +80,10 @@ class RadialProfile:
     """Discretised profile on a uniform grid over [0, pi].
 
     ``n`` is the winding count: f(0) = 0 and f(pi) = n*pi exactly.  The
-    grid has N = len(rs) - 1 cells with N >= 100.
+    grid has N = len(rs) - 1 cells with N >= 100.  Between nodes the
+    profile is the local cubic that :func:`minimize_radial` integrates, so
+    :func:`radial_energy` of a profile is the discrete objective the
+    minimiser minimised.
     """
 
     n: int
@@ -106,26 +115,31 @@ class RadialProfile:
     def h(self) -> float:
         return _PI / self.N
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.rs, self.fs)
-
-    @cached_property
-    def _spline_d(self):
-        return self._spline.derivative()
+    def value_and_slope(self, r):
+        """f and f' at polar angles r in [0, pi]: the Lagrange cubic through
+        the nodes f_{c-1} .. f_{c+2} around the cell c that holds r."""
+        u = np.asarray(r, dtype=float) / self.h
+        k = np.rint(u)
+        # r / h misses a node's index by an ulp or so; snap it, so that the
+        # nodes land on t = 0 (or t = 1 at pi) and return fs exactly
+        u = np.where(np.abs(u - k) <= 4.0 * _EPS * k, k, u)
+        c = np.clip(np.floor(u), 0, self.N - 1).astype(np.intp)
+        fe = _reflect(self.fs, self.n, 1)
+        f, fp = _cubic(fe[c], fe[c + 1], fe[c + 2], fe[c + 3], u - c)
+        return f, fp / self.h
 
     def value(self, r):
-        return self._spline(r)
+        return self.value_and_slope(r)[0]
 
     def slope(self, r):
-        return self._spline_d(r)
+        return self.value_and_slope(r)[1]
 
     def with_values(self, fs: np.ndarray) -> "RadialProfile":
         return RadialProfile(self.n, self.rs, np.asarray(fs, dtype=float))
 
     def resampled(self, N: int) -> "RadialProfile":
         rs = np.linspace(0.0, _PI, N + 1)
-        fs = self._spline(rs)
+        fs = self.value(rs)
         fs[0], fs[-1] = 0.0, self.n * _PI
         return RadialProfile(self.n, rs, fs)
 
@@ -151,8 +165,10 @@ class SolveResult:
     """Outcome of a radial minimisation.
 
     ``stop_reason`` names the rule that ended the iteration: "gradient",
-    "stagnation", "max_iters" or "line_search".  ``history`` holds the
-    energy of the initial and of every accepted iterate.
+    "stagnation", "max_iters" or "line_search".  ``energy`` is the
+    discrete objective the iteration minimised, evaluated at the final
+    profile; ``history`` holds it for the initial and every accepted
+    iterate.
     """
 
     profile: RadialProfile
@@ -175,40 +191,41 @@ def _density(alpha: float, r: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.n
     return (2.0 + fp * fp + (np.sin(f) / s) ** 2) ** alpha * s
 
 
-def _cell_quad(profile: RadialProfile, integrand, a: float, b: float,
-               order: int) -> float:
-    """Integral of ``integrand(r, f, f')`` over [a, b] by per-cell
-    Gauss-Legendre on panels cut at the grid nodes, with cubic-spline
-    reconstruction of f and f'; aligned panels make adjacent windows add
-    up to the whole without seam error."""
+def _cell_quad(profile: RadialProfile, integrand, a: float, b: float) -> float:
+    """Integral of ``integrand(r, f, f')`` over [a, b] by 4-point
+    Gauss-Legendre on panels cut at the grid nodes, with the profile's
+    local-cubic reconstruction of f and f'; aligned panels make adjacent
+    windows add up to the whole without seam error."""
     cuts = profile.rs[(profile.rs > a) & (profile.rs < b)]
     edges = np.concatenate(([a], cuts, [b]))
-    x, w = _rule(order)
+    x, w = _rule(_GL_ORDER)
     t, w = 0.5 * (x + 1.0), 0.5 * w
     lo, hi = edges[:-1, None], edges[1:, None]
     xg = lo + (hi - lo) * t[None, :]
-    vals = integrand(xg, profile.value(xg), profile.slope(xg))
+    vals = integrand(xg, *profile.value_and_slope(xg))
     return float(np.sum(w[None, :] * vals * (hi - lo)))
 
 
-def radial_energy(profile: RadialProfile, alpha: float, *, order: int = 6) -> float:
-    """Energy I(f) by composite per-cell Gauss-Legendre with cubic-spline
-    reconstruction of f and f'."""
+def _energy_between(profile: RadialProfile, alpha: float, a: float, b: float) -> float:
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp),
-                            0.0, _PI, order)
+    if not 0.0 <= a <= b <= _PI:
+        raise ValueError("window must satisfy 0 <= a <= b <= pi")
+    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp), a, b)
+
+
+def radial_energy(profile: RadialProfile, alpha: float) -> float:
+    """Energy I(f) of the profile's local-cubic reconstruction: the
+    discrete objective :func:`minimize_radial` minimises."""
+    return _energy_between(profile, alpha, 0.0, _PI)
 
 
 def radial_energy_between(profile: RadialProfile, alpha: float,
-                          a: float, b: float, *, order: int = 8) -> float:
+                          a: float, b: float) -> float:
     """Energy of the restriction to polar angles in [a, b], integrated on
     panels aligned with the profile grid so that adjacent windows add up
     to the total without seam error."""
-    if not 0.0 <= a <= b <= _PI:
-        raise ValueError("window must satisfy 0 <= a <= b <= pi")
-    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp),
-                            a, b, order)
+    return _energy_between(profile, alpha, a, b)
 
 
 def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
@@ -223,8 +240,7 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     swamps the residual of steep solutions.
     """
     fs, rs, h = profile.fs, profile.rs, profile.h
-    top = 2.0 * profile.n * _PI
-    ext = np.concatenate(([-fs[2], -fs[1]], fs, [top - fs[-2], top - fs[-3]]))
+    ext = _reflect(fs, profile.n, 2)
     f = fs[1:-1]
     r = rs[1:-1]
     i = np.arange(1, len(fs) - 1) + 2  # index of f_i inside ext
@@ -238,22 +254,23 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     return fpp + (c / s) * fp - sf * cf / (s * s) + (alpha - 1.0) * fp * Wp / (2.0 + W)
 
 
-def _cubic_basis(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange cubics on nodes (-1, 0, 1, 2) and their derivatives,
-    evaluated at points t in (0, 1); shape (4, len(t))."""
-    b = np.stack([
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t * t - 1.0) * (t - 2.0) / 2.0,
-        -(t * t + t) * (t - 2.0) / 2.0,
-        (t ** 3 - t) / 6.0,
-    ])
-    bp = np.stack([
-        -(3.0 * t * t - 6.0 * t + 2.0) / 6.0,
-        (3.0 * t * t - 4.0 * t - 1.0) / 2.0,
-        -(3.0 * t * t - 2.0 * t - 2.0) / 2.0,
-        (3.0 * t * t - 1.0) / 6.0,
-    ])
-    return b, bp
+def _reflect(fs: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Nodal values extended by k ghost nodes per side through the odd
+    reflections f(-r) = -f(r) and f(pi + s) = 2 n pi - f(pi - s)."""
+    return np.concatenate((-fs[k:0:-1], fs, 2.0 * n * _PI - fs[-2:-k - 2:-1]))
+
+
+def _cubic(f0, f1, f2, f3, t):
+    """Value and t-derivative at t of the cubic through (-1, f0), (0, f1),
+    (1, f2) and (2, f3), written as the chord from f1 to f2 plus a bubble
+    t (t - 1) q(t) that vanishes at both ends, so that t = 0 and t = 1
+    return f1 and f2 exactly."""
+    d1 = f0 - 2.0 * f1 + f2
+    d2 = f1 - 2.0 * f2 + f3
+    q1 = (d2 - d1) / 6.0
+    q = (2.0 * d1 + d2) / 6.0 + t * q1
+    w = t * (t - 1.0)
+    return (1.0 - t) * f1 + t * f2 + w * q, f2 - f1 + (2.0 * t - 1.0) * q + w * q1
 
 
 class _DiscreteEnergy:
@@ -272,15 +289,16 @@ class _DiscreteEnergy:
         self.h = _PI / N
         x, w = _rule(_GL_ORDER)
         t = 0.5 * (x + 1.0)
-        self.B, self.Bp = _cubic_basis(t)  # (4, G)
+        # the local cubic's Lagrange basis: row k is the cubic through the
+        # k-th unit vector of nodes, at the Gauss points; shape (4, G)
+        self.B, self.Bp = _cubic(*np.eye(4)[:, :, None], t)
         xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * t[None, :]
         sin_xg = np.sin(xg)
         self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
         self.wgt = _PI * self.h * (0.5 * w)[None, :] * sin_xg  # (N, G)
 
     def _fields(self, fs: np.ndarray):
-        top = 2.0 * self.n * _PI
-        fe = np.concatenate(([-fs[1]], fs, [top - fs[-2]]))
+        fe = _reflect(fs, self.n, 1)
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
         F = np.lib.stride_tricks.sliding_window_view(fe, 4)  # (N, 4)
         fc = F @ self.B          # (N, G)
@@ -433,7 +451,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
-    deg = _cell_quad(final, lambda r, f, fp: 0.5 * np.sin(f) * fp, 0.0, _PI, 6)
+    deg = _cell_quad(final, lambda r, f, fp: 0.5 * np.sin(f) * fp, 0.0, _PI)
     r1 = r2 = None
     if n == 3:
         r1 = _first_crossing(final, _PI)

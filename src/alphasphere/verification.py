@@ -304,7 +304,7 @@ def c08_degree_floor_pullback(ctx: _Context) -> list[CheckRow]:
         vz = (vst.a * z + vst.b) / (vst.c * z + vst.d)
         lhs = um.density(zs)[0] * mb.chi_values(sv.lam, np.array([vz]))[0]
         rhs = u.density(np.array([w]))[0]
-        worst_pw = max(worst_pw, abs(lhs - rhs) / abs(rhs))
+        worst_pw = max(worst_pw, float(abs(lhs - rhs) / abs(rhs)))
     rows.append(CheckRow("c08_degree_floor_pullback", "pullback_identity",
                          worst_pw, 1e-10, worst_pw <= 1e-10,
                          note=f"{n_pts} random (zeta, M)"))

@@ -118,6 +118,14 @@ def test_json_mirrors_csv(capsys):
         2 ** 3.4 * math.pi, rel=0.2)
 
 
+def test_verify_json_passed_is_boolean(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--format", "json",
+                           "--criteria", "c08", "--level", "quick")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(type(r["passed"]) is bool for r in rows)
+
+
 def test_sweep_dilation(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--alpha", "1.2,1.5",
                            "--lambda", "2,4")

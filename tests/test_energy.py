@@ -22,7 +22,8 @@ from alphasphere import (
     make_grid,
     mobius_map,
     pullback,
-    radial_el_terms,
+    radial_energy,
+    radial_energy_between,
 )
 
 from test_mobius import random_element
@@ -54,6 +55,11 @@ def test_quadrature_matches_closed_form(grid):
 def test_alpha_energy_requires_alpha_geq_one(grid):
     with pytest.raises(ValueError):
         alpha_energy(identity_map(), 0.9, grid)
+    p = RadialProfile.linear(1, 200)
+    with pytest.raises(ValueError):
+        radial_energy(p, 0.9)
+    with pytest.raises(ValueError):
+        radial_energy_between(p, 0.9, 0.0, 1.0)
 
 
 # ------------------------------------------------------- deformed energy
@@ -307,31 +313,3 @@ def test_gap_bound_random_pullbacks(grid):
         a = float(rng.uniform(1.0, 2.0))
         assert eaclose_gap(v, a, lam, grid).passed
 
-
-# ------------------------------------------------- radial equation terms
-
-def test_radial_el_terms_trivial_cases():
-    profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.1 * np.sin(r))
-    f1, f2 = radial_el_terms(profile, 1.0, 3.0)
-    assert np.max(np.abs(f1)) == 0.0 and np.max(np.abs(f2)) == 0.0
-    _, f2 = radial_el_terms(profile, 1.4, 1.0)
-    assert np.max(np.abs(f2)) == 0.0
-    f1, _ = radial_el_terms(RadialProfile.linear(1, 300), 1.4, 1.0)
-    assert np.max(np.abs(f1)) < 1e-12
-
-
-def test_radial_el_terms_balance_tension_on_critical_profile():
-    # on a critical profile at lam = 1 the perturbative term cancels the
-    # plain tension term; compare away from the endpoints where the
-    # second-order differences inside radial_el_terms are sharp
-    from alphasphere import minimize_radial
-    res = minimize_radial(1.2, 3, 2000)
-    p = res.profile
-    f1, _ = radial_el_terms(p, 1.2, 1.0)
-    fs, rs, h = p.fs, p.rs, p.h
-    f, r = fs[1:-1], rs[1:-1]
-    fp = (fs[2:] - fs[:-2]) / (2 * h)
-    fpp = (fs[2:] - 2 * fs[1:-1] + fs[:-2]) / (h * h)
-    tension = fpp + np.cos(r) / np.sin(r) * fp - np.sin(f) * np.cos(f) / np.sin(r) ** 2
-    inner = (r > 0.5) & (r < math.pi - 0.5)
-    assert np.max(np.abs((tension + f1)[inner])) < 1e-4

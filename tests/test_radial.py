@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cholesky_banded
 
+import alphasphere
 from alphasphere import (
     RadialProfile,
     ShootFailedError,
@@ -56,6 +61,33 @@ def test_profile_save_load_roundtrip(tmp_path):
     assert np.max(np.abs(q.fs - p.fs)) < 1e-12
 
 
+def test_value_and_slope_returns_nodes_exactly():
+    for N in (101, 400, 1000, 4000):
+        p = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.3 * np.sin(2 * r))
+        f, _ = p.value_and_slope(p.rs)
+        assert np.array_equal(f, p.fs)
+        assert p.value(0.0) == 0.0 and p.value(math.pi) == 3 * math.pi
+
+
+def test_value_and_slope_reproduces_cubics():
+    # a cubic with g(0) = 0 and g(pi) = 2 pi; cells 1 .. N-2 see no ghost node
+    g = lambda r: 2 * r + 0.4 * r * (r - math.pi) * (r - 1.0)
+    dg = lambda r: 2 + 0.4 * (3 * r * r - 2 * (math.pi + 1.0) * r + math.pi)
+    p = RadialProfile.from_function(2, 200, g)
+    r = np.random.default_rng(3).uniform(p.h, math.pi - p.h, 500)
+    f, fp = p.value_and_slope(r)
+    assert np.max(np.abs(f - g(r))) < 1e-12
+    assert np.max(np.abs(fp - dg(r))) < 1e-12
+
+
+def test_import_leaves_scipy_interpolate_out():
+    code = "import sys, alphasphere; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(alphasphere.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+
+
 # ---------------------------------------------------------------- energy
 
 def test_linear_profile_energy_exact():
@@ -84,6 +116,14 @@ def test_energy_window_additivity(n3_solve):
              + radial_energy_between(p, 1.2, 1.0, 2.2)
              + radial_energy_between(p, 1.2, 2.2, math.pi))
     assert abs(parts - total) < 1e-9
+
+
+def test_energy_is_the_minimised_discrete_objective():
+    # radial_energy reads the same local cubic and Gauss rule as the
+    # minimiser's objective, so the two agree away from any minimum
+    p = RadialProfile.from_function(3, 400, lambda r: 3 * r + 0.3 * np.sin(2 * r))
+    disc, _ = _DiscreteEnergy(1.4, 3, 400).value_and_grad(p.fs)
+    assert radial_energy(p, 1.4) == pytest.approx(disc, rel=1e-12)
 
 
 # -------------------------------------------------------------- residual
