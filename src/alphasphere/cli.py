@@ -298,7 +298,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         if name not in CRITERIA:
             raise ConfigError(f"unknown criterion {name!r}; known: "
                               + ",".join(sorted(CRITERIA)))
-    rows = run_criteria(VerifySettings(seed=cfg.seed, level=cfg.level), names)
+    timings: dict[str, float] = {}
+    rows = run_criteria(VerifySettings(seed=cfg.seed, level=cfg.level), names, timings)
     ok = all(r.passed for r in rows)
     out_rows = [{"criterion": r.criterion, "check": r.check, "value": r.value,
                  "bound": r.bound, "passed": r.passed, "note": r.note}
@@ -309,7 +310,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         counts[r.criterion] = (a + r.passed, b + 1)
     for name in sorted(counts):
         a, b = counts[name]
-        print(f"{name}: {a}/{b} checks passed", file=sys.stderr)
+        print(f"{name}: {a}/{b} checks passed ({timings[name]:.2f} s)", file=sys.stderr)
     print(f"verify: {'PASS' if ok else 'FAIL'} "
           f"({sum(r.passed for r in rows)}/{len(rows)} checks)", file=sys.stderr)
     return _VERIFY_COLUMNS, out_rows, ok

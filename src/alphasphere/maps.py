@@ -8,19 +8,15 @@ at conformal points, and (1/4 pi) times the integral of J is the degree.
 All maps in scope have closed-form pointwise data (fractional linear maps,
 rotationally symmetric maps, and compositions with fractional linear maps),
 so quadrature consumes evaluators directly and no interpolation enters the
-bound checks.  Densities are written projectively, e.g.
-
-    e(M)(zeta) = (1 + |zeta|^2)^2 / (|a zeta + b|^2 + |c zeta + d|^2)^2
-
-for the map induced by (a, b; c, d), which stays finite through poles of
-the chart.  Every chart point is lifted once to a projective pair (p, q)
-with zeta = p/q: (zeta, 1) on |zeta| <= 1, (1, 1/zeta) outside and (1, 0)
-at infinity, so no entry exceeds 1 in modulus.  A fractional linear map
-acts on the pair by the matrix, (P, Q) = (a p + b q, c p + d q).  The
-image point P/Q, its position (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2)
-and the density ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 read off the two pairs
-without overflow.  Pulling a fractional linear map back by another one
-multiplies the matrices, so :class:`PullbackMap` serves the other maps.
+bound checks.  Evaluators take complex chart points, or the points a
+:class:`QuadratureGrid` lifted once to projective pairs (p, q), zeta = p/q
+and max(|p|, |q|) = 1, which keeps every density finite through the poles
+of the chart.  The map of M = (a, b; c, d) sends a pair to
+(P, Q) = (a p + b q, c p + d q); its density
+((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 is a Hermitian form of M*M evaluated on
+the lifted points, and its position (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2)
+reads off the image pair.  Pulling a fractional linear map back by another
+one multiplies the matrices, so :class:`PullbackMap` serves the other maps.
 """
 
 from __future__ import annotations
@@ -28,11 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mobius import MobiusElement, SpherePoint, StereoPoint
+from .mobius import MobiusElement, SpherePoint, _form_density, _Lifted, _lift, _sphere_xyz
+from .quadrature import _rule
 from .radial import RadialProfile
 
 __all__ = [
@@ -58,43 +55,16 @@ class NonIntegerDegreeWarning(UserWarning):
     """Jacobian quadrature landed further than 0.01 from an integer."""
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _lift(z) -> tuple[np.ndarray, np.ndarray]:
-    """Projective pair (p, q) with z = p/q and max(|p|, |q|) = 1:
-    (z, 1) on |z| <= 1, (1, 1/z) outside and (1, 0) at inf."""
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore"):
-        big = ~(_abs2(z) <= 1.0)  # catches inf/nan as well
-    q = np.divide(1.0, z, out=np.where(big, 0j, 1.0 + 0j),
-                  where=big & np.isfinite(z))
-    return np.where(big, 1.0 + 0j, z), q
-
-
-def _sphere_xyz(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Stack of unit vectors for the points with projective pairs (p, q)."""
-    pp, qq = _abs2(p), _abs2(q)
-    n = pp + qq
-    w = 2.0 * p * np.conj(q) / n
-    return np.stack([w.real, w.imag, (pp - qq) / n])
-
-
-def _mobius_pair(m: MobiusElement, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Image pair (P, Q) of the lifted chart points under m, and the
-    conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2."""
-    p, q = _lift(z)
-    P, Q = m.a * p + m.b * q, m.c * p + m.d * q
-    return P, Q, ((_abs2(p) + _abs2(q)) / (_abs2(P) + _abs2(Q))) ** 2
+def _image_pair(m: MobiusElement, pts: _Lifted) -> tuple[np.ndarray, np.ndarray]:
+    return m.a * pts.p + m.b * pts.q, m.c * pts.p + m.d * pts.q
 
 
 class MapEvaluator(ABC):
     """Abstract pointwise description of a map from the sphere to itself.
 
-    The array methods accept complex chart coordinates (entries may be
-    inf for the pole) and are what quadrature consumes; :meth:`evaluate`
-    is the scalar counterpart on :class:`StereoPoint`.
+    The methods accept complex chart coordinates (entries may be inf for
+    the pole) or a grid's lifted points, which read as their chart
+    coordinates wherever an array is expected.
     """
 
     @abstractmethod
@@ -109,12 +79,6 @@ class MapEvaluator(ABC):
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Signed Jacobian density, |J| <= e pointwise."""
 
-    def evaluate(self, p: StereoPoint) -> tuple[SpherePoint, float, float]:
-        z = np.array([complex(math.inf, 0.0) if p.at_infinity else p.zeta])
-        xyz = self.position(z)
-        return (SpherePoint(float(xyz[0, 0]), float(xyz[1, 0]), float(xyz[2, 0])),
-                float(self.density(z)[0]), float(self.jacobian(z)[0]))
-
 
 class MobiusMap(MapEvaluator):
     """The fractional linear map itself, viewed as a map of the sphere.
@@ -126,10 +90,11 @@ class MobiusMap(MapEvaluator):
         self.m = m
 
     def position(self, z):
-        return _sphere_xyz(*_mobius_pair(self.m, z)[:2])
+        return _sphere_xyz(*_image_pair(self.m, _lift(z)))
 
     def density(self, z):
-        return _mobius_pair(self.m, z)[2]
+        m = self.m
+        return _form_density(m.a, m.b, m.c, m.d, _lift(z))
 
     def jacobian(self, z):
         return self.density(z)
@@ -139,7 +104,8 @@ class ConjugationMap(MapEvaluator):
     """zeta -> conj(zeta): an isometry reversing orientation (degree -1)."""
 
     def position(self, z):
-        return _sphere_xyz(*_lift(np.conj(z)))
+        pts = _lift(z)
+        return _sphere_xyz(np.conj(pts.p), np.conj(pts.q))
 
     def density(self, z):
         return np.ones(np.asarray(z).shape)
@@ -164,22 +130,21 @@ class ConstantMap(MapEvaluator):
 
 
 class PullbackMap(MapEvaluator):
-    """Composition u o M for an evaluator u and fractional linear M.
-    Densities follow from the chain rule: the conformal factor
-
-        (1 + |zeta|^2)^2 / (|a zeta + b|^2 + |c zeta + d|^2)^2
-
-    multiplies both e(u) and J(u) at the image point M zeta.  :func:`pullback`
-    builds one only for u that is not itself fractional linear."""
+    """Composition u o M for an evaluator u and fractional linear M.  By
+    the chain rule the conformal factor of M multiplies both e(u) and J(u)
+    at the image point M zeta.  :func:`pullback` builds one only for u that
+    is not itself fractional linear."""
 
     def __init__(self, u: MapEvaluator, m: MobiusElement):
         self.u = u
         self.m = m
 
     def _factor_and_image(self, z):
-        P, Q, factor = _mobius_pair(self.m, z)  # image P/Q, inf where Q = 0
-        inf = np.full(P.shape, complex(math.inf, 0.0))
-        return factor, np.divide(P, Q, out=inf, where=Q != 0)
+        pts, m = _lift(z), self.m
+        factor = _form_density(m.a, m.b, m.c, m.d, pts)
+        w, Q = _image_pair(m, pts)  # image P/Q in place of P, inf where Q = 0
+        np.copyto(w, complex(math.inf, 0.0), where=Q == 0)
+        return factor, np.divide(w, Q, out=w, where=Q != 0)
 
     def position(self, z):
         return self.u.position(self._factor_and_image(z)[1])
@@ -208,9 +173,8 @@ class RadialMap(MapEvaluator):
 
     def _polar(self, z):
         z = np.asarray(z, dtype=complex)
-        t = np.abs(z)
-        r = _PI_MINUS_2ATAN(t)
-        return r, np.angle(z)
+        # arctan(inf) = pi/2, so the pole lands exactly on r = 0
+        return math.pi - 2.0 * np.arctan(np.abs(z)), np.angle(z)
 
     def _f_fp_ratio(self, r):
         f, fp = self.profile.value_and_slope(r)
@@ -236,11 +200,6 @@ class RadialMap(MapEvaluator):
         return fp * ratio
 
 
-def _PI_MINUS_2ATAN(t: np.ndarray) -> np.ndarray:
-    # arctan(inf) = pi/2, so the pole lands exactly on r = 0
-    return math.pi - 2.0 * np.arctan(t)
-
-
 def identity_map() -> MobiusMap:
     return MobiusMap(MobiusElement.identity())
 
@@ -261,12 +220,17 @@ class QuadratureGrid:
     """Product quadrature on the sphere in stereographic polar coordinates:
     Gauss-Legendre in the polar angle against sin(theta) d theta, uniform
     (trapezoidal on the circle) in the chart argument.  Weights sum to
-    4 pi; node summation is pairwise, hence deterministic."""
+    4 pi; node summation is pairwise, hence deterministic.  The nodes are
+    lifted once, and evaluators take ``lifted`` in place of ``zs``."""
 
     zs: np.ndarray
     weights: np.ndarray
     n_radial: int
     n_angular: int
+    lifted: _Lifted = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lifted", _lift(self.zs))
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
@@ -275,15 +239,11 @@ class QuadratureGrid:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    def nodes(self):
-        for z, w in zip(self.zs, self.weights):
-            yield StereoPoint(z.real, z.imag), float(w)
-
 
 def make_grid(n_radial: int, n_angular: int) -> QuadratureGrid:
     if n_radial < 4 or n_angular < 4:
         raise ValueError("grid needs n_radial >= 4 and n_angular >= 4")
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = _rule(n_radial)
     theta = 0.5 * math.pi * (x + 1.0)
     w_theta = 0.5 * math.pi * w * np.sin(theta)
     r = np.tan(0.5 * theta)
@@ -298,7 +258,7 @@ def make_grid(n_radial: int, n_angular: int) -> QuadratureGrid:
 def degree(u: MapEvaluator, grid: QuadratureGrid) -> tuple[float, int]:
     """(1/4 pi) times the Jacobian integral, raw and rounded; warns when
     the raw value sits further than 0.01 from the nearest integer."""
-    raw = grid.integrate(u.jacobian(grid.zs)) / (4.0 * math.pi)
+    raw = grid.integrate(u.jacobian(grid.lifted)) / (4.0 * math.pi)
     nearest = int(round(raw))
     if abs(raw - nearest) > 0.01:
         warnings.warn(f"degree quadrature {raw:.6f} is {abs(raw - nearest):.3g} "
@@ -329,7 +289,7 @@ def energy_report(u: MapEvaluator, alpha: float, grid: QuadratureGrid,
 
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    dens = u.density(grid.zs)
+    dens = u.density(grid.lifted)
     e1 = grid.integrate(1.0 + dens)
     ea = alpha_energy(u, alpha, grid)
     raw, nearest = degree(u, grid)

@@ -4,20 +4,25 @@ conformal factor of dilations.
 The unit sphere is identified with the extended complex plane by projecting
 from the north pole: zeta = 0 is the south pole (0, 0, -1) and
 zeta = infinity the north pole (0, 0, 1).  A unit-determinant complex 2x2
-matrix (a, b; c, d) acts by the fractional linear map
+matrix M = (a, b; c, d) acts by the fractional linear map
 zeta -> (a zeta + b)/(c zeta + d).  Its singular value decomposition
 U diag(sqrt(lam), 1/sqrt(lam)) V*, with U, V special unitary, splits the
 action into a rotation, the dilation zeta -> lam * zeta and another
 rotation, so every energy computation that only sees rotation-invariant
 quantities can be reduced to dilations.
 
-The dilation conformal factor
+Chart points are lifted once to projective pairs (p, q), zeta = p/q, with
+max(|p|, |q|) = 1.  M maps a pair to (P, Q) = M (p, q), and its conformal
+factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 needs only the Hermitian form
+|P|^2 + |Q|^2 = h11 |p|^2 + h22 |q|^2 + 2 Re(h12 conj(p) q) of H = M*M:
+three numbers per matrix (h11, h12 and det H once the square is completed)
+against the lifted points.  The dilation factor
 
     chi_lam(zeta) = (1 + lam^2 |zeta|^2)^2 / (lam^2 (1 + |zeta|^2)^2)
 
-and the L2 norm of grad log chi_lam are provided together with the explicit
-closed-form upper bound obtained by splitting the radial integral at
-r = 1/lam and r = 1.
+is its reciprocal for diag(sqrt(lam), 1/sqrt(lam)).  The L2 norm of
+grad log chi_lam is provided together with the explicit closed-form upper
+bound obtained by splitting the radial integral at r = 1/lam and r = 1.
 """
 
 from __future__ import annotations
@@ -96,12 +101,6 @@ class StereoPoint:
             raise ValueError("point at infinity has no finite coordinate")
         return complex(self.re, self.im)
 
-    @property
-    def abs2(self) -> float:
-        if self.at_infinity:
-            return math.inf
-        return self.re * self.re + self.im * self.im
-
 
 @dataclass(frozen=True)
 class MobiusElement:
@@ -162,14 +161,6 @@ class MobiusElement:
     def inverse(self) -> "MobiusElement":
         return MobiusElement(self.d, -self.b, -self.c, self.a)
 
-    def conjugate_transpose(self) -> "MobiusElement":
-        m = MobiusElement.__new__(MobiusElement)
-        object.__setattr__(m, "a", self.a.conjugate())
-        object.__setattr__(m, "b", self.c.conjugate())
-        object.__setattr__(m, "c", self.b.conjugate())
-        object.__setattr__(m, "d", self.d.conjugate())
-        return m
-
 
 @dataclass(frozen=True)
 class MobiusSVD:
@@ -185,20 +176,69 @@ class MobiusSVD:
         return self.U.matrix() @ D @ self.V.matrix().conj().T
 
 
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+@dataclass(frozen=True, eq=False)
+class _Lifted:
+    """Chart points ``zs`` with their pairs (p, q), |p|^2 and |q|^2; reads as
+    ``zs`` wherever an array is expected."""
+
+    zs: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    pp: np.ndarray
+    qq: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.zs.size
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.zs, dtype=dtype, copy=copy)
+
+
+def _lift(z) -> _Lifted:
+    """Lift chart points to (z, 1) on |z| <= 1, (1, 1/z) outside and (1, 0)
+    at inf; points already lifted pass through."""
+    if isinstance(z, _Lifted):
+        return z
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore"):
+        big = ~(_abs2(z) <= 1.0)  # inf and nan land here too
+    q = np.divide(1.0, z, out=np.where(big, 0j, 1.0 + 0j),
+                  where=big & np.isfinite(z))
+    p = np.where(big & ~np.isnan(z), 1.0 + 0j, z)  # a nan point stays nan
+    return _Lifted(z, p, q, _abs2(p), _abs2(q))
+
+
+def _sphere_xyz(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Stack of unit vectors for the points with projective pairs (p, q)."""
+    pp, qq = _abs2(p), _abs2(q)
+    n = pp + qq
+    w = 2.0 * p * np.conj(q) / n
+    return np.stack([w.real, w.imag, (pp - qq) / n])
+
+
+def _form_density(a, b, c, d, pts: _Lifted) -> np.ndarray:
+    """Conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 of (a, b; c, d)
+    at lifted points, broadcast over arrays of entries and of points.  The
+    form is evaluated as the completed square
+    h11 |p + (h12/h11) q|^2 + |det M|^2 |q|^2 / h11: two nonnegative terms,
+    whose relative error grows like the singular value ratio of M, where
+    the expanded form loses the square of it to cancellation."""
+    h11 = _abs2(a) + _abs2(c)
+    h12 = np.conj(a) * b + np.conj(c) * d
+    form = h11 * _abs2(pts.p + (h12 / h11) * pts.q) + _abs2(a * d - b * c) * pts.qq / h11
+    return ((pts.pp + pts.qq) / form) ** 2
+
+
 def stereo_to_sphere(p: StereoPoint) -> SpherePoint:
     """Map the chart coordinate to the sphere:
     x + iy = 2 zeta/(1+|zeta|^2), z = (|zeta|^2 - 1)/(|zeta|^2 + 1)."""
-    if p.at_infinity:
-        return SpherePoint(0.0, 0.0, 1.0)
-    rsq = p.abs2
-    if rsq <= 1.0:
-        denom = 1.0 + rsq
-        return SpherePoint(2.0 * p.re / denom, 2.0 * p.im / denom, (rsq - 1.0) / denom)
-    # invert through 1/zeta for stability at large radius
-    w = 1.0 / p.zeta
-    wsq = w.real * w.real + w.imag * w.imag
-    denom = 1.0 + wsq
-    return SpherePoint(2.0 * w.real / denom, -2.0 * w.imag / denom, (1.0 - wsq) / denom)
+    pts = _lift(complex(math.inf, 0.0) if p.at_infinity else p.zeta)
+    return SpherePoint(*(float(v) for v in _sphere_xyz(pts.p, pts.q)))
 
 
 def sphere_to_stereo(q: SpherePoint) -> StereoPoint:
@@ -225,15 +265,9 @@ def mobius_apply(m: MobiusElement, p: StereoPoint) -> StereoPoint:
 
 def _su2_from_column(col: np.ndarray) -> MobiusElement:
     # [[p, -conj(q)], [q, conj(p)]] is special unitary for any unit column
-    p, q = col[0], col[1]
-    nrm = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
-    p, q = p / nrm, q / nrm
-    m = MobiusElement.__new__(MobiusElement)
-    object.__setattr__(m, "a", complex(p))
-    object.__setattr__(m, "b", complex(-q.conjugate()))
-    object.__setattr__(m, "c", complex(q))
-    object.__setattr__(m, "d", complex(p.conjugate()))
-    return m
+    nrm = math.sqrt(abs(col[0]) ** 2 + abs(col[1]) ** 2)
+    p, q = complex(col[0] / nrm), complex(col[1] / nrm)
+    return MobiusElement(p, -q.conjugate(), q, p.conjugate())
 
 
 def mobius_svd(m: MobiusElement) -> MobiusSVD:
@@ -247,11 +281,10 @@ def mobius_svd(m: MobiusElement) -> MobiusSVD:
         raise DegenerateMatrixError(f"determinant {det} is not 1")
     A = m.matrix()
     H = A @ A.conj().T
-    evals = np.linalg.eigvalsh(H)
+    evals, evecs = np.linalg.eigh(H)
     lam = float(max(evals[1], 1.0))
     if abs(lam - 1.0) <= 1e-12:
         return MobiusSVD(U=m, V=MobiusElement.identity(), lam=1.0)
-    _, evecs = np.linalg.eigh(H)
     u1 = evecs[:, 1]  # eigenvector of the larger eigenvalue
     U = _su2_from_column(u1)
     v1 = (A.conj().T @ u1) / math.sqrt(lam)
@@ -259,18 +292,14 @@ def mobius_svd(m: MobiusElement) -> MobiusSVD:
     return MobiusSVD(U=U, V=V, lam=lam)
 
 
-def chi_values(lam: float, zs: np.ndarray) -> np.ndarray:
-    """Vectorised conformal factor chi_lam at complex chart points.
-
-    Stable for arbitrarily large radii (value tends to lam^2 at the pole).
-    """
-    rsq = np.abs(np.asarray(zs)) ** 2
-    small = rsq <= 1.0
-    rs = np.where(small, rsq, 1.0)
-    inv = np.where(small, 1.0, np.where(np.isinf(rsq), 0.0, 1.0 / np.where(rsq == 0, 1.0, rsq)))
-    direct = ((1.0 + lam * lam * rs) / (lam * (1.0 + rs))) ** 2
-    inverted = ((inv + lam * lam) / (lam * (inv + 1.0))) ** 2
-    return np.where(small, direct, inverted)
+def chi_values(lam, zs) -> np.ndarray:
+    """Vectorised conformal factor chi_lam at complex chart points (or at
+    points lifted once, see :func:`_lift`): the reciprocal of the factor of
+    diag(sqrt(lam), 1/sqrt(lam)), whose form has h11 = lam, h12 = 0 and
+    det H = 1, so ((lam |p|^2 + |q|^2/lam)/(|p|^2 + |q|^2))^2 on the lifted
+    pair.  Tends to lam^2 at the pole; broadcasts over an array of lam."""
+    pts = _lift(zs)
+    return ((lam * pts.pp + pts.qq / lam) / (pts.pp + pts.qq)) ** 2
 
 
 def chi(lam: float, p: StereoPoint) -> float:

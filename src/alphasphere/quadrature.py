@@ -13,6 +13,7 @@ history, so repeated runs give bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
@@ -31,13 +32,10 @@ class QuadratureConvergenceError(RuntimeError):
     """Adaptive refinement exhausted its subdivision budget."""
 
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _RULES:
-        _RULES[order] = np.polynomial.legendre.leggauss(order)
-    return _RULES[order]
+    """Gauss-Legendre nodes and weights on [-1, 1], shared by every caller."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -4,7 +4,7 @@ criterion (run pytest with -s to see them as they complete)."""
 
 import pytest
 
-from alphasphere import energy
+from alphasphere import energy, mobius
 from alphasphere.verification import CRITERIA, VerifySettings, _Context
 
 
@@ -77,6 +77,20 @@ def test_c07_grad_log_chi_l2_bound(ctx):
 
 def test_c08_degree_and_floor_for_pullbacks(ctx):
     _run(ctx, "c08")
+
+
+def test_c08_pullback_identity_detects_a_1e9_relative_error(monkeypatch):
+    # the batched check takes chi from mobius_svd and chi_values, not from
+    # the density it is compared with, so a 1e-9 error in chi must show
+    def pullback_row():
+        rows = CRITERIA["c08"](_Context(settings=VerifySettings(seed=2024, level="quick")))
+        return next(r for r in rows if r.check == "pullback_identity")
+
+    assert pullback_row().passed
+    exact = mobius.chi_values
+    monkeypatch.setattr(mobius, "chi_values", lambda *args: exact(*args) * (1.0 + 1e-9))
+    row = pullback_row()
+    assert not row.passed and row.value > 5e-10
 
 
 def test_c09_radial_rotation_recovery(ctx):

@@ -108,6 +108,26 @@ def test_verify_subset_and_determinism(capsys, tmp_path):
     assert "checks passed" in err1
 
 
+def test_verify_timings_stay_out_of_the_report(capsys, monkeypatch):
+    import types
+
+    from alphasphere import verification
+    args = ("verify", "--level", "quick", "--criteria", "c02,c08", "--seed", "7")
+    code1, out1, err1 = run_cli(capsys, *args)
+    # a clock that jumps 1000 s per reading changes the timings, not the CSV
+    ticks = iter(range(0, 10 ** 6, 1000))
+    monkeypatch.setattr(verification, "time",
+                        types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    code2, out2, err2 = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2 and " s)" not in out1
+    lines1 = [ln for ln in err1.splitlines() if "checks passed" in ln]
+    lines2 = [ln for ln in err2.splitlines() if "checks passed" in ln]
+    assert len(lines1) == 2 and all(ln.endswith(" s)") for ln in lines1)
+    assert lines2 == ["c02_alpha1_conformal: 5/5 checks passed (1000.00 s)",
+                      "c08_degree_floor_pullback: 4/4 checks passed (1000.00 s)"]
+
+
 def test_json_mirrors_csv(capsys):
     code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "1.2",
                            "--lambda", "3", "--format", "json")

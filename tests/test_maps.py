@@ -14,7 +14,6 @@ from alphasphere import (
     RadialMap,
     RadialProfile,
     SpherePoint,
-    StereoPoint,
     alpha_energy,
     degree,
     dilation_energy,
@@ -26,7 +25,8 @@ from alphasphere import (
     pullback,
 )
 
-from test_mobius import random_element
+from alphasphere.mobius import _form_density, _lift
+from test_mobius import random_element, su2
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +63,11 @@ def test_grid_convergence_smooth_map():
     assert abs(coarse - fine) / fine < 1e-8
 
 
-def test_grid_nodes_iterator():
+def test_grid_nodes_and_weights():
     g = make_grid(8, 8)
-    pts = list(g.nodes())
-    assert len(pts) == 64
-    assert all(w > 0.0 for _, w in pts)
-    assert abs(sum(w for _, w in pts) - g.total_weight) < 1e-12
+    assert g.zs.shape == g.weights.shape == (64,) and g.lifted.size == 64
+    assert np.all(g.weights > 0.0)
+    assert abs(math.fsum(g.weights) - g.total_weight) < 1e-12
 
 
 # ------------------------------------------------------------ evaluators
@@ -217,6 +216,56 @@ def test_mobius_evaluators_at_special_points(m, exact_pole):
     assert cmath.isinf(probe.seen[-1]) if exact_pole else abs(probe.seen[-1]) > 1e14
 
 
+def _svd_ratio_element(rng, ratio):
+    # U diag(sqrt(ratio), 1/sqrt(ratio)) V* with random special unitary U, V
+    u, v = (su2(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+            for _ in range(2))
+    return u @ MobiusElement.dilation(ratio) @ v
+
+
+@pytest.mark.parametrize("ratio", [1.0, 10.0, 1e2, 1e3, 1e4])
+def test_form_density_against_pair_path_and_closed_form(ratio):
+    rng = np.random.default_rng(int(math.log10(ratio)) + 40)
+    for _ in range(8):
+        m = _svd_ratio_element(rng, ratio)
+        zs = np.array([0.0, 1.0, -1.0, 1j, 1e200, complex(math.inf, 0.0), -m.d / m.c])
+        pts = _lift(zs)
+        P, Q = m.a * pts.p + m.b * pts.q, m.c * pts.p + m.d * pts.q
+        pair = ((pts.pp + pts.qq) / (np.abs(P) ** 2 + np.abs(Q) ** 2)) ** 2
+        closed = np.array([_closed_form_density(m, z) for z in zs])
+        # one matrix, and the same matrix broadcast as arrays of entries
+        for dens in (_form_density(m.a, m.b, m.c, m.d, pts),
+                     _form_density(*(np.full(zs.shape, getattr(m, k)) for k in "abcd"), pts)):
+            assert np.all(np.isfinite(dens))
+            assert np.max(np.abs(dens - pair) / pair) <= 1e-11
+            assert np.max(np.abs(dens - closed) / closed) <= 1e-11
+
+
+def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
+    from alphasphere import chi_values
+    rng = np.random.default_rng(5)
+    assert grid.lifted.size == grid.zs.size
+    for lam in (1.0, 3.7, 250.0):
+        assert np.array_equal(chi_values(lam, grid.lifted), chi_values(lam, grid.zs))
+    profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
+    for u in (mobius_map(random_element(rng)), ConjugationMap(), RadialMap(profile),
+              pullback(RadialMap(profile), random_element(rng))):
+        for method in ("position", "density", "jacobian"):
+            assert np.array_equal(getattr(u, method)(grid.lifted),
+                                  getattr(u, method)(grid.zs))
+
+
+def test_nan_chart_points_stay_nan():
+    from alphasphere import chi_values
+    z = np.array([complex(math.nan, 0.0), complex(math.inf, 0.0), 0.5j])
+    u = mobius_map(MobiusElement.dilation(4.0))
+    with np.errstate(invalid="ignore"):
+        evals = (u.density(z), u.position(z)[2], chi_values(4.0, z),
+                 PullbackMap(identity_map(), MobiusElement.dilation(4.0)).density(z))
+    for vals in evals:
+        assert math.isnan(vals[0]) and np.all(np.isfinite(vals[1:]))
+
+
 def test_dilation_pullback_identity_pointwise():
     rng = np.random.default_rng(12)
     from alphasphere import chi_values
@@ -251,14 +300,14 @@ def test_radial_map_of_linear_profile_is_identity(grid):
     assert np.max(np.abs(u.position(z) - ident.position(z))) < 1e-10
 
 
-def test_radial_map_scalar_evaluate():
+def test_radial_map_at_the_poles():
     u = RadialMap(RadialProfile.linear(3, 200))
-    pos, e, j = u.evaluate(StereoPoint.infinity())
-    assert pos.z == pytest.approx(1.0)
-    assert e == pytest.approx(9.0, rel=1e-9)   # slope 3 at the pole
-    assert j == pytest.approx(9.0, rel=1e-9)
-    pos0, _, _ = u.evaluate(StereoPoint(0.0, 0.0))
-    assert pos0.z == pytest.approx(math.cos(3 * math.pi), abs=1e-12)
+    z = np.array([complex(math.inf, 0.0), 0.0])
+    pos, e, j = u.position(z), u.density(z), u.jacobian(z)
+    assert pos[2, 0] == pytest.approx(1.0)
+    assert e[0] == pytest.approx(9.0, rel=1e-9)   # slope 3 at the pole
+    assert j[0] == pytest.approx(9.0, rel=1e-9)
+    assert pos[2, 1] == pytest.approx(math.cos(3 * math.pi), abs=1e-12)
 
 
 # ---------------------------------------------------------------- report
