@@ -21,7 +21,6 @@ from .mobius import (
 from .quadrature import (
     QuadratureConvergenceError,
     adaptive_gauss_legendre,
-    adaptive_gauss_legendre_log,
 )
 from .maps import (
     ConjugationMap,

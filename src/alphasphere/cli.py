@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -70,9 +71,12 @@ class RunConfig:
 
 def _parse_floats(s: str) -> list[float]:
     try:
-        return [float(x) for x in s.split(",") if x.strip()]
+        vals = [float(x) for x in s.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad number list {s!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"non-finite number in {s!r}")
+    return vals
 
 
 def _parse_ints(s: str) -> list[int]:
@@ -166,6 +170,10 @@ _DILATION_COLUMNS = ["alpha", "lambda", "e_alpha", "xi", "G", "Gprime",
 
 
 def _dilation_rows(alphas: list[float], lams: list[float]) -> tuple[list[dict], bool]:
+    if min(alphas) < 1.0:
+        raise ConfigError("dilation rows need every exponent >= 1")
+    if min(lams) <= 0.0:
+        raise ConfigError("dilation factors --lambda must be positive")
     rows = []
     ok = True
     for alpha in sorted(alphas):
@@ -228,6 +236,8 @@ _ENERGY_COLUMNS = ["map", "alpha", "e_alpha", "e_dirichlet_plus_area",
 def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     if not cfg.alphas:
         raise ConfigError("energy needs --alpha")
+    if min(cfg.alphas) < 1.0:
+        raise ConfigError("energies need every exponent >= 1")
     u = _build_map(cfg)
     grid = mp.make_grid(*cfg.grid)
     rows, ok = [], True
@@ -244,7 +254,7 @@ def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
 
 _RADIAL_COLUMNS = ["alpha", "n", "N", "energy", "residual_sup", "grad_norm",
                    "degree", "degree_int", "r1", "r2", "iterations",
-                   "converged"]
+                   "converged", "stop_reason"]
 
 
 def _solve_row(res: rd.SolveResult, N: int) -> dict:
@@ -252,7 +262,8 @@ def _solve_row(res: rd.SolveResult, N: int) -> dict:
             "energy": res.energy, "residual_sup": res.residual_sup,
             "grad_norm": res.grad_norm, "degree": res.degree,
             "degree_int": res.degree_int, "r1": res.r1, "r2": res.r2,
-            "iterations": res.iterations, "converged": res.converged}
+            "iterations": res.iterations, "converged": res.converged,
+            "stop_reason": res.stop_reason}
 
 
 def _check_radial(alphas: list[float], ns: list[int], Ns: list[int]) -> None:
@@ -432,8 +443,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             cfg.tol = float(v)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance {v!r}") from exc
-        if cfg.tol <= 0.0:
-            raise ConfigError("tolerances must be positive")
+        if not 0.0 < cfg.tol < math.inf:
+            raise ConfigError("tolerances must be finite and positive")
     if (v := pick("seed", "seed")) is not None:
         try:
             cfg.seed = int(v)

@@ -30,11 +30,14 @@ beta * 2^(2 alpha + 1) pi, is the independent quadrature
                 * int_0^sigma sinh(s/beta) (cosh(s/beta))^(beta-1)
                               sinh(alpha s / beta) ds.
 
-Both integrals switch to log-space evaluation once their integrands leave
-double range.  The module also carries the explicit lower-bound constants
-for xi ((e^2 - e - 2)/(2 e^4) when sigma >= 2, 1/(6 cosh^2 1) when
-log lam <= 1, and the optimised tanh(theta)(1 - cosh(theta)/sinh 1)
-constant for the growth of G' between those regimes).
+Both integrands are positive and increasing on their intervals.  Each is
+evaluated as a log, divided by its value at the right end, which keeps
+every value in (0, 1] however large sigma is, and integrated in linear
+space; the log of the divisor is added back afterwards.  The module also
+carries the explicit lower-bound constants for xi ((e^2 - e - 2)/(2 e^4)
+when sigma >= 2, 1/(6 cosh^2 1) when log lam <= 1, and the optimised
+tanh(theta)(1 - cosh(theta)/sinh 1) constant for the growth of G' between
+those regimes).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from .mobius import chi_values
 from .maps import MapEvaluator, QuadratureGrid
-from .quadrature import adaptive_gauss_legendre, adaptive_gauss_legendre_log
+from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "RegimeError",
@@ -144,19 +147,28 @@ def _log_cosh(t: np.ndarray) -> np.ndarray:
     return np.where(big, t - _LOG2 + np.log1p(np.exp(-2.0 * t)), small_val)
 
 
-def _log_sinh(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    big = t > 20.0
-    ts = np.where(big, 1.0, t)
-    with np.errstate(divide="ignore"):
-        small_val = np.log(np.sinh(ts))
-    return np.where(big, t - _LOG2 + np.log1p(-np.exp(-2.0 * t)), small_val)
+def _log_cosh_scalar(t: float) -> float:
+    t = abs(t)
+    if t > 20.0:
+        return t - _LOG2 + math.log1p(math.exp(-2.0 * t))
+    return math.log1p(2.0 * math.sinh(0.5 * t) ** 2)
 
 
 def _log_sinh_scalar(t: float) -> float:
-    if t > 20.0:
-        return t - _LOG2 + math.log1p(-math.exp(-2.0 * t))
-    return math.log(math.sinh(t))
+    return t - _LOG2 + math.log(-math.expm1(-2.0 * t))
+
+
+def _scaled_integral(log_f, log_f_end: float, b: float, rel_tol: float) -> float:
+    """log of int_0^b exp(log_f) for an integrand that is positive and
+    increasing on [0, b]: dividing by its value exp(log_f_end) at b keeps
+    every integrand value in (0, 1], so nothing leaves double range."""
+    integral = adaptive_gauss_legendre(lambda t: np.exp(log_f(t) - log_f_end),
+                                       0.0, b, rel_tol=rel_tol)
+    return log_f_end + math.log(integral)
+
+
+def _exp_or_inf(x: float) -> float:
+    return math.inf if x > 709.0 else math.exp(x)
 
 
 def _excess_ratio(alpha: float, tau: float, rel_tol: float = 1e-12) -> float:
@@ -169,25 +181,18 @@ def _excess_ratio(alpha: float, tau: float, rel_tol: float = 1e-12) -> float:
         # G - 1 = alpha (alpha - 1) tau^2 / 6 + O(tau^4)
         return alpha * beta * tau * tau / 6.0
 
-    def phi(t: np.ndarray) -> np.ndarray:
-        g = beta * _log_cosh(t) + _log_cosh(beta * t)
-        return np.cosh(t) * np.expm1(g)
-
-    if (2.0 * alpha - 1.0) * tau < 690.0:  # integrand fits in double range
-        integral = adaptive_gauss_legendre(phi, 0.0, tau, rel_tol=rel_tol)
-        return integral / math.sinh(tau)
-
+    # log of cosh(t) expm1(g) with g = beta log cosh t + log cosh(beta t),
+    # using log expm1(g) = g + log(-expm1(-g))
     def log_phi(t: np.ndarray) -> np.ndarray:
-        g = beta * _log_cosh(t) + _log_cosh(beta * t)
-        with np.errstate(divide="ignore"):
-            tail = np.where(g > 30.0, g, np.log(np.expm1(np.minimum(g, 30.0))))
-        return _log_cosh(t) + tail
+        lc = _log_cosh(t)
+        g = beta * lc + _log_cosh(beta * t)
+        return lc + g + np.log(-np.expm1(-g))
 
-    log_integral = adaptive_gauss_legendre_log(log_phi, 0.0, tau, rel_tol=max(rel_tol, 1e-12))
-    log_ratio = log_integral - _log_sinh_scalar(tau)
-    if log_ratio > 709.0:
-        return math.inf
-    return math.exp(log_ratio)
+    lc = _log_cosh_scalar(tau)
+    g = beta * lc + _log_cosh_scalar(beta * tau)
+    log_integral = _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)),
+                                    tau, rel_tol)
+    return _exp_or_inf(log_integral - _log_sinh_scalar(tau))
 
 
 def dilation_energy(alpha: float, lam: float, *,
@@ -196,12 +201,12 @@ def dilation_energy(alpha: float, lam: float, *,
 
     Symmetric in lam <-> 1/lam by construction (only |log lam| enters);
     equals 2^(2 alpha + 1) pi exactly at lam = 1 and for alpha = 1 at
-    every lam.
+    every lam.  Raises ValueError unless alpha >= 1 and 0 < lam < inf.
     """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 1")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
     tau = math.log(lam)
     beta = alpha - 1.0
     base = energy_floor(alpha)
@@ -219,37 +224,30 @@ def G_and_Gprime(alpha: float, sigma: float, *,
     G comes from the excess quadrature at tau = sigma/beta; G' from its own
     integral representation, so the pair provides two independent routes
     whose consistency is a finite-difference test away.  Requires
-    alpha > 1 (the change of variables degenerates at beta = 0).
+    1 < alpha < inf (the change of variables degenerates at beta = 0) and
+    0 <= sigma < inf.
     """
     beta = alpha - 1.0
-    if beta <= 0.0:
-        raise ValueError("G and G' need alpha > 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("G and G' need finite alpha > 1")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     if sigma == 0.0:
         return 1.0, 0.0
     x = sigma / beta
     G = 1.0 + _excess_ratio(alpha, x, rel_tol)
 
-    # the integrand peaks like exp((2 alpha - 1) sigma/beta)
-    if (2.0 * alpha - 1.0) * x < 690.0 and x < 350.0:
-        def k(s: np.ndarray) -> np.ndarray:
-            sb = s / beta
-            return np.sinh(sb) * np.cosh(sb) ** (beta - 1.0) * np.sinh(alpha * sb)
+    # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1)
+    # sinh(alpha s/beta), with log sinh y = y - log 2 + log(-expm1(-2y))
+    def log_k(s: np.ndarray) -> np.ndarray:
+        sb = s / beta
+        return (sb + alpha * sb - 2.0 * _LOG2 + (beta - 1.0) * _log_cosh(sb)
+                + np.log(-np.expm1(-2.0 * sb)) + np.log(-np.expm1(-2.0 * alpha * sb)))
 
-        K = adaptive_gauss_legendre(k, 0.0, sigma, rel_tol=rel_tol)
-        gprime = math.cosh(x) / (beta * math.sinh(x) ** 2) * K
-    else:
-        def log_k(s: np.ndarray) -> np.ndarray:
-            sb = s / beta
-            return (_log_sinh(sb) + (beta - 1.0) * _log_cosh(sb)
-                    + _log_sinh(alpha * sb))
-
-        logK = adaptive_gauss_legendre_log(log_k, 0.0, sigma, rel_tol=max(rel_tol, 1e-12))
-        log_pref = float(_log_cosh(np.array(x))) - math.log(beta) - 2.0 * _log_sinh_scalar(x)
-        val = log_pref + logK
-        gprime = math.inf if val > 709.0 else math.exp(val)
-    return G, gprime
+    ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
+    log_K = _scaled_integral(log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x),
+                             sigma, rel_tol)
+    return G, _exp_or_inf(lc - math.log(beta) - 2.0 * ls + log_K)
 
 
 def alpha_energy(u: MapEvaluator, alpha: float, grid: QuadratureGrid) -> float:

@@ -1,31 +1,33 @@
 """Adaptive panel quadrature built on Gauss-Legendre rules.
 
-Two entry points: :func:`adaptive_gauss_legendre` integrates a vectorised
-callable over a finite interval, repeatedly splitting the panel with the
-worst error estimate; :func:`adaptive_gauss_legendre_log` does the same for
-positive integrands supplied as log-values, keeping every intermediate in
-log space so that magnitudes far beyond double range stay usable.
+:func:`adaptive_gauss_legendre` integrates a vectorised callable over a
+finite interval.  Each panel's error estimate compares the ``ORDER``-point
+rule against the ``2 * ORDER``-point rule on it.  Refinement goes level by
+level: every panel whose error exceeds its share of the tolerance (in
+proportion to its width) is halved, and the nodes of all new panels are
+evaluated in one call of the integrand.  Integrands whose values leave
+double range are the caller's to scale; the dilation integrals in
+:mod:`alphasphere.energy` divide by their value at the right end.
 
-Error estimates compare an n-point rule against the 2n-point rule on the
-same panel.  Summation order is deterministic for a fixed refinement
-history, so repeated runs give bit-identical results.
+Panels are kept in interval order and summed with :func:`math.fsum`, so a
+fixed refinement history gives bit-identical results.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "QuadratureConvergenceError",
     "adaptive_gauss_legendre",
-    "adaptive_gauss_legendre_log",
 ]
+
+ORDER = 12
+MAX_PANELS = 4000
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -38,101 +40,46 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-           order: int) -> tuple[float, float]:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x, w = _rule(order)
-    coarse = half * float(np.sum(w * f(mid + half * x)))
-    x2, w2 = _rule(2 * order)
-    fine = half * float(np.sum(w2 * f(mid + half * x2)))
-    return fine, abs(fine - coarse)
+def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-rule values and error estimates of the panels [lo, hi]."""
+    x, w = _rule(ORDER)
+    x2, w2 = _rule(2 * ORDER)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    pts = mid[:, None] + half[:, None] * np.concatenate((x, x2))
+    vals = f(pts.ravel()).reshape(pts.shape)
+    coarse = half * (vals[:, :ORDER] @ w)
+    fine = half * (vals[:, ORDER:] @ w2)
+    return fine, np.abs(fine - coarse)
 
 
 def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray],
                             a: float, b: float, *,
-                            rel_tol: float = 1e-9,
-                            abs_tol: float = 0.0,
-                            order: int = 12,
-                            max_panels: int = 4000) -> float:
+                            rel_tol: float = 1e-9) -> float:
     """Integrate the vectorised callable ``f`` over ``[a, b]``.
 
     Stops once the summed panel error estimates drop below
-    ``max(abs_tol, rel_tol * |integral|)``; raises
-    :class:`QuadratureConvergenceError` if ``max_panels`` splits do not
-    get there.
+    ``rel_tol * |integral|``; raises :class:`QuadratureConvergenceError`
+    if that would take more than ``MAX_PANELS`` panels.
     """
     if a == b:
         return 0.0
-    val, err = _panel(f, a, b, order)
-    heap = [(-err, 0, a, b, val, err)]
-    total_val, total_err = val, err
-    count = 1
-    while len(heap) < max_panels:
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)) or total_err == 0.0:
-            return total_val
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, qa, qb, order)
-            count += 1
-            heapq.heappush(heap, (-e, count, qa, qb, v, e))
-            total_val += v
-            total_err += e
-        # rebuild the accumulators occasionally to shed cancellation drift
-        if count % 512 == 0:
-            total_val = math.fsum(item[4] for item in heap)
-            total_err = math.fsum(item[5] for item in heap)
-    if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-        return total_val
-    raise QuadratureConvergenceError(
-        f"no convergence to rel_tol={rel_tol:g} after {max_panels} panels "
-        f"(estimated error {total_err:.3e} on value {total_val:.6e})")
-
-
-def _panel_log(logf: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               order: int) -> tuple[float, float]:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x, w = _rule(order)
-    coarse = float(logsumexp(logf(mid + half * x) + np.log(half * w)))
-    x2, w2 = _rule(2 * order)
-    fine = float(logsumexp(logf(mid + half * x2) + np.log(half * w2)))
-    diff = abs(-math.expm1(min(coarse - fine, 700.0)))
-    logerr = fine + math.log(diff) if diff > 0.0 else -math.inf
-    return fine, logerr
-
-
-def adaptive_gauss_legendre_log(logf: Callable[[np.ndarray], np.ndarray],
-                                a: float, b: float, *,
-                                rel_tol: float = 1e-9,
-                                order: int = 12,
-                                max_panels: int = 4000) -> float:
-    """Return ``log`` of the integral of ``exp(logf)`` over ``[a, b]``.
-
-    For strictly positive integrands whose values overflow doubles.
-    """
-    if a == b:
-        return -math.inf
-    lval, lerr = _panel_log(logf, a, b, order)
-    heap = [(-lerr, 0, a, b, lval, lerr)]
-    count = 1
-    log_rel = math.log(rel_tol)
-    while len(heap) < max_panels:
-        log_total = float(logsumexp([item[4] for item in heap]))
-        log_err = float(logsumexp([item[5] for item in heap]))
-        if log_err <= log_total + log_rel or log_err == -math.inf:
-            return log_total
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            v, e = _panel_log(logf, qa, qb, order)
-            count += 1
-            heapq.heappush(heap, (-e, count, qa, qb, v, e))
-    log_total = float(logsumexp([item[4] for item in heap]))
-    log_err = float(logsumexp([item[5] for item in heap]))
-    if log_err <= log_total + log_rel:
-        return log_total
-    raise QuadratureConvergenceError(
-        f"log-domain quadrature did not reach rel_tol={rel_tol:g} "
-        f"after {max_panels} panels")
+    edges = np.array([a, b], dtype=float)
+    val, err = _panels(f, edges[:-1], edges[1:])
+    while True:
+        total, total_err = math.fsum(val), math.fsum(err)
+        tol = rel_tol * abs(total)
+        if total_err <= tol or total_err == 0.0:
+            return total
+        split = err > tol * np.diff(edges) / (b - a)
+        if not split.any():
+            split[np.argmax(err)] = True
+        if len(val) + np.count_nonzero(split) > MAX_PANELS:
+            raise QuadratureConvergenceError(
+                f"no convergence to rel_tol={rel_tol:g} within {MAX_PANELS} "
+                f"panels (estimated error {total_err:.3e} on value {total:.6e})")
+        idx = np.flatnonzero(split)
+        edges = np.insert(edges, idx + 1, 0.5 * (edges[idx] + edges[idx + 1]))
+        fresh = np.repeat(split, split + 1)
+        val, err = np.repeat(val, split + 1), np.repeat(err, split + 1)
+        val[fresh], err[fresh] = _panels(f, edges[:-1][fresh], edges[1:][fresh])

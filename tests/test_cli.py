@@ -94,6 +94,7 @@ def test_radial_solve_continuation(capsys):
     assert code == 0
     row = parse_csv(out)[0]
     assert row["converged"] == "true"
+    assert row["stop_reason"] in ("gradient", "stagnation")
     assert float(row["alpha"]) == 1.3
 
 
@@ -194,6 +195,16 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("radial-solve", "--alpha", "1.2", "--n", "0", "--N", "300"),
     ("sweep", "--alpha", "1.0,1.2", "--n", "1", "--N", "300"),
     ("sweep", "--alpha", "1.2", "--n", "1", "--N", "50"),
+    # non-finite and out-of-range numeric inputs
+    ("dilation-table", "--alpha", "1.5", "--lambda", "nan"),
+    ("dilation-table", "--alpha", "nan", "--lambda", "2"),
+    ("dilation-table", "--alpha", "1.5", "--lambda", "inf"),
+    ("dilation-table", "--alpha", "0.5", "--lambda", "2"),
+    ("dilation-table", "--alpha", "1.5", "--lambda", "0"),
+    ("sweep", "--alpha", "1.5", "--lambda", "2,-1"),
+    ("sweep", "--alpha", "0.9,1.2", "--lambda", "2"),
+    ("energy", "--map", "identity", "--alpha", "0.5"),
+    ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300", "--tol", "nan"),
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

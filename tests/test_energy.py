@@ -135,8 +135,11 @@ def test_dilation_energy_symmetry_and_fields():
 
 
 def test_dilation_energy_monotone():
-    for a in (1.05, 1.5, 2.0):
-        taus = np.linspace(0.0, 20.0 / (a - 1.0), 120)
+    cases = [(a, np.linspace(0.0, 20.0 / (a - 1.0), 120)) for a in (1.05, 1.5, 2.0)]
+    # across (2 alpha - 1) tau = 690, where the integrand leaves double range
+    cases.append((2.0, np.linspace(225.0, 235.0, 101)))
+    cases.append((2.0, 230.0 + np.linspace(-1e-9, 1e-9, 21)))
+    for a, taus in cases:
         vals = [dilation_energy(a, math.exp(t)).value for t in taus]
         assert all(v2 >= v1 * (1.0 - 1e-12) for v1, v2 in zip(vals, vals[1:]))
 
@@ -146,6 +149,10 @@ def test_dilation_energy_validates():
         dilation_energy(0.9, 2.0)
     with pytest.raises(ValueError):
         dilation_energy(1.2, 0.0)
+    for alpha, lam in ((math.nan, 2.0), (math.inf, 2.0), (1.5, math.nan),
+                       (1.5, math.inf), (1.5, -1.0)):
+        with pytest.raises(ValueError):
+            dilation_energy(alpha, lam)
 
 
 # ----------------------------------------------------------- G, G prime
@@ -169,9 +176,12 @@ def test_Gprime_positive_on_grid():
 
 def test_Gprime_matches_finite_difference():
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        a = float(rng.uniform(1.05, 2.0))
-        s = float(rng.uniform(0.01, 4.0))
+    cases = [(float(rng.uniform(1.05, 2.0)), float(rng.uniform(0.01, 4.0)))
+             for _ in range(25)]
+    # both sides of sigma/beta = 350 and of (2 alpha - 1) sigma/beta = 690
+    cases += [(1.5, 174.9), (1.5, 175.1), (2.0, 229.9), (2.0, 230.1),
+              (2.0, 349.9), (2.0, 350.1)]
+    for a, s in cases:
         _, gp = G_and_Gprime(a, s)
         d = 1e-5
         fd = (G_and_Gprime(a, s + d)[0] - G_and_Gprime(a, s - d)[0]) / (2.0 * d)
@@ -181,6 +191,10 @@ def test_Gprime_matches_finite_difference():
 def test_G_rejects_alpha_one():
     with pytest.raises(ValueError):
         G_and_Gprime(1.0, 0.5)
+    for alpha, sigma in ((math.nan, 0.5), (math.inf, 0.5), (1.5, math.nan),
+                         (1.5, math.inf), (1.5, -0.5)):
+        with pytest.raises(ValueError):
+            G_and_Gprime(alpha, sigma)
 
 
 def test_Gprime_finite_for_large_exponent():

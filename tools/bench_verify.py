@@ -36,7 +36,9 @@ E2E_SEEDS = list(range(11, 21))
 OUT = ROOT / "BENCH_verify.json"
 PER_LAYER = (*(f"verification.c{i:02d}_s" for i in range(1, 13)),
              "maps.calls", "maps.points", "maps.self_s", "maps.points_per_s",
-             "mobius.calls", "mobius.self_s")
+             "mobius.calls", "mobius.self_s", "quadrature.calls",
+             "quadrature.integrand_calls", "quadrature.integrand_points",
+             "quadrature.self_s")
 
 
 def export(rev: str, dest: Path) -> str:
