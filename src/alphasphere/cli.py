@@ -216,9 +216,9 @@ def _build_map(cfg: RunConfig) -> mp.MapEvaluator:
     if spec.startswith("mobius:"):
         try:
             a, b, c, d = (complex(x) for x in spec[len("mobius:"):].split(","))
+            return mp.mobius_map(mb.MobiusElement.normalized(a, b, c, d))
         except ValueError as exc:
-            raise ConfigError(f"bad mobius entries in {spec!r}") from exc
-        return mp.mobius_map(mb.MobiusElement.normalized(a, b, c, d))
+            raise ConfigError(f"bad mobius entries in {spec!r}: {exc}") from exc
     if spec.startswith("radial:"):
         path = spec[len("radial:"):]
         try:
@@ -313,7 +313,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     rows = run_criteria(VerifySettings(seed=cfg.seed, level=cfg.level), names, timings)
     ok = all(r.passed for r in rows)
     out_rows = [{"criterion": r.criterion, "check": r.check, "value": r.value,
-                 "bound": r.bound, "passed": r.passed, "note": r.note}
+                 "bound": r.bound, "passed": bool(r.passed), "note": r.note}
                 for r in rows]
     counts = {}
     for r in rows:

@@ -120,7 +120,7 @@ class MobiusElement:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-8:
+        if not abs(det - 1.0) <= 1e-8:   # NaN entries fail too
             raise DegenerateMatrixError(f"determinant {det} is not 1")
 
     @classmethod

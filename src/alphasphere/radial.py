@@ -19,9 +19,10 @@ A profile is known by its values on a uniform grid.  Its one continuous
 reconstruction is the local cubic through the four nodes around each cell,
 with nodes beyond the endpoints supplied by the odd reflections that every
 regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
-it.  The minimiser minimises exactly this discrete energy, and the reported
-energy, the disc/annulus/cap split, the crossings and the 2-d map all read
-the same reconstruction.
+it.  This one per-cell integrator serves the minimiser's objective, the
+reported energy, the degree and the disc/annulus/cap split; only a cell
+that a window's end cuts is integrated point by point through the
+reconstruction, which the crossings and the 2-d map read as well.
 
 The module provides the energy, a finite-difference residual for the above
 equation, a direct minimiser over nodal values (damped Newton with a banded
@@ -131,24 +132,15 @@ class RadialProfile:
     def value(self, r):
         return self.value_and_slope(r)[0]
 
-    def slope(self, r):
-        return self.value_and_slope(r)[1]
-
     def with_values(self, fs: np.ndarray) -> "RadialProfile":
         return RadialProfile(self.n, self.rs, np.asarray(fs, dtype=float))
 
     def resampled(self, N: int) -> "RadialProfile":
-        rs = np.linspace(0.0, _PI, N + 1)
-        fs = self.value(rs)
-        fs[0], fs[-1] = 0.0, self.n * _PI
-        return RadialProfile(self.n, rs, fs)
+        return RadialProfile.from_function(self.n, N, self.value)
 
     @classmethod
     def linear(cls, n: int, N: int) -> "RadialProfile":
-        rs = np.linspace(0.0, _PI, N + 1)
-        fs = n * rs
-        fs[-1] = n * _PI
-        return cls(n, rs, fs)
+        return cls.from_function(n, N, lambda r: n * r)
 
     @classmethod
     def from_function(cls, n: int, N: int, fn) -> "RadialProfile":
@@ -186,46 +178,44 @@ class SolveResult:
     history: tuple = field(default=(), repr=False)
 
 
-def _density(alpha: float, r: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    s = np.sin(r)
-    return (2.0 + fp * fp + (np.sin(f) / s) ** 2) ** alpha * s
-
-
-def _cell_quad(profile: RadialProfile, integrand, a: float, b: float) -> float:
-    """Integral of ``integrand(r, f, f')`` over [a, b] by 4-point
-    Gauss-Legendre on panels cut at the grid nodes, with the profile's
-    local-cubic reconstruction of f and f'; aligned panels make adjacent
-    windows add up to the whole without seam error."""
-    cuts = profile.rs[(profile.rs > a) & (profile.rs < b)]
-    edges = np.concatenate(([a], cuts, [b]))
-    x, w = _rule(_GL_ORDER)
-    t, w = 0.5 * (x + 1.0), 0.5 * w
-    lo, hi = edges[:-1, None], edges[1:, None]
-    xg = lo + (hi - lo) * t[None, :]
-    vals = integrand(xg, *profile.value_and_slope(xg))
-    return float(np.sum(w[None, :] * vals * (hi - lo)))
-
-
-def _energy_between(profile: RadialProfile, alpha: float, a: float, b: float) -> float:
+def _window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
+    """Energies of the windows between consecutive ``edges``: the cell
+    energies of the cells a window holds whole, plus 4-point Gauss-Legendre
+    through the local cubic on the panels its ends cut from at most two
+    cells, so that adjacent windows add up to the total up to the
+    quadrature error of those panels."""
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    if not 0.0 <= a <= b <= _PI:
-        raise ValueError("window must satisfy 0 <= a <= b <= pi")
-    return _PI * _cell_quad(profile, lambda r, f, fp: _density(alpha, r, f, fp), a, b)
+    disc = _DiscreteEnergy(alpha, profile.n, profile.N)
+    cells = disc.cell_energies(profile.fs)
+    rs, out = profile.rs, []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if not 0.0 <= a <= b <= _PI:
+            raise ValueError("window must satisfy 0 <= a <= b <= pi")
+        i = int(np.searchsorted(rs, a, "left"))        # first node >= a
+        j = int(np.searchsorted(rs, b, "right")) - 1   # last node <= b
+        cuts = np.array([(a, b)] if i > j else [(a, rs[i]), (rs[j], b)])
+        lo, hi = cuts[cuts[:, 1] > cuts[:, 0]].T[:, :, None]   # (panels, 1) each
+        xg = lo + (hi - lo) * disc.t
+        f, fp = profile.value_and_slope(xg)
+        s = np.sin(xg)
+        dens = (2.0 + fp * fp + (np.sin(f) / s) ** 2) ** alpha * s
+        out.append(float(np.sum(cells[i:j]) + _PI * np.sum(disc.w * dens * (hi - lo))))
+    return out
 
 
 def radial_energy(profile: RadialProfile, alpha: float) -> float:
-    """Energy I(f) of the profile's local-cubic reconstruction: the
-    discrete objective :func:`minimize_radial` minimises."""
-    return _energy_between(profile, alpha, 0.0, _PI)
+    """Energy I(f) of the profile's local-cubic reconstruction: the sum of
+    the cell energies of the discrete objective :func:`minimize_radial`
+    minimises."""
+    return _window_energies(profile, alpha, (0.0, _PI))[0]
 
 
 def radial_energy_between(profile: RadialProfile, alpha: float,
                           a: float, b: float) -> float:
-    """Energy of the restriction to polar angles in [a, b], integrated on
-    panels aligned with the profile grid so that adjacent windows add up
-    to the total without seam error."""
-    return _energy_between(profile, alpha, a, b)
+    """Energy of the restriction to polar angles in [a, b]: the cells inside
+    it whole, and the at most two cells cut at a and b point by point."""
+    return _window_energies(profile, alpha, (a, b))[0]
 
 
 def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
@@ -288,14 +278,14 @@ class _DiscreteEnergy:
         self.N = N
         self.h = _PI / N
         x, w = _rule(_GL_ORDER)
-        t = 0.5 * (x + 1.0)
+        self.t, self.w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
         # the local cubic's Lagrange basis: row k is the cubic through the
         # k-th unit vector of nodes, at the Gauss points; shape (4, G)
-        self.B, self.Bp = _cubic(*np.eye(4)[:, :, None], t)
-        xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * t[None, :]
+        self.B, self.Bp = _cubic(*np.eye(4)[:, :, None], self.t)
+        xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * self.t[None, :]
         sin_xg = np.sin(xg)
         self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
-        self.wgt = _PI * self.h * (0.5 * w)[None, :] * sin_xg  # (N, G)
+        self.wgt = _PI * self.h * self.w[None, :] * sin_xg  # (N, G)
 
     def _fields(self, fs: np.ndarray):
         fe = _reflect(fs, self.n, 1)
@@ -306,6 +296,16 @@ class _DiscreteEnergy:
         sfc = np.sin(fc)
         W = fp * fp + sfc * sfc * self.inv_sin2
         return fc, fp, W
+
+    def cell_energies(self, fs: np.ndarray) -> np.ndarray:
+        """The energy of each cell, shape (N,); they sum to the value."""
+        _, _, W = self._fields(fs)
+        return np.sum(self.wgt * (2.0 + W) ** self.alpha, axis=1)
+
+    def degree(self, fs: np.ndarray) -> float:
+        """Degree of the map, the integral of sin(f) f' / 2 over [0, pi]."""
+        fc, fp, _ = self._fields(fs)
+        return 0.5 * self.h * float(np.sum((np.sin(fc) * fp) @ self.w))
 
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
         alpha, h, N = self.alpha, self.h, self.N
@@ -451,7 +451,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
-    deg = _cell_quad(final, lambda r, f, fp: 0.5 * np.sin(f) * fp, 0.0, _PI)
+    deg = disc.degree(fs)
     r1 = r2 = None
     if n == 3:
         r1 = _first_crossing(final, _PI)
@@ -459,7 +459,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     return SolveResult(
         profile=final,
         alpha=alpha,
-        energy=radial_energy(final, alpha),
+        energy=val,
         residual_sup=residual_sup,
         grad_norm=float(np.max(np.abs(g))),
         degree=deg,
@@ -598,11 +598,8 @@ def annulus_split(result: SolveResult) -> tuple[float, float, float]:
         raise SplitUnavailableError("solve did not converge")
     if result.r1 is None or result.r2 is None:
         raise SplitUnavailableError("profile lacks the pi and 2 pi crossings")
-    p, a = result.profile, result.alpha
-    disc = radial_energy_between(p, a, 0.0, result.r1)
-    annulus = radial_energy_between(p, a, result.r1, result.r2)
-    cap = radial_energy_between(p, a, result.r2, _PI)
-    return disc, annulus, cap
+    return tuple(_window_energies(result.profile, result.alpha,
+                                  (0.0, result.r1, result.r2, _PI)))
 
 
 def save_profile(profile: RadialProfile, path) -> None:

@@ -140,8 +140,8 @@ def test_json_mirrors_csv(capsys):
 
 
 def test_verify_json_passed_is_boolean(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--format", "json",
-                           "--criteria", "c08", "--level", "quick")
+    # the whole battery: a numpy bool from any criterion must not reach JSON
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", "--level", "quick")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert rows and all(type(r["passed"]) is bool for r in rows)
@@ -205,6 +205,9 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("sweep", "--alpha", "0.9,1.2", "--lambda", "2"),
     ("energy", "--map", "identity", "--alpha", "0.5"),
     ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300", "--tol", "nan"),
+    # malformed Moebius maps: a NaN entry and a singular matrix
+    ("energy", "--map", "mobius:nan,0,0,1", "--alpha", "1.5"),
+    ("energy", "--map", "mobius:1,0,0,0", "--alpha", "1.5"),
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

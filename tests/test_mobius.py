@@ -160,6 +160,11 @@ def test_svd_rejects_degenerate():
         MobiusElement(1.0, 0.0, 0.0, 2.0)
     with pytest.raises(DegenerateMatrixError):
         MobiusElement.normalized(1.0, 0.0, 0.0, 0.0)
+    # a NaN determinant compares false with everything, so it must fail too
+    with pytest.raises(DegenerateMatrixError):
+        MobiusElement(math.nan, 0.0, 0.0, 1.0)
+    with pytest.raises(DegenerateMatrixError):
+        MobiusElement.normalized(math.nan, 0.0, 0.0, 1.0)
 
 
 def test_normalized_hits_unit_determinant():

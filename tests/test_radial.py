@@ -109,21 +109,64 @@ def test_energy_reflection_symmetry():
     assert radial_energy(p, 1.4) == pytest.approx(radial_energy(q, 1.4), rel=1e-12)
 
 
-def test_energy_window_additivity(n3_solve):
+def _pointwise_energy(p, alpha):
+    """4-point Gauss-Legendre on every cell, with f and f' read point by
+    point through value_and_slope."""
+    x, w = np.polynomial.legendre.leggauss(4)
+    r = p.rs[:-1, None] + 0.5 * p.h * (x + 1.0)
+    f, fp = p.value_and_slope(r)
+    dens = (2.0 + fp * fp + (np.sin(f) / np.sin(r)) ** 2) ** alpha * np.sin(r)
+    return math.pi * 0.5 * p.h * float(np.sum(dens @ w))
+
+
+@pytest.mark.parametrize("edges", [
+    lambda rs: (0.0, 1.0, 2.2, math.pi),
+    lambda rs: (0.0, rs[300], 2.2, math.pi),      # a cut on a node
+    lambda rs: (0.0, 1.0001, 1.0002, math.pi),    # a and b inside one cell
+    lambda rs: (0.0, 1.5, 1.5, math.pi),          # an empty window
+    lambda rs: (0.0, math.pi),
+], ids=["cells", "node", "one-cell", "empty", "whole"])
+def test_energy_window_additivity(n3_solve, edges):
     p = n3_solve.profile
+    cuts = edges(p.rs)
     total = radial_energy(p, 1.2)
-    parts = (radial_energy_between(p, 1.2, 0.0, 1.0)
-             + radial_energy_between(p, 1.2, 1.0, 2.2)
-             + radial_energy_between(p, 1.2, 2.2, math.pi))
-    assert abs(parts - total) < 1e-9
+    parts = [radial_energy_between(p, 1.2, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert abs(sum(parts) - total) < 1e-9
+    for a, b, part in zip(cuts[:-1], cuts[1:], parts):
+        assert part > 0.0 if a < b else part == 0.0
+    if len(parts) == 1:
+        assert parts[0] == pytest.approx(total, rel=1e-14)
 
 
 def test_energy_is_the_minimised_discrete_objective():
-    # radial_energy reads the same local cubic and Gauss rule as the
-    # minimiser's objective, so the two agree away from any minimum
+    # radial_energy sums the minimiser's cell energies; an independent
+    # point-by-point integration of the same local cubic agrees with it
     p = RadialProfile.from_function(3, 400, lambda r: 3 * r + 0.3 * np.sin(2 * r))
     disc, _ = _DiscreteEnergy(1.4, 3, 400).value_and_grad(p.fs)
     assert radial_energy(p, 1.4) == pytest.approx(disc, rel=1e-12)
+    assert radial_energy(p, 1.4) == pytest.approx(_pointwise_energy(p, 1.4), rel=1e-12)
+    res = minimize_radial(1.4, 3, 400, p, max_iters=3)
+    assert res.energy == res.history[-1]
+    assert res.energy == pytest.approx(_pointwise_energy(res.profile, 1.4), rel=1e-12)
+
+
+def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
+    # the solver and the split read the per-cell fields; only the cells cut
+    # at r1 and r2 (4 Gauss points each) and the crossings' root finding
+    # may go through value_and_slope
+    sizes = []
+    value_and_slope = RadialProfile.value_and_slope
+
+    def counted(self, r):
+        sizes.append(np.size(r))
+        return value_and_slope(self, r)
+
+    monkeypatch.setattr(RadialProfile, "value_and_slope", counted)
+    res = minimize_radial(1.2, 3, 1000)
+    assert sizes and max(sizes) <= 8
+    sizes.clear()
+    annulus_split(res)
+    assert sizes and max(sizes) <= 8
 
 
 # -------------------------------------------------------------- residual
