@@ -14,12 +14,14 @@ sweep           Cartesian-product batch of dilation rows, or of radial
 Reports are CSV (17 significant digits, '.' decimal separator) or JSON
 mirroring the same columns 1:1.  Rows are ordered by parameter sort, and a
 fixed seed makes reports byte-identical across runs.  Options may come
-from a ``key = value`` config file (--config); explicit flags win.  The
-environment variable ALPHASPHERE_OUTDIR supplies a default directory for
-bare output file names.
+from a ``key = value`` config file (--config) whose keys are the long flag
+names without their dashes (``lambda``, ``profile-out``, ...); explicit
+flags win, and both go through the same validation.  The environment
+variable ALPHASPHERE_OUTDIR supplies a default directory for bare output
+file names.
 
 Exit status: 0 when every requested check passes, 1 when any check fails,
-2 on configuration errors.
+2 on configuration errors, a bad --level or --format among them.
 """
 
 from __future__ import annotations
@@ -93,9 +95,33 @@ def _parse_grid(s: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-_CONFIG_KEYS = {"alpha", "lambda", "n", "N", "grid", "map", "init",
-                "continuation", "profile-out", "criteria", "tol", "seed",
-                "level", "out", "format"}
+def _parse_names(s: str) -> list[str]:
+    return [x.strip() for x in s.split(",") if x.strip()]
+
+
+def _parse_tol(s: str) -> float:
+    try:
+        tol = float(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad tolerance {s!r}") from exc
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tolerances must be finite and positive")
+    return tol
+
+
+def _parse_seed(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad seed {s!r}") from exc
+
+
+def _one_of(key: str, *allowed: str):
+    def parse(s: str) -> str:
+        if s not in allowed:
+            raise ConfigError(f"{key} must be " + " or ".join(map(repr, allowed)))
+        return s
+    return parse
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -111,7 +137,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         data[key] = value
     return data
@@ -199,6 +225,7 @@ def _dilation_rows(alphas: list[float], lams: list[float]) -> tuple[list[dict], 
 
 
 def _cmd_dilation_table(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """dilation energies and bound verdicts"""
     if not cfg.alphas or not cfg.lams:
         raise ConfigError("dilation-table needs --alpha and --lambda")
     rows, ok = _dilation_rows(cfg.alphas, cfg.lams)
@@ -234,6 +261,7 @@ _ENERGY_COLUMNS = ["map", "alpha", "e_alpha", "e_dirichlet_plus_area",
 
 
 def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """energy report for a named map"""
     if not cfg.alphas:
         raise ConfigError("energy needs --alpha")
     if min(cfg.alphas) < 1.0:
@@ -276,6 +304,7 @@ def _check_radial(alphas: list[float], ns: list[int], Ns: list[int]) -> None:
 
 
 def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """minimise the radial energy"""
     if len(cfg.alphas) != 1 or len(cfg.ns) != 1 or len(cfg.Ns) != 1:
         raise ConfigError("radial-solve needs one --alpha, one --n, one --N")
     _check_radial(cfg.alphas + cfg.continuation, cfg.ns, cfg.Ns)
@@ -304,6 +333,7 @@ _VERIFY_COLUMNS = ["criterion", "check", "value", "bound", "passed", "note"]
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """run the verification battery"""
     names = cfg.criteria or sorted(CRITERIA)
     for name in names:
         if name not in CRITERIA:
@@ -328,6 +358,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """Cartesian-product batch runs"""
     if cfg.ns:
         if not cfg.alphas or not cfg.Ns:
             raise ConfigError("radial sweep needs --alpha, --n and --N")
@@ -355,111 +386,67 @@ _COMMANDS = {
 }
 
 
+_ALL = tuple(_COMMANDS)
+
+# config key, which is also the long flag -> (RunConfig field, parser of
+# the string value, commands that take the flag, help); a flag and a
+# config-file value go through the same parser
+_OPTIONS = {
+    "alpha": ("alphas", _parse_floats, ("dilation-table", "energy", "radial-solve", "sweep"),
+              "comma-separated exponents (radial-solve: the target)"),
+    "lambda": ("lams", _parse_floats, ("dilation-table", "sweep"),
+               "comma-separated dilation factors"),
+    "n": ("ns", _parse_ints, ("radial-solve", "sweep"), "winding counts (radial-solve: one)"),
+    "N": ("Ns", _parse_ints, ("radial-solve", "sweep"), "grid cells (radial-solve: one)"),
+    "grid": ("grid", _parse_grid, ("energy",), "quadrature sizes 'n_radial,n_angular'"),
+    "map": ("map_spec", str, ("energy",),
+            "identity | constant | conjugation | mobius:a,b,c,d | radial:PATH"),
+    "init": ("init", str, ("radial-solve",), "two-column profile file to start from"),
+    "continuation": ("continuation", _parse_floats, ("radial-solve",),
+                     "comma-separated exponents walked down to --alpha, each solve "
+                     "warm-starting the next"),
+    "profile-out": ("profile_out", str, ("radial-solve",),
+                    "write the solved profile as two-column text"),
+    "tol": ("tol", _parse_tol, ("radial-solve",), "gradient stopping scale (default 1e-8)"),
+    "criteria": ("criteria", _parse_names, ("verify",),
+                 "comma-separated subset, e.g. c01,c05"),
+    "level": ("level", _one_of("level", "full", "quick"), ("verify",),
+              "battery size: full (default) or quick"),
+    "seed": ("seed", _parse_seed, _ALL, "seed for randomised checks"),
+    "out": ("out", str, _ALL,
+            "output path (default: stdout); bare names resolve under $ALPHASPHERE_OUTDIR"),
+    "format": ("fmt", _one_of("format", "csv", "json"), _ALL,
+               "report format: csv (default) or json"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphasphere",
         description="Dilation energies, bound checks and rotationally "
                     "symmetric critical maps on the 2-sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, fn in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("-o", "--out", help="output path (default: stdout); bare "
-                       "names resolve under $ALPHASPHERE_OUTDIR")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       help="report format (default csv)")
-        p.add_argument("--seed", type=int, help="seed for randomised checks")
-
-    p = sub.add_parser("dilation-table", help="dilation energies and bound verdicts")
-    common(p)
-    p.add_argument("--alpha", help="comma-separated exponents")
-    p.add_argument("--lambda", dest="lam", help="comma-separated dilation factors")
-
-    p = sub.add_parser("energy", help="energy report for a named map")
-    common(p)
-    p.add_argument("--map", dest="map_spec",
-                   help="identity | constant | conjugation | mobius:a,b,c,d | radial:PATH")
-    p.add_argument("--alpha", help="comma-separated exponents")
-    p.add_argument("--grid", help="quadrature sizes 'n_radial,n_angular'")
-
-    p = sub.add_parser("radial-solve", help="minimise the radial energy")
-    common(p)
-    p.add_argument("--alpha", help="target exponent")
-    p.add_argument("--n", help="winding count")
-    p.add_argument("--N", help="grid cells")
-    p.add_argument("--init", help="two-column profile file to start from")
-    p.add_argument("--continuation", help="comma-separated exponents walked "
-                   "down to --alpha, each solve warm-starting the next")
-    p.add_argument("--tol", help="gradient stopping scale (default 1e-8)")
-    p.add_argument("--profile-out", dest="profile_out",
-                   help="write the solved profile as two-column text")
-
-    p = sub.add_parser("verify", help="run the verification battery")
-    common(p)
-    p.add_argument("--level", choices=("full", "quick"), help="battery size")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. c01,c05")
-
-    p = sub.add_parser("sweep", help="Cartesian-product batch runs")
-    common(p)
-    p.add_argument("--alpha", help="comma-separated exponents")
-    p.add_argument("--lambda", dest="lam", help="comma-separated dilation factors")
-    p.add_argument("--n", help="comma-separated winding counts (radial sweep)")
-    p.add_argument("--N", help="comma-separated grid sizes (radial sweep)")
+        for key, (_, _, commands, text) in _OPTIONS.items():
+            if command in commands:
+                flags = ("-o", "--out") if key == "out" else (f"--{key}",)
+                p.add_argument(*flags, dest=key, help=text)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag: str, key: str):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return file_cfg.get(key)
-
+    """Each option from its flag, else from the config file; file keys that
+    the command does not take are parsed too."""
+    file_cfg = _read_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-    if (v := pick("alpha", "alpha")) is not None:
-        cfg.alphas = _parse_floats(str(v))
-    if (v := pick("lam", "lambda")) is not None:
-        cfg.lams = _parse_floats(str(v))
-    if (v := pick("n", "n")) is not None:
-        cfg.ns = _parse_ints(str(v))
-    if (v := pick("N", "N")) is not None:
-        cfg.Ns = _parse_ints(str(v))
-    if (v := pick("grid", "grid")) is not None:
-        cfg.grid = _parse_grid(str(v))
-    if (v := pick("map_spec", "map")) is not None:
-        cfg.map_spec = str(v)
-    if (v := pick("init", "init")) is not None:
-        cfg.init = str(v)
-    if (v := pick("continuation", "continuation")) is not None:
-        cfg.continuation = _parse_floats(str(v))
-    if (v := pick("profile_out", "profile-out")) is not None:
-        cfg.profile_out = str(v)
-    if (v := pick("criteria", "criteria")) is not None:
-        cfg.criteria = [s.strip() for s in str(v).split(",") if s.strip()]
-    if (v := pick("tol", "tol")) is not None:
-        try:
-            cfg.tol = float(v)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance {v!r}") from exc
-        if not 0.0 < cfg.tol < math.inf:
-            raise ConfigError("tolerances must be finite and positive")
-    if (v := pick("seed", "seed")) is not None:
-        try:
-            cfg.seed = int(v)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed {v!r}") from exc
-    if (v := pick("level", "level")) is not None:
-        if v not in ("full", "quick"):
-            raise ConfigError("level must be 'full' or 'quick'")
-        cfg.level = str(v)
-    if (v := pick("out", "out")) is not None:
-        cfg.out = str(v)
-    if (v := pick("fmt", "format")) is not None:
-        if v not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
-        cfg.fmt = str(v)
+    for key, (attr, parse, _, _) in _OPTIONS.items():
+        v = getattr(args, key, None)
+        if v is None:
+            v = file_cfg.get(key)
+        if v is not None:
+            setattr(cfg, attr, parse(v))
     return cfg
 
 
@@ -467,8 +454,6 @@ def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration; returns the exit status."""
     try:
         columns, rows, ok = _COMMANDS[cfg.command](cfg)
-    except ConfigError:
-        raise
     except (ValueError, rd.ShootFailedError, rd.SplitUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

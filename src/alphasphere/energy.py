@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_XI_REL_TOL = 1e-12       # quadrature tolerance of the excess xi
+_GPRIME_REL_TOL = 1e-11   # quadrature tolerance of the pair G, G'
 
 
 class RegimeError(ValueError):
@@ -171,15 +173,16 @@ def _exp_or_inf(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
 
-def _excess_ratio(alpha: float, tau: float, rel_tol: float = 1e-12) -> float:
-    """G(sigma) - 1 for tau = |log lam|, computed without cancellation."""
+def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
+    """log(G(sigma) - 1) for tau = |log lam|, computed without cancellation;
+    finite for every finite tau > 0."""
     beta = alpha - 1.0
     if tau == 0.0 or beta == 0.0:
-        return 0.0
+        return -math.inf
     if tau < 1e-6:
         # quadratic limit: the integrand's curvature at 0 gives
         # G - 1 = alpha (alpha - 1) tau^2 / 6 + O(tau^4)
-        return alpha * beta * tau * tau / 6.0
+        return math.log(alpha * beta / 6.0) + 2.0 * math.log(tau)
 
     # log of cosh(t) expm1(g) with g = beta log cosh t + log cosh(beta t),
     # using log expm1(g) = g + log(-expm1(-g))
@@ -192,11 +195,10 @@ def _excess_ratio(alpha: float, tau: float, rel_tol: float = 1e-12) -> float:
     g = beta * lc + _log_cosh_scalar(beta * tau)
     log_integral = _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)),
                                     tau, rel_tol)
-    return _exp_or_inf(log_integral - _log_sinh_scalar(tau))
+    return log_integral - _log_sinh_scalar(tau)
 
 
-def dilation_energy(alpha: float, lam: float, *,
-                    rel_tol: float = 1e-12) -> DilationEnergyResult:
+def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
     """Closed-form energy of the dilation zeta -> lam zeta.
 
     Symmetric in lam <-> 1/lam by construction (only |log lam| enters);
@@ -210,15 +212,14 @@ def dilation_energy(alpha: float, lam: float, *,
     tau = math.log(lam)
     beta = alpha - 1.0
     base = energy_floor(alpha)
-    ratio = _excess_ratio(alpha, abs(tau), rel_tol)
+    ratio = _exp_or_inf(_log_excess_ratio(alpha, abs(tau), _XI_REL_TOL))
     xi = base * ratio
     return DilationEnergyResult(alpha=alpha, lam=lam, tau=tau,
                                 sigma=beta * tau, beta=beta,
                                 value=base + xi, G=1.0 + ratio, xi=xi)
 
 
-def G_and_Gprime(alpha: float, sigma: float, *,
-                 rel_tol: float = 1e-11) -> tuple[float, float]:
+def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
     """Normalised dilation-energy profile G and its derivative at sigma.
 
     G comes from the excess quadrature at tau = sigma/beta; G' from its own
@@ -235,7 +236,7 @@ def G_and_Gprime(alpha: float, sigma: float, *,
     if sigma == 0.0:
         return 1.0, 0.0
     x = sigma / beta
-    G = 1.0 + _excess_ratio(alpha, x, rel_tol)
+    G = 1.0 + _exp_or_inf(_log_excess_ratio(alpha, x, _GPRIME_REL_TOL))
 
     # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1)
     # sinh(alpha s/beta), with log sinh y = y - log 2 + log(-expm1(-2y))
@@ -246,7 +247,7 @@ def G_and_Gprime(alpha: float, sigma: float, *,
 
     ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
     log_K = _scaled_integral(log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x),
-                             sigma, rel_tol)
+                             sigma, _GPRIME_REL_TOL)
     return G, _exp_or_inf(lc - math.log(beta) - 2.0 * ls + log_K)
 
 
@@ -289,51 +290,47 @@ def d_energy_d_loglambda(u: MapEvaluator, alpha: float, lam: float,
     return grid.integrate(vals)
 
 
-def check_xi_lower_bounds(alpha: float, lam: float, *,
-                          c_mid: float | None = None,
-                          rel_tol: float = 1e-12) -> list[BoundCheck]:
+def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
     """Evaluate the applicable explicit lower bounds on the excess xi.
 
     Large regime (sigma >= 2):   xi >= base * (e^2-e-2)/(2 e^4) * lam^(2a-2)
     Small regime (log lam <= 1): xi >= base * (a-1) (log lam)^2 / (6 cosh^2 1)
     Middle regime (a-1 <= sigma <= 2): no explicit constant exists in
-    closed form; the default composes the adjacent explicit constants,
-    xi >= base * [beta/(6 cosh^2 1) + C_theta (sigma - beta)], and the check
-    is named ``xi_sigma_mid_composed`` to flag that.  Passing ``c_mid``
-    replaces the composition with xi >= base * c_mid * sigma.
+    closed form; the check composes the adjacent explicit constants,
+    xi >= base * [beta/(6 cosh^2 1) + C_theta (sigma - beta)], and is named
+    ``xi_sigma_mid_composed`` to flag that.  The large-regime verdict
+    compares logs, which stay finite where both sides overflow.
     """
     if not 1.0 < alpha <= 2.0:
         raise RegimeError("bounds are stated for 1 < alpha <= 2")
     if lam < 1.0:
         raise RegimeError("bounds are stated for lam >= 1")
-    res = dilation_energy(alpha, lam, rel_tol=rel_tol)
     base = energy_floor(alpha)
     beta = alpha - 1.0
-    tau = res.tau
-    sigma = res.sigma
+    tau = math.log(lam)
+    sigma = beta * tau
+    log_ratio = _log_excess_ratio(alpha, tau, _XI_REL_TOL)
+    xi = base * _exp_or_inf(log_ratio)   # as in dilation_energy
     checks: list[BoundCheck] = []
     if sigma >= 2.0:
-        rhs = base * XI_SIGMA_LARGE_CONSTANT * math.exp(2.0 * sigma)
-        checks.append(BoundCheck.compare("xi_sigma_large", res.xi, rhs,
-                                         regime="sigma_large"))
+        log_gap = log_ratio - math.log(XI_SIGMA_LARGE_CONSTANT) - 2.0 * sigma
+        rhs = base * XI_SIGMA_LARGE_CONSTANT * _exp_or_inf(2.0 * sigma)
+        margin = xi - rhs if rhs < math.inf else math.copysign(math.inf, log_gap)
+        checks.append(BoundCheck("xi_sigma_large", xi, rhs, margin, log_gap >= 0.0,
+                                 regime="sigma_large"))
     if beta <= sigma <= 2.0:
-        if c_mid is not None:
-            rhs = base * c_mid * sigma
-            name = "xi_sigma_mid"
-        else:
-            rhs = base * (beta * XI_SIGMA_SMALL_CONSTANT
-                          + GROWTH_THETA_CONSTANT * (sigma - beta))
-            name = "xi_sigma_mid_composed"
-        checks.append(BoundCheck.compare(name, res.xi, rhs, regime="sigma_mid"))
+        rhs = base * (beta * XI_SIGMA_SMALL_CONSTANT
+                      + GROWTH_THETA_CONSTANT * (sigma - beta))
+        checks.append(BoundCheck.compare("xi_sigma_mid_composed", xi, rhs,
+                                         regime="sigma_mid"))
     if tau <= 1.0:
         rhs = base * beta * tau * tau * XI_SIGMA_SMALL_CONSTANT
-        checks.append(BoundCheck.compare("xi_sigma_small", res.xi, rhs,
+        checks.append(BoundCheck.compare("xi_sigma_small", xi, rhs,
                                          regime="sigma_small"))
     return checks
 
 
-def check_growth(alpha: float, lam: float, *,
-                 rel_tol: float = 1e-11) -> BoundCheck:
+def check_growth(alpha: float, lam: float) -> BoundCheck:
     """Check the growth of the dilation energy in log lam against the
     explicit derivative bounds: G' >= sigma/(3 beta cosh^2 1) below
     sigma = beta, and G' >= the optimised theta constant above it."""
@@ -347,7 +344,7 @@ def check_growth(alpha: float, lam: float, *,
     base = energy_floor(alpha)
     if sigma == 0.0:
         return BoundCheck.compare("growth_dloglam", 0.0, 0.0, regime="sigma_small")
-    _, gprime = G_and_Gprime(alpha, sigma, rel_tol=rel_tol)
+    _, gprime = G_and_Gprime(alpha, sigma)
     lhs = beta * base * gprime
     if sigma <= beta:
         rhs = beta * base * sigma / (3.0 * beta * math.cosh(1.0) ** 2)

@@ -50,6 +50,8 @@ __all__ = [
     "energy_report",
 ]
 
+_FLOOR_TOL = 1e-8   # quadrature slack of energy_report's degree-one floor check
+
 
 class NonIntegerDegreeWarning(UserWarning):
     """Jacobian quadrature landed further than 0.01 from an integer."""
@@ -280,8 +282,8 @@ class EnergyReport:
     passes_floor: bool
 
 
-def energy_report(u: MapEvaluator, alpha: float, grid: QuadratureGrid,
-                  *, floor_tol: float = 1e-8) -> EnergyReport:
+def energy_report(u: MapEvaluator, alpha: float,
+                  grid: QuadratureGrid) -> EnergyReport:
     """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
     degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
     """
@@ -294,7 +296,7 @@ def energy_report(u: MapEvaluator, alpha: float, grid: QuadratureGrid,
     ea = alpha_energy(u, alpha, grid)
     raw, nearest = degree(u, grid)
     floor = 2.0 ** (2.0 * alpha + 1.0) * math.pi
-    passes = (nearest != 1) or (ea >= floor - floor_tol)
+    passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
     return EnergyReport(alpha=alpha, e_alpha=ea, e_dirichlet_plus_area=e1,
                         degree=raw, degree_int=nearest,
                         floor_2_2a1_pi=floor, passes_floor=passes)

@@ -53,6 +53,8 @@ __all__ = [
     "GRAD_LOG_CHI_L2_REGIME_CONSTANT",
 ]
 
+_GRAD_LOG_CHI_REL_TOL = 1e-9   # of the quadrature in norm_grad_log_chi_L2
+
 
 class DegenerateMatrixError(ValueError):
     """Matrix is too far from unit determinant to act on the sphere."""
@@ -323,7 +325,7 @@ def grad_log_chi(lam: float, r):
     return val
 
 
-def norm_grad_log_chi_L2(lam: float, *, rel_tol: float = 1e-9) -> float:
+def norm_grad_log_chi_L2(lam: float) -> float:
     """L2 norm over the sphere of grad log chi_lam.
 
     The square is the radial integral
@@ -341,7 +343,7 @@ def norm_grad_log_chi_L2(lam: float, *, rel_tol: float = 1e-9) -> float:
         g = grad_log_chi(lam, np.tan(0.5 * theta))
         return g * g * np.sin(theta)
 
-    val = adaptive_gauss_legendre(integrand, 0.0, math.pi, rel_tol=rel_tol)
+    val = adaptive_gauss_legendre(integrand, 0.0, math.pi, rel_tol=_GRAD_LOG_CHI_REL_TOL)
     return math.sqrt(2.0 * math.pi * val)
 
 

@@ -62,6 +62,8 @@ _PI = math.pi
 _GL_ORDER = 4          # Gauss points per cell of the discrete energy
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _EPS = float(np.finfo(float).eps)
+# shooting: series start at r = _SHOOT_EPS, DOP853 tolerances
+_SHOOT_EPS, _SHOOT_RTOL, _SHOOT_ATOL = 1e-6, 1e-10, 1e-12
 
 
 class ShootFailedError(RuntimeError):
@@ -282,6 +284,10 @@ class _DiscreteEnergy:
         # the local cubic's Lagrange basis: row k is the cubic through the
         # k-th unit vector of nodes, at the Gauss points; shape (4, G)
         self.B, self.Bp = _cubic(*np.eye(4)[:, :, None], self.t)
+        # the rows of Bp sum to zero, so F @ Bp = diff(F) @ Dp with
+        # Dp[j] = sum of Bp[k] over k > j; node differences keep the
+        # slope's roundoff at eps |f'| rather than eps |f| / h
+        self.Dp = np.cumsum(self.Bp[::-1], axis=0)[-2::-1]
         xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * self.t[None, :]
         sin_xg = np.sin(xg)
         self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
@@ -290,9 +296,9 @@ class _DiscreteEnergy:
     def _fields(self, fs: np.ndarray):
         fe = _reflect(fs, self.n, 1)
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
-        F = np.lib.stride_tricks.sliding_window_view(fe, 4)  # (N, 4)
-        fc = F @ self.B          # (N, G)
-        fp = (F @ self.Bp) / self.h
+        window = np.lib.stride_tricks.sliding_window_view
+        fc = window(fe, 4) @ self.B                  # (N, G)
+        fp = (window(np.diff(fe), 3) @ self.Dp) / self.h
         sfc = np.sin(fc)
         W = fp * fp + sfc * sfc * self.inv_sin2
         return fc, fp, W
@@ -478,14 +484,13 @@ def _first_crossing(profile: RadialProfile, level: float,
     lo = after if after is not None else 0.0
     gs = profile.fs - level
     idx = np.nonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0) & (profile.rs[1:] > lo))[0]
-    fn = lambda r: float(profile.value(r) - level)
-    for i in idx:
-        a, b = profile.rs[i], profile.rs[i + 1]
-        if fn(a) == 0.0:
-            return float(a)
-        if fn(a) * fn(b) <= 0.0:
-            return float(brentq(fn, a, b, xtol=1e-14))
-    return None
+    if not len(idx):
+        return None
+    # the reconstruction returns the nodal values exactly, so the first
+    # such cell brackets a root: negative at its left node, not at its right
+    i = idx[0]
+    return float(brentq(lambda r: float(profile.value(r) - level),
+                        profile.rs[i], profile.rs[i + 1], xtol=1e-14))
 
 
 def _series_coeff(alpha: float, a: float) -> float:
@@ -496,9 +501,9 @@ def _series_coeff(alpha: float, a: float) -> float:
             / (24.0 * (1.0 + a * a + beta * a * a)))
 
 
-def _shot(alpha: float, n: int, slope: float, eps: float,
-          rtol: float, atol: float):
+def _shot(alpha: float, n: int, slope: float):
     beta = alpha - 1.0
+    eps = _SHOOT_EPS
 
     def rhs(r, y):
         f, p = y
@@ -518,18 +523,17 @@ def _shot(alpha: float, n: int, slope: float, eps: float,
     c = _series_coeff(alpha, slope)
     y0 = (slope * eps + c * eps ** 3, slope + 3.0 * c * eps ** 2)
     sol = solve_ivp(rhs, (eps, _PI - eps), y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=blown, dense_output=True)
+                    rtol=_SHOOT_RTOL, atol=_SHOOT_ATOL, events=blown,
+                    dense_output=True)
     return sol
 
 
 def shoot_radial(alpha: float, n: int, slope0: float, *,
-                 eps: float = 1e-6, num_nodes: int = 2001,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 max_expand: int = 60) -> RadialProfile:
+                 num_nodes: int = 2001, max_expand: int = 60) -> RadialProfile:
     """Construct a profile with f(pi) = n*pi by shooting from r = 0.
 
     ``slope0`` seeds a bracketing search over the initial slope; each shot
-    starts at r = eps from the regular series f = a r + c r^3 with c fitted
+    starts at r = 1e-6 from the regular series f = a r + c r^3 with c fitted
     from the equation's leading balance.  Raises :class:`ShootFailedError`
     when shots blow up before the far endpoint and no bracket exists.
     """
@@ -538,11 +542,12 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
     if slope0 <= 0.0:
         raise ValueError("slope0 must be positive")
     target = n * _PI
+    eps = _SHOOT_EPS
     last_reached = 0.0
 
     def miss(a: float) -> float:
         nonlocal last_reached
-        sol = _shot(alpha, n, a, eps, rtol, atol)
+        sol = _shot(alpha, n, a)
         last_reached = max(last_reached, float(sol.t[-1]))
         if sol.status != 0 or sol.t[-1] < _PI - eps:
             # blow-up: report a huge signed miss so bracketing can proceed
@@ -572,7 +577,7 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
         else:
             slope0 = lo_a if lo_m == 0.0 else hi_a
 
-    sol = _shot(alpha, n, slope0, eps, rtol, atol)
+    sol = _shot(alpha, n, slope0)
     if sol.status != 0 or sol.t[-1] < _PI - eps:
         raise ShootFailedError("matched shot failed to reach the endpoint",
                                float(sol.t[-1]))

@@ -72,10 +72,7 @@ class _Context:
 
 def _random_su2(rng) -> mb.MobiusElement:
     v = rng.normal(size=4)
-    z1, z2 = complex(v[0], v[1]), complex(v[2], v[3])
-    nrm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-    z1, z2 = z1 / nrm, z2 / nrm
-    return mb.MobiusElement(z1, -z2.conjugate(), z2, z1.conjugate())
+    return mb._su2_from_column((complex(v[0], v[1]), complex(v[2], v[3])))
 
 
 def _random_element(rng, lam_max: float = 8.0) -> mb.MobiusElement:

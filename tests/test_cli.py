@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from alphasphere import load_profile
+from alphasphere import RadialProfile, load_profile, save_profile
 from alphasphere.cli import main
 
 
@@ -242,3 +242,84 @@ def test_unconverged_solve_exits_1(capsys):
                            "--N", "150")
     assert code == 1
     assert parse_csv(out)[0]["converged"] == "false"
+
+
+@pytest.mark.parametrize("lam", ["1e200", "1e300"])
+def test_dilation_table_far_large_regime(capsys, lam):
+    # xi and its sigma_large bound both overflow here; the verdict compares
+    # their logs instead of ending in an OverflowError or a NaN margin
+    code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "2", "--lambda", lam)
+    assert code == 0
+    assert parse_csv(out)[0]["xi_sigma_large"] == "pass"
+
+
+# per config key: a command line without the option, and a value for it
+# that changes the outcome
+OPTION_CASES = {
+    "alpha": (("dilation-table", "--lambda", "2"), "1.5"),
+    "lambda": (("dilation-table", "--alpha", "1.5"), "2,4"),
+    "n": (("radial-solve", "--alpha", "1.4", "--N", "200"), "1"),
+    "N": (("radial-solve", "--alpha", "1.4", "--n", "1"), "200"),
+    "grid": (("energy", "--alpha", "1.5"), "40,8"),
+    "map": (("energy", "--alpha", "1.5", "--grid", "40,8"), "conjugation"),
+    "init": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "init.txt"),
+    "continuation": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "1.5"),
+    "profile-out": (("radial-solve", "--alpha", "1.4", "--n", "1", "--N", "200"), "p.out"),
+    "tol": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "0.1"),
+    "criteria": (("verify", "--level", "quick"), "c02"),
+    "level": (("verify", "--criteria", "c04"), "quick"),
+    "seed": (("verify", "--level", "quick", "--criteria", "c05"), "3"),
+    "out": (("dilation-table", "--alpha", "1.5", "--lambda", "2"), "r.out"),
+    "format": (("dilation-table", "--alpha", "1.5", "--lambda", "2"), "json"),
+}
+
+
+def test_option_cases_cover_every_config_key():
+    from alphasphere import cli
+    assert set(OPTION_CASES) == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_CASES))
+def test_flag_and_config_file_agree(capsys, tmp_path, monkeypatch, key):
+    argv, value = OPTION_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ALPHASPHERE_OUTDIR", raising=False)
+    save_profile(RadialProfile.from_function(3, 200, lambda r: 3 * r + 0.3 * np.sin(2 * r)),
+                 tmp_path / "init.txt")
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+
+    def outcome(*extra):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        written = {}
+        for path in sorted(tmp_path.glob("*.out")):
+            written[path.name] = path.read_text()
+            path.unlink()
+        return code, out, written
+
+    flag = "-o" if key == "out" else f"--{key}"
+    by_flag = outcome(flag, value)
+    assert by_flag == outcome("--config", "run.cfg")
+    assert by_flag != outcome()
+
+
+@pytest.mark.parametrize("key, bad", [("level", "slow"), ("format", "xml")])
+def test_bad_choice_is_a_config_error_by_flag_and_file(capsys, tmp_path, key, bad):
+    argv = ("verify", "--criteria", "c02")
+    code, _, err = run_cli(capsys, *argv, f"--{key}", bad)
+    assert code == 2 and "config error" in err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {bad}\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and "config error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--alpha", "1.2"),
+    ("energy", "--alpha", "1.5", "--tol", "1e-8"),
+    ("dilation-table", "--alpha", "1.5", "--lambda", "2", "--n", "3"),
+])
+def test_flag_of_another_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -242,9 +242,6 @@ def test_xi_bounds_regime_selection():
     assert names == {"xi_sigma_mid_composed"}
     names = {c.name for c in check_xi_lower_bounds(1.5, math.exp(8.0))}
     assert names == {"xi_sigma_large"}
-    # configurable middle constant replaces the composed default
-    names = {c.name for c in check_xi_lower_bounds(1.5, math.exp(3.0), c_mid=0.01)}
-    assert names == {"xi_sigma_mid"}
 
 
 def test_xi_bounds_validate_regime():

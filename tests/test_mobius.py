@@ -232,8 +232,3 @@ def test_norm_grad_log_chi_two_regime_envelope():
             env = t if t <= 1.0 else math.sqrt(t)
             assert v <= GRAD_LOG_CHI_L2_REGIME_CONSTANT * env
 
-
-def test_quadrature_non_convergence_raises():
-    from alphasphere import QuadratureConvergenceError
-    with pytest.raises(QuadratureConvergenceError):
-        norm_grad_log_chi_L2(40.0, rel_tol=1e-30)

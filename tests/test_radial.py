@@ -265,6 +265,15 @@ def test_minimize_cold_large_grid_stops():
     assert res.residual_sup <= 1e-4
 
 
+def test_slope_roundoff_stays_at_eps_on_fine_grids():
+    # f' formed from absolute nodal values up to n pi over h carried
+    # roundoff of eps |f| / h: 2.7e-13 in the degree at N = 32000, and an
+    # energy 5.8e-13 away from the N = 4000 solve
+    fine, coarse = minimize_radial(1.2, 3, 32000), minimize_radial(1.2, 3, 4000)
+    assert abs(fine.degree - 1.0) <= 1e-14
+    assert abs(fine.energy - coarse.energy) <= 1e-14 * coarse.energy
+
+
 def test_minimize_reports_max_iters():
     res = minimize_radial(1.2, 3, 1000, max_iters=2)
     assert res.stop_reason == "max_iters"
