@@ -12,13 +12,13 @@ sweep           Cartesian-product batch of dilation rows, or of radial
                 solves when --n is given
 
 Reports are CSV (17 significant digits, '.' decimal separator) or JSON
-mirroring the same columns 1:1.  Rows are ordered by parameter sort, and a
-fixed seed makes reports byte-identical across runs.  Options may come
-from a ``key = value`` config file (--config) whose keys are the long flag
-names without their dashes (``lambda``, ``profile-out``, ...); explicit
-flags win, and both go through the same validation.  The environment
-variable ALPHASPHERE_OUTDIR supplies a default directory for bare output
-file names.
+mirroring the same columns 1:1.  Rows are ordered by parameter sort, and
+``verify --seed`` fixes the randomised checks, so every report is
+byte-identical across runs.  Options may come from a ``key = value``
+config file (--config) whose keys are the long flag names without their
+dashes (``lambda``, ``profile-out``, ...); explicit flags win, and both go
+through the same validation.  The environment variable ALPHASPHERE_OUTDIR
+supplies a default directory for bare output file names.
 
 Exit status: 0 when every requested check passes, 1 when any check fails,
 2 on configuration errors, a bad --level or --format among them.
@@ -27,9 +27,6 @@ Exit status: 0 when every requested check passes, 1 when any check fails,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -40,7 +37,7 @@ from . import energy as en
 from . import maps as mp
 from . import mobius as mb
 from . import radial as rd
-from .verification import CRITERIA, VerifySettings, run_criteria
+from .verification import _COLUMNS, CRITERIA, VerifySettings, _render, run_criteria
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -141,28 +138,6 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         data[key] = value
     return data
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _render(columns: list[str], rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        return json.dumps({"columns": columns, "rows": payload}, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt_cell(row.get(c)) for c in columns])
-    return buf.getvalue()
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -309,6 +284,8 @@ def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         raise ConfigError("radial-solve needs one --alpha, one --n, one --N")
     _check_radial(cfg.alphas + cfg.continuation, cfg.ns, cfg.Ns)
     alpha, n, N = cfg.alphas[0], cfg.ns[0], cfg.Ns[0]
+    if min(cfg.continuation, default=alpha) < alpha:
+        raise ConfigError("continuation exponents must lie above --alpha")
     init = None
     if cfg.init is not None:
         try:
@@ -317,19 +294,14 @@ def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
             raise ConfigError(f"cannot load init profile: {exc}") from exc
     chain = sorted(set(cfg.continuation) | {alpha}, reverse=True)
     res = None
-    for a in chain:  # walk the exponent down towards the target
+    for a in chain:  # walk the exponent down to the target
         res = rd.minimize_radial(a, n, N, init, tol_scale=cfg.tol)
         init = res.profile
-    if res.alpha != alpha:
-        res = rd.minimize_radial(alpha, n, N, init, tol_scale=cfg.tol)
     if cfg.profile_out:
         path = _resolve_out(cfg.profile_out)
         path.parent.mkdir(parents=True, exist_ok=True)
         rd.save_profile(res.profile, path)
     return _RADIAL_COLUMNS, [_solve_row(res, N)], res.converged
-
-
-_VERIFY_COLUMNS = ["criterion", "check", "value", "bound", "passed", "note"]
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
@@ -342,9 +314,6 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     timings: dict[str, float] = {}
     rows = run_criteria(VerifySettings(seed=cfg.seed, level=cfg.level), names, timings)
     ok = all(r.passed for r in rows)
-    out_rows = [{"criterion": r.criterion, "check": r.check, "value": r.value,
-                 "bound": r.bound, "passed": bool(r.passed), "note": r.note}
-                for r in rows]
     counts = {}
     for r in rows:
         a, b = counts.get(r.criterion, (0, 0))
@@ -354,7 +323,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         print(f"{name}: {a}/{b} checks passed ({timings[name]:.2f} s)", file=sys.stderr)
     print(f"verify: {'PASS' if ok else 'FAIL'} "
           f"({sum(r.passed for r in rows)}/{len(rows)} checks)", file=sys.stderr)
-    return _VERIFY_COLUMNS, out_rows, ok
+    return _COLUMNS, list(map(vars, rows)), ok
 
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
@@ -403,8 +372,8 @@ _OPTIONS = {
             "identity | constant | conjugation | mobius:a,b,c,d | radial:PATH"),
     "init": ("init", str, ("radial-solve",), "two-column profile file to start from"),
     "continuation": ("continuation", _parse_floats, ("radial-solve",),
-                     "comma-separated exponents walked down to --alpha, each solve "
-                     "warm-starting the next"),
+                     "comma-separated exponents above --alpha, walked down to it, "
+                     "each solve warm-starting the next"),
     "profile-out": ("profile_out", str, ("radial-solve",),
                     "write the solved profile as two-column text"),
     "tol": ("tol", _parse_tol, ("radial-solve",), "gradient stopping scale (default 1e-8)"),
@@ -412,7 +381,7 @@ _OPTIONS = {
                  "comma-separated subset, e.g. c01,c05"),
     "level": ("level", _one_of("level", "full", "quick"), ("verify",),
               "battery size: full (default) or quick"),
-    "seed": ("seed", _parse_seed, _ALL, "seed for randomised checks"),
+    "seed": ("seed", _parse_seed, ("verify",), "seed for randomised checks"),
     "out": ("out", str, _ALL,
             "output path (default: stdout); bare names resolve under $ALPHASPHERE_OUTDIR"),
     "format": ("fmt", _one_of("format", "csv", "json"), _ALL,

@@ -119,8 +119,8 @@ class DilationEnergyResult:
 class BoundCheck:
     """Record of one inequality evaluation.
 
-    ``margin`` is signed so that nonnegative means the bound holds:
-    lhs - rhs for '>=' bounds and rhs - lhs for '<=' bounds.
+    Every bound reads lhs >= rhs, and ``margin`` = lhs - rhs, so that
+    nonnegative means the bound holds.
     """
 
     name: str
@@ -129,15 +129,13 @@ class BoundCheck:
     margin: float
     passed: bool
     regime: str | None = None
-    relation: str = ">="
 
     @classmethod
     def compare(cls, name: str, lhs: float, rhs: float, *,
-                relation: str = ">=", regime: str | None = None) -> "BoundCheck":
-        margin = (lhs - rhs) if relation == ">=" else (rhs - lhs)
-        passed = bool(margin >= 0.0)
+                regime: str | None = None) -> "BoundCheck":
+        margin = lhs - rhs
         return cls(name=name, lhs=lhs, rhs=rhs, margin=margin,
-                   passed=passed, regime=regime, relation=relation)
+                   passed=bool(margin >= 0.0), regime=regime)
 
 
 def _log_cosh(t: np.ndarray) -> np.ndarray:

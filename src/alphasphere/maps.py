@@ -287,7 +287,7 @@ def energy_report(u: MapEvaluator, alpha: float,
     """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
     degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
     """
-    from .energy import alpha_energy  # local import: energy builds on maps
+    from .energy import alpha_energy, energy_floor  # local import: energy builds on maps
 
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
@@ -295,7 +295,7 @@ def energy_report(u: MapEvaluator, alpha: float,
     e1 = grid.integrate(1.0 + dens)
     ea = alpha_energy(u, alpha, grid)
     raw, nearest = degree(u, grid)
-    floor = 2.0 ** (2.0 * alpha + 1.0) * math.pi
+    floor = energy_floor(alpha)
     passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
     return EnergyReport(alpha=alpha, e_alpha=ea, e_dirichlet_plus_area=e1,
                         degree=raw, degree_int=nearest,

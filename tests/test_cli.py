@@ -129,6 +129,27 @@ def test_verify_timings_stay_out_of_the_report(capsys, monkeypatch):
                       "c08_degree_floor_pullback: 4/4 checks passed (1000.00 s)"]
 
 
+def test_rows_to_csv_is_the_verify_report(capsys):
+    from alphasphere.verification import VerifySettings, rows_to_csv, run_criteria
+    rows = run_criteria(VerifySettings(seed=7, level="quick"), ["c02", "c08"])
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--criteria", "c02,c08",
+                           "--seed", "7")
+    assert code == 0
+    assert rows_to_csv(rows).encode() == out.encode()
+
+
+def test_runtime_budget_rows_end_the_budgeted_criteria():
+    from alphasphere.verification import CRITERIA, VerifySettings, run_criteria
+    by_key = {}
+    for r in run_criteria(VerifySettings(level="quick")):
+        by_key.setdefault(r.criterion[:3], []).append(r)
+    budgets = {key: [(r.value, r.bound) for r in rows if r.check == "runtime_budget"]
+               for key, rows in by_key.items()}
+    assert budgets == {**{key: [] for key in CRITERIA},
+                       "c01": [(None, 10.0)], "c09": [(None, 60.0)], "c10": [(None, 300.0)]}
+    assert all(by_key[key][-1].check == "runtime_budget" for key in ("c01", "c09", "c10"))
+
+
 def test_json_mirrors_csv(capsys):
     code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "1.2",
                            "--lambda", "3", "--format", "json")
@@ -208,6 +229,9 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     # malformed Moebius maps: a NaN entry and a singular matrix
     ("energy", "--map", "mobius:nan,0,0,1", "--alpha", "1.5"),
     ("energy", "--map", "mobius:1,0,0,0", "--alpha", "1.5"),
+    # a continuation exponent below the target would end the chain off it
+    ("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "300",
+     "--continuation", "1.2"),
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -317,6 +341,7 @@ def test_bad_choice_is_a_config_error_by_flag_and_file(capsys, tmp_path, key, ba
     ("verify", "--alpha", "1.2"),
     ("energy", "--alpha", "1.5", "--tol", "1e-8"),
     ("dilation-table", "--alpha", "1.5", "--lambda", "2", "--n", "3"),
+    ("dilation-table", "--alpha", "1.5", "--lambda", "2", "--seed", "5"),
 ])
 def test_flag_of_another_command_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
