@@ -5,20 +5,21 @@ Commands
 dilation-table  closed-form dilation energies, excess values and bound
                 verdicts over alpha x lambda
 energy          energy/degree report for a named map
-radial-solve    rotationally symmetric minimisation, with optional
-                continuation in alpha and a two-column profile export
+radial-solve    rotationally symmetric minimisation: the --alpha list is one
+                warm-started chain per (n, N) pair, with one row per step,
+                and an optional two-column profile export
 verify          the full verification battery (see verification module)
-sweep           Cartesian-product batch of dilation rows, or of radial
-                solves when --n is given
 
 Reports are CSV (17 significant digits, '.' decimal separator) or JSON
-mirroring the same columns 1:1.  Rows are ordered by parameter sort, and
-``verify --seed`` fixes the randomised checks, so every report is
-byte-identical across runs.  Options may come from a ``key = value``
-config file (--config) whose keys are the long flag names without their
-dashes (``lambda``, ``profile-out``, ...); explicit flags win, and both go
-through the same validation.  The environment variable ALPHASPHERE_OUTDIR
-supplies a default directory for bare output file names.
+mirroring the same columns 1:1.  Radial rows are ordered by sorted (n, N),
+then by the alpha chain in the order given; the rows of every other report
+are ordered by parameter sort.  ``verify --seed`` fixes the randomised
+checks, so every report is byte-identical across runs.  Options may come
+from a ``key = value`` config file (--config) whose keys are the long flag
+names without their dashes (``lambda``, ``profile-out``, ...); explicit
+flags win, and both go through the same validation.  The environment
+variable ALPHASPHERE_OUTDIR supplies a default directory for bare output
+file names.
 
 Exit status: 0 when every requested check passes, 1 when any check fails,
 2 on configuration errors, a bad --level or --format among them.
@@ -58,7 +59,6 @@ class RunConfig:
     grid: tuple[int, int] = (300, 64)
     map_spec: str = "identity"
     init: str | None = None
-    continuation: list[float] = field(default_factory=list)
     profile_out: str | None = None
     criteria: list[str] = field(default_factory=list)
     tol: float = 1e-8
@@ -108,9 +108,12 @@ def _parse_tol(s: str) -> float:
 
 def _parse_seed(s: str) -> int:
     try:
-        return int(s)
+        seed = int(s)
     except ValueError as exc:
         raise ConfigError(f"bad seed {s!r}") from exc
+    if seed < 0:
+        raise ConfigError("seeds must be non-negative")
+    return seed
 
 
 def _one_of(key: str, *allowed: str):
@@ -170,15 +173,18 @@ _DILATION_COLUMNS = ["alpha", "lambda", "e_alpha", "xi", "G", "Gprime",
                      "growth"]
 
 
-def _dilation_rows(alphas: list[float], lams: list[float]) -> tuple[list[dict], bool]:
-    if min(alphas) < 1.0:
+def _cmd_dilation_table(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+    """dilation energies and bound verdicts"""
+    if not cfg.alphas or not cfg.lams:
+        raise ConfigError("dilation-table needs --alpha and --lambda")
+    if min(cfg.alphas) < 1.0:
         raise ConfigError("dilation rows need every exponent >= 1")
-    if min(lams) <= 0.0:
+    if min(cfg.lams) <= 0.0:
         raise ConfigError("dilation factors --lambda must be positive")
     rows = []
     ok = True
-    for alpha in sorted(alphas):
-        for lam in sorted(lams):
+    for alpha in sorted(cfg.alphas):
+        for lam in sorted(cfg.lams):
             res = en.dilation_energy(alpha, lam)
             row = {"alpha": alpha, "lambda": lam, "e_alpha": res.value,
                    "xi": res.xi, "G": res.G}
@@ -196,14 +202,6 @@ def _dilation_rows(alphas: list[float], lams: list[float]) -> tuple[list[dict], 
             row["growth"] = _verdict(checks.get("growth"))
             ok = ok and all(c.passed for c in checks.values())
             rows.append(row)
-    return rows, ok
-
-
-def _cmd_dilation_table(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
-    """dilation energies and bound verdicts"""
-    if not cfg.alphas or not cfg.lams:
-        raise ConfigError("dilation-table needs --alpha and --lambda")
-    rows, ok = _dilation_rows(cfg.alphas, cfg.lams)
     return _DILATION_COLUMNS, rows, ok
 
 
@@ -269,39 +267,37 @@ def _solve_row(res: rd.SolveResult, N: int) -> dict:
             "stop_reason": res.stop_reason}
 
 
-def _check_radial(alphas: list[float], ns: list[int], Ns: list[int]) -> None:
-    if not all(a > 1.0 for a in alphas):
-        raise ConfigError("radial solves need every exponent > 1")
-    if min(ns) < 1:
-        raise ConfigError("winding counts --n must be >= 1")
-    if min(Ns) < 100:
-        raise ConfigError("grid sizes --N must be >= 100")
-
-
 def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
-    """minimise the radial energy"""
-    if len(cfg.alphas) != 1 or len(cfg.ns) != 1 or len(cfg.Ns) != 1:
-        raise ConfigError("radial-solve needs one --alpha, one --n, one --N")
-    _check_radial(cfg.alphas + cfg.continuation, cfg.ns, cfg.Ns)
-    alpha, n, N = cfg.alphas[0], cfg.ns[0], cfg.Ns[0]
-    if min(cfg.continuation, default=alpha) < alpha:
-        raise ConfigError("continuation exponents must lie above --alpha")
-    init = None
+    """minimise the radial energy along warm alpha chains"""
+    if not cfg.alphas or not cfg.ns or not cfg.Ns:
+        raise ConfigError("radial-solve needs --alpha, --n and --N")
+    if not all(a > 1.0 for a in cfg.alphas):
+        raise ConfigError("radial solves need every exponent > 1")
+    if min(cfg.ns) < 1:
+        raise ConfigError("winding counts --n must be >= 1")
+    if min(cfg.Ns) < 100:
+        raise ConfigError("grid sizes --N must be >= 100")
+    if (cfg.init or cfg.profile_out) and len(cfg.ns) * len(cfg.Ns) != 1:
+        raise ConfigError("--init and --profile-out need one --n and one --N")
+    start = None
     if cfg.init is not None:
         try:
-            init = rd.load_profile(cfg.init, n=n)
+            start = rd.load_profile(cfg.init, n=cfg.ns[0])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load init profile: {exc}") from exc
-    chain = sorted(set(cfg.continuation) | {alpha}, reverse=True)
-    res = None
-    for a in chain:  # walk the exponent down to the target
-        res = rd.minimize_radial(a, n, N, init, tol_scale=cfg.tol)
-        init = res.profile
+    rows = []
+    for n in sorted(cfg.ns):
+        for N in sorted(cfg.Ns):
+            init = start
+            for alpha in cfg.alphas:  # each step warm-starts the next
+                res = rd.minimize_radial(alpha, n, N, init, tol_scale=cfg.tol)
+                rows.append(_solve_row(res, N))
+                init = res.profile
     if cfg.profile_out:
         path = _resolve_out(cfg.profile_out)
         path.parent.mkdir(parents=True, exist_ok=True)
         rd.save_profile(res.profile, path)
-    return _RADIAL_COLUMNS, [_solve_row(res, N)], res.converged
+    return _RADIAL_COLUMNS, rows, all(row["converged"] for row in rows)
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
@@ -326,32 +322,11 @@ def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     return _COLUMNS, list(map(vars, rows)), ok
 
 
-def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
-    """Cartesian-product batch runs"""
-    if cfg.ns:
-        if not cfg.alphas or not cfg.Ns:
-            raise ConfigError("radial sweep needs --alpha, --n and --N")
-        _check_radial(cfg.alphas, cfg.ns, cfg.Ns)
-        rows, ok = [], True
-        for alpha in sorted(cfg.alphas):
-            for n in sorted(cfg.ns):
-                for N in sorted(cfg.Ns):
-                    res = rd.minimize_radial(alpha, n, N)
-                    ok = ok and res.converged
-                    rows.append(_solve_row(res, N))
-        return _RADIAL_COLUMNS, rows, ok
-    if not cfg.alphas or not cfg.lams:
-        raise ConfigError("sweep needs --alpha and --lambda (or --n/--N)")
-    rows, ok = _dilation_rows(cfg.alphas, cfg.lams)
-    return _DILATION_COLUMNS, rows, ok
-
-
 _COMMANDS = {
     "dilation-table": _cmd_dilation_table,
     "energy": _cmd_energy,
     "radial-solve": _cmd_radial_solve,
     "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
 }
 
 
@@ -361,21 +336,17 @@ _ALL = tuple(_COMMANDS)
 # the string value, commands that take the flag, help); a flag and a
 # config-file value go through the same parser
 _OPTIONS = {
-    "alpha": ("alphas", _parse_floats, ("dilation-table", "energy", "radial-solve", "sweep"),
-              "comma-separated exponents (radial-solve: the target)"),
-    "lambda": ("lams", _parse_floats, ("dilation-table", "sweep"),
-               "comma-separated dilation factors"),
-    "n": ("ns", _parse_ints, ("radial-solve", "sweep"), "winding counts (radial-solve: one)"),
-    "N": ("Ns", _parse_ints, ("radial-solve", "sweep"), "grid cells (radial-solve: one)"),
+    "alpha": ("alphas", _parse_floats, ("dilation-table", "energy", "radial-solve"),
+              "comma-separated exponents (radial-solve: a warm chain, in the order given)"),
+    "lambda": ("lams", _parse_floats, ("dilation-table",), "comma-separated dilation factors"),
+    "n": ("ns", _parse_ints, ("radial-solve",), "comma-separated winding counts"),
+    "N": ("Ns", _parse_ints, ("radial-solve",), "comma-separated grid cell counts"),
     "grid": ("grid", _parse_grid, ("energy",), "quadrature sizes 'n_radial,n_angular'"),
     "map": ("map_spec", str, ("energy",),
             "identity | constant | conjugation | mobius:a,b,c,d | radial:PATH"),
     "init": ("init", str, ("radial-solve",), "two-column profile file to start from"),
-    "continuation": ("continuation", _parse_floats, ("radial-solve",),
-                     "comma-separated exponents above --alpha, walked down to it, "
-                     "each solve warm-starting the next"),
     "profile-out": ("profile_out", str, ("radial-solve",),
-                    "write the solved profile as two-column text"),
+                    "write the chain's final profile as two-column text"),
     "tol": ("tol", _parse_tol, ("radial-solve",), "gradient stopping scale (default 1e-8)"),
     "criteria": ("criteria", _parse_names, ("verify",),
                  "comma-separated subset, e.g. c01,c05"),
@@ -423,7 +394,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration; returns the exit status."""
     try:
         columns, rows, ok = _COMMANDS[cfg.command](cfg)
-    except (ValueError, rd.ShootFailedError, rd.SplitUnavailableError) as exc:
+    except (ValueError, rd.SplitUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_render(columns, rows, cfg.fmt), cfg.out)

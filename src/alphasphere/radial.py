@@ -613,11 +613,15 @@ def save_profile(profile: RadialProfile, path) -> None:
 
 
 def load_profile(path, n: int | None = None) -> RadialProfile:
-    data = np.loadtxt(path)
+    """Read a :func:`save_profile` file; raises ``ValueError`` unless it is
+    two columns of finite numbers whose endpoints are 0 and n*pi."""
+    data = np.loadtxt(path, ndmin=2)
+    if data.shape[1] != 2 or not np.isfinite(data).all():
+        raise ValueError("profile file must be two columns of finite numbers")
     rs, fs = data[:, 0], data[:, 1]
     if n is None:
         n = int(round(fs[-1] / _PI))
-    if abs(fs[-1] - n * _PI) > 1e-9 or abs(fs[0]) > 1e-9:
+    if not (abs(fs[-1] - n * _PI) <= 1e-9 and abs(fs[0]) <= 1e-9):
         raise ValueError("file endpoints are not compatible with f(0)=0, f(pi)=n*pi")
     fs[0], fs[-1] = 0.0, n * _PI
     return RadialProfile(n, rs, fs)

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphasphere import RadialProfile, load_profile, save_profile
+from alphasphere import RadialProfile, load_profile, minimize_radial, save_profile
 from alphasphere.cli import main
 
 
@@ -89,13 +92,13 @@ def test_radial_solve_and_profile_roundtrip(capsys, tmp_path):
 
 
 def test_radial_solve_continuation(capsys):
-    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.3", "--n", "3",
-                           "--N", "300", "--continuation", "1.5,1.4")
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.5,1.4,1.3", "--n", "3",
+                           "--N", "300")
     assert code == 0
-    row = parse_csv(out)[0]
-    assert row["converged"] == "true"
-    assert row["stop_reason"] in ("gradient", "stagnation")
-    assert float(row["alpha"]) == 1.3
+    rows = parse_csv(out)
+    assert [float(r["alpha"]) for r in rows] == [1.5, 1.4, 1.3]
+    assert all(r["converged"] == "true" for r in rows)
+    assert all(r["stop_reason"] in ("gradient", "stagnation") for r in rows)
 
 
 def test_verify_subset_and_determinism(capsys, tmp_path):
@@ -168,20 +171,26 @@ def test_verify_json_passed_is_boolean(capsys):
     assert rows and all(type(r["passed"]) is bool for r in rows)
 
 
-def test_sweep_dilation(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--alpha", "1.2,1.5",
-                           "--lambda", "2,4")
-    assert code == 0
-    assert len(parse_csv(out)) == 4
-
-
-def test_sweep_radial(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--alpha", "1.3", "--n", "1,2",
-                           "--N", "200")
+def test_dilation_table_product_rows(capsys):
+    code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "1.5,1.2",
+                           "--lambda", "4,2")
     assert code == 0
     rows = parse_csv(out)
-    assert len(rows) == 2
+    assert [(float(r["alpha"]), float(r["lambda"])) for r in rows] == [
+        (1.2, 2.0), (1.2, 4.0), (1.5, 2.0), (1.5, 4.0)]
+
+
+def test_radial_solve_chain_per_winding(capsys):
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.2,1.3", "--n", "3,1",
+                           "--N", "1000")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(int(r["n"]), float(r["alpha"])) for r in rows] == [
+        (1, 1.2), (1, 1.3), (3, 1.2), (3, 1.3)]
     assert all(r["converged"] == "true" for r in rows)
+    for r in rows:  # a warm step lands on the cold solve's minimiser
+        cold = minimize_radial(float(r["alpha"]), int(r["n"]), 1000).energy
+        assert float(r["energy"]) == pytest.approx(cold, rel=1e-10)
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -210,30 +219,32 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("energy", "--map", "wat", "--alpha", "1.2"),
     ("radial-solve", "--alpha", "1.2", "--n", "3"),
     # out-of-range radial inputs are configuration errors, not failed checks
-    ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300",
-     "--continuation", "1.0"),
+    ("radial-solve", "--alpha", "1.2,1.0", "--n", "3", "--N", "300"),
     ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "50"),
     ("radial-solve", "--alpha", "1.2", "--n", "0", "--N", "300"),
-    ("sweep", "--alpha", "1.0,1.2", "--n", "1", "--N", "300"),
-    ("sweep", "--alpha", "1.2", "--n", "1", "--N", "50"),
+    ("radial-solve", "--alpha", "1.0,1.2", "--n", "1", "--N", "300"),
+    ("radial-solve", "--alpha", "1.2", "--n", "1", "--N", "300,50"),
     # non-finite and out-of-range numeric inputs
     ("dilation-table", "--alpha", "1.5", "--lambda", "nan"),
     ("dilation-table", "--alpha", "nan", "--lambda", "2"),
     ("dilation-table", "--alpha", "1.5", "--lambda", "inf"),
     ("dilation-table", "--alpha", "0.5", "--lambda", "2"),
     ("dilation-table", "--alpha", "1.5", "--lambda", "0"),
-    ("sweep", "--alpha", "1.5", "--lambda", "2,-1"),
-    ("sweep", "--alpha", "0.9,1.2", "--lambda", "2"),
+    ("dilation-table", "--alpha", "1.5", "--lambda", "2,-1"),
+    ("dilation-table", "--alpha", "0.9,1.2", "--lambda", "2"),
     ("energy", "--map", "identity", "--alpha", "0.5"),
     ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300", "--tol", "nan"),
     # malformed Moebius maps: a NaN entry and a singular matrix
     ("energy", "--map", "mobius:nan,0,0,1", "--alpha", "1.5"),
     ("energy", "--map", "mobius:1,0,0,0", "--alpha", "1.5"),
-    # a continuation exponent below the target would end the chain off it
-    ("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "300",
-     "--continuation", "1.2"),
+    # a start or an export names one chain
+    ("radial-solve", "--alpha", "1.3", "--n", "3,4", "--N", "300", "--init", "init.txt"),
+    ("radial-solve", "--alpha", "1.3", "--n", "1,3", "--N", "300", "--profile-out", "p.txt"),
+    ("verify", "--seed", "-1", "--criteria", "c02"),
 ])
-def test_config_errors_exit_2(capsys, argv):
+def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_profile(RadialProfile.linear(3, 300), tmp_path / "init.txt")
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "config error" in err
@@ -241,13 +252,69 @@ def test_config_errors_exit_2(capsys, argv):
 
 def test_readme_continuation_chain(capsys):
     t0 = time.perf_counter()
-    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.1", "--n", "3",
-                           "--N", "4000", "--continuation", "1.5,1.3,1.2")
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.5,1.3,1.2,1.1", "--n", "3",
+                           "--N", "4000")
     assert time.perf_counter() - t0 < 5.0
     assert code == 0
-    row = parse_csv(out)[0]
-    assert row["converged"] == "true"
-    assert float(row["alpha"]) == 1.1
+    rows = parse_csv(out)
+    assert [float(r["alpha"]) for r in rows] == [1.5, 1.3, 1.2, 1.1]
+    assert all(r["converged"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--alpha", "1.2", "--lambda", "2"), "invalid choice"),
+    (("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300", "--continuation", "1.5"),
+     "unrecognized arguments"),
+])
+def test_removed_forms_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def _profile_text(row, value):
+    """A valid n = 3, N = 200 profile file with f in row ``row`` set to ``value``."""
+    rs = np.linspace(0.0, math.pi, 201)
+    fs = [f"{f:.17g}" for f in 3 * rs]
+    fs[row] = value
+    return "".join(f"{r:.17g} {f}\n" for r, f in zip(rs, fs))
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "0\n1\n2\n",
+    "0 0\n",
+    _profile_text(100, "nan"),
+    _profile_text(-1, "nan"),
+    _profile_text(50, "inf"),
+], ids=["empty", "one-column", "one-row", "interior-nan", "last-nan", "interior-inf"])
+@pytest.mark.parametrize("argv", [
+    ("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200", "--init", "bad.txt"),
+    ("energy", "--alpha", "1.3", "--grid", "40,8", "--map", "radial:bad.txt"),
+], ids=["init", "map"])
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on the empty file
+def test_malformed_profile_file_is_a_config_error(capsys, tmp_path, monkeypatch, argv, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text(text)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config error" in err
+    with pytest.raises(ValueError):
+        load_profile(tmp_path / "bad.txt")
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("alphasphere ")]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ALPHASPHERE_OUTDIR", str(tmp_path / "out"))
+    for argv in commands:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_bad_config_file_key(capsys, tmp_path):
@@ -287,7 +354,6 @@ OPTION_CASES = {
     "grid": (("energy", "--alpha", "1.5"), "40,8"),
     "map": (("energy", "--alpha", "1.5", "--grid", "40,8"), "conjugation"),
     "init": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "init.txt"),
-    "continuation": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "1.5"),
     "profile-out": (("radial-solve", "--alpha", "1.4", "--n", "1", "--N", "200"), "p.out"),
     "tol": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "0.1"),
     "criteria": (("verify", "--level", "quick"), "c02"),
