@@ -277,7 +277,8 @@ def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         raise ConfigError("winding counts --n must be >= 1")
     if min(cfg.Ns) < 100:
         raise ConfigError("grid sizes --N must be >= 100")
-    if (cfg.init or cfg.profile_out) and len(cfg.ns) * len(cfg.Ns) != 1:
+    ns, Ns = sorted(set(cfg.ns)), sorted(set(cfg.Ns))   # one chain per pair
+    if (cfg.init or cfg.profile_out) and len(ns) * len(Ns) != 1:
         raise ConfigError("--init and --profile-out need one --n and one --N")
     start = None
     if cfg.init is not None:
@@ -286,8 +287,8 @@ def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load init profile: {exc}") from exc
     rows = []
-    for n in sorted(cfg.ns):
-        for N in sorted(cfg.Ns):
+    for n in ns:
+        for N in Ns:
             init = start
             for alpha in cfg.alphas:  # each step warm-starts the next
                 res = rd.minimize_radial(alpha, n, N, init, tol_scale=cfg.tol)

@@ -28,18 +28,19 @@ The module provides the energy, a finite-difference residual for the above
 equation, a direct minimiser over nodal values (damped Newton with a banded
 Cholesky solve, Armijo backtracking and analytic discrete derivatives), a
 shooting integrator as an independent construction, and the disc/annulus
-energy split of the threefold-winding solutions.
+energy split of the threefold-winding solutions.  Importing it loads numpy
+alone: scipy.linalg loads on the first Newton step, scipy.integrate and
+scipy.optimize on the first shot, and the pi and 2 pi crossings are found
+on the local cubic by Newton steps that bisection keeps in their cell.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.optimize import brentq
 
 from .quadrature import _rule
 
@@ -366,6 +367,7 @@ def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
     """Newton direction on the interior nodes by a banded Cholesky solve;
     a Levenberg shift of the diagonal, doubling from 1e-12 of its largest
     entry, guards an indefinite Hessian, and -g is the last resort."""
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
     ab = disc.hessian_band(fs)
     base = float(np.max(np.abs(ab[3])))
     shift = 0.0
@@ -481,16 +483,34 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
 
 def _first_crossing(profile: RadialProfile, level: float,
                     after: float | None = None) -> float | None:
+    """The r where the reconstruction climbs through ``level`` in the first
+    cell that ends right of ``after``, lies below the level at its left node
+    and not at its right one; None if no cell does."""
     lo = after if after is not None else 0.0
     gs = profile.fs - level
     idx = np.nonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0) & (profile.rs[1:] > lo))[0]
     if not len(idx):
         return None
-    # the reconstruction returns the nodal values exactly, so the first
-    # such cell brackets a root: negative at its left node, not at its right
+    # the reconstruction returns the nodal values exactly, so the cell
+    # brackets a root of its cubic: Newton steps from the chord's root,
+    # each replaced by bisection when it leaves the shrinking bracket
+    # (a right node on the level is the chord's root, and exact)
     i = idx[0]
-    return float(brentq(lambda r: float(profile.value(r) - level),
-                        profile.rs[i], profile.rs[i + 1], xtol=1e-14))
+    a, b = float(profile.rs[i]), float(profile.rs[i + 1])
+    r = a + (b - a) * float(gs[i] / (gs[i] - gs[i + 1]))
+    for _ in range(64):   # bisection alone narrows a cell to two floats in 64
+        f, fp = profile.value_and_slope(r)
+        g = float(f) - level
+        if g == 0.0:
+            break
+        a, b = (r, b) if g < 0.0 else (a, r)
+        step = r - g / float(fp) if fp else math.nan
+        if not a < step < b and step != r:
+            step = 0.5 * (a + b)
+        if not a < step < b:
+            break   # Newton stands still, or the bracket is two adjacent floats
+        r = step
+    return r
 
 
 def _series_coeff(alpha: float, a: float) -> float:
@@ -502,6 +522,7 @@ def _series_coeff(alpha: float, a: float) -> float:
 
 
 def _shot(alpha: float, n: int, slope: float):
+    from scipy.integrate import solve_ivp
     beta = alpha - 1.0
     eps = _SHOOT_EPS
 
@@ -541,6 +562,7 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
         raise ValueError("alpha must be >= 1")
     if slope0 <= 0.0:
         raise ValueError("slope0 must be positive")
+    from scipy.optimize import brentq
     target = n * _PI
     eps = _SHOOT_EPS
     last_reached = 0.0
@@ -556,26 +578,18 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
         return f_end + eps * p_end - target
 
     m0 = miss(slope0)
-    lo_a = hi_a = slope0
-    lo_m = hi_m = m0
     if m0 != 0.0:
-        found = False
         for k in range(1, max_expand + 1):
-            cand = slope0 * (1.3 ** k if m0 < 0.0 else 1.3 ** (-k))
+            cand = slope0 * 1.3 ** (k if m0 < 0.0 else -k)
             mc = miss(cand)
-            if mc == 0.0 or mc * m0 < 0.0:
-                lo_a, hi_a = min(slope0, cand), max(slope0, cand)
-                lo_m, hi_m = (m0, mc) if lo_a == slope0 else (mc, m0)
-                found = True
+            if mc * m0 <= 0.0:
                 break
-        if not found:
+        else:
             raise ShootFailedError(
                 f"no slope bracket around {slope0:g}; furthest shot reached "
                 f"r = {last_reached:.6f}", last_reached)
-        if lo_m != 0.0 and hi_m != 0.0:
-            slope0 = brentq(miss, lo_a, hi_a, xtol=1e-13, rtol=1e-15)
-        else:
-            slope0 = lo_a if lo_m == 0.0 else hi_a
+        slope0 = cand if mc == 0.0 else brentq(miss, min(slope0, cand), max(slope0, cand),
+                                               xtol=1e-13, rtol=1e-15)
 
     sol = _shot(alpha, n, slope0)
     if sol.status != 0 or sol.t[-1] < _PI - eps:
@@ -615,7 +629,11 @@ def save_profile(profile: RadialProfile, path) -> None:
 def load_profile(path, n: int | None = None) -> RadialProfile:
     """Read a :func:`save_profile` file; raises ``ValueError`` unless it is
     two columns of finite numbers whose endpoints are 0 and n*pi."""
-    data = np.loadtxt(path, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # numpy's note on empty input
+        data = np.loadtxt(path, ndmin=2)
+    if not data.size:
+        raise ValueError("profile file holds no numbers")
     if data.shape[1] != 2 or not np.isfinite(data).all():
         raise ValueError("profile file must be two columns of finite numbers")
     rs, fs = data[:, 0], data[:, 1]

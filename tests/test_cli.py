@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphasphere
 from alphasphere import RadialProfile, load_profile, minimize_radial, save_profile
 from alphasphere.cli import main
 
@@ -293,7 +297,6 @@ def _profile_text(row, value):
     ("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200", "--init", "bad.txt"),
     ("energy", "--alpha", "1.3", "--grid", "40,8", "--map", "radial:bad.txt"),
 ], ids=["init", "map"])
-@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on the empty file
 def test_malformed_profile_file_is_a_config_error(capsys, tmp_path, monkeypatch, argv, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text(text)
@@ -302,6 +305,29 @@ def test_malformed_profile_file_is_a_config_error(capsys, tmp_path, monkeypatch,
     assert "config error" in err
     with pytest.raises(ValueError):
         load_profile(tmp_path / "bad.txt")
+
+
+def test_empty_init_file_prints_only_the_config_error(tmp_path):
+    # a fresh interpreter, so that a warning numpy prints reaches stderr
+    (tmp_path / "empty.txt").write_text("")
+    env = {**os.environ, "PYTHONPATH": str(Path(alphasphere.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "alphasphere", "radial-solve", "--alpha",
+                           "1.3", "--n", "1", "--N", "200", "--init", "empty.txt"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "config error: cannot load init profile: profile file holds no numbers"]
+
+
+def test_repeated_winding_or_grid_solves_one_chain(capsys):
+    for argv in (("--n", "1,1", "--N", "200"), ("--n", "1", "--N", "200,200")):
+        code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.3", *argv)
+        assert code == 0
+        assert len(parse_csv(out)) == 1, argv
+    # a repeated exponent is a chain step of its own
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.3,1.3", "--n", "1,1",
+                           "--N", "200")
+    assert code == 0 and len(parse_csv(out)) == 2
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from alphasphere import (
     save_profile,
     shoot_radial,
 )
-from alphasphere.radial import _DiscreteEnergy, _newton_direction
+from alphasphere.radial import _DiscreteEnergy, _first_crossing, _newton_direction
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +80,31 @@ def test_value_and_slope_reproduces_cubics():
     assert np.max(np.abs(fp - dg(r))) < 1e-12
 
 
-def test_import_leaves_scipy_interpolate_out():
-    code = "import sys, alphasphere; print('scipy.interpolate' in sys.modules)"
+_LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize",
+               "scipy.interpolate")
+
+
+def _fresh_python(code):
     env = {**os.environ, "PYTHONPATH": str(Path(alphasphere.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_import_leaves_scipy_interpolate_out():
+    # scipy is imported where it is used: the Newton step, the shooting oracle
+    for module in ("alphasphere", "alphasphere.cli"):
+        code = f"import sys, {module}; print(sorted(set({_LAZY_SCIPY!r}) & set(sys.modules)))"
+        assert _fresh_python(code).strip() == "[]", module
+
+
+def test_dilation_table_loads_no_scipy():
+    readme = (Path(alphasphere.__file__).parents[2] / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines() if ln.startswith("alphasphere dilation-table"))
+    code = ("import contextlib, io, sys, alphasphere.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = alphasphere.cli.main({line.split()[1:]!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "0 []"
 
 
 # ---------------------------------------------------------------- energy
@@ -232,6 +251,43 @@ def test_minimize_n3(n3_solve):
     assert 0.0 < res.r1 < res.r2 < math.pi
     assert float(res.profile.value(res.r1)) == pytest.approx(math.pi, abs=1e-8)
     assert float(res.profile.value(res.r2)) == pytest.approx(2 * math.pi, abs=1e-8)
+
+
+def _brentq_crossing(p, level, after=0.0):
+    # scipy's root finder on the first cell that climbs through the level
+    from scipy.optimize import brentq
+    i = next(i for i in range(p.N) if p.fs[i] < level <= p.fs[i + 1] and p.rs[i + 1] > after)
+    return brentq(lambda r: float(p.value(r)) - level, p.rs[i], p.rs[i + 1], xtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha,N", [(1.1, 333), (1.2, 1000), (1.5, 4000), (2.0, 150)])
+def test_crossings_match_brentq(alpha, N):
+    res = minimize_radial(alpha, 3, N)
+    assert abs(res.r1 - _brentq_crossing(res.profile, math.pi)) <= 1e-14
+    assert abs(res.r2 - _brentq_crossing(res.profile, 2 * math.pi, res.r1)) <= 1e-14
+
+
+def test_crossing_after_skips_earlier_climbs():
+    # f climbs through 1.5 pi, falls back below it and climbs again
+    p = RadialProfile.from_function(3, 400, lambda r: 3 * r + 2.5 * np.sin(2 * r))
+    level = 1.5 * math.pi
+    first = _first_crossing(p, level)
+    second = _first_crossing(p, level, after=1.2)
+    assert first < 1.2 < 2.0 < second
+    assert abs(first - _brentq_crossing(p, level)) <= 1e-14
+    assert abs(second - _brentq_crossing(p, level, 1.2)) <= 1e-14
+    assert _first_crossing(p, level, after=2.5) is None
+
+
+def test_crossing_on_a_node_is_that_node():
+    p = RadialProfile.from_function(3, 400, lambda r: 3 * r + 0.3 * np.sin(2 * r))
+    fs = p.fs.copy()
+    k1, k2 = (int(np.argmax(fs >= v)) for v in (math.pi, 2 * math.pi))
+    fs[k1], fs[k2] = math.pi, 2 * math.pi
+    q = p.with_values(fs)
+    r1 = _first_crossing(q, math.pi)
+    assert r1 == q.rs[k1]
+    assert _first_crossing(q, 2 * math.pi, after=r1) == q.rs[k2]
 
 
 def test_minimize_n2_has_degree_zero():
