@@ -267,12 +267,13 @@ def _cubic(f0, f1, f2, f3, t):
 
 
 class _DiscreteEnergy:
-    """Cell-based discretisation of I(f): per-cell Gauss quadrature of a
-    local cubic reconstruction through the four nodes around each cell
-    (ghost values beyond the endpoints come from the odd reflections the
-    regular profiles satisfy).  Value, gradient and Hessian are exact
+    """Cell-based discretisation of I(f), the per-cell Gauss quadrature of
+    the local cubic described above.  Value, gradient and Hessian are exact
     derivatives of one another, which makes the gradient stopping rule
     trustworthy; the Hessian is seven-banded, so Newton steps cost O(N).
+    Fields at the Gauss points have shape (G, N); the last profile's are
+    kept, keyed on a copy of its values (arrays change in place), so the
+    Hessian and degree of an accepted iterate reuse its line search's.
     """
 
     def __init__(self, alpha: float, n: int, N: int):
@@ -289,43 +290,51 @@ class _DiscreteEnergy:
         # Dp[j] = sum of Bp[k] over k > j; node differences keep the
         # slope's roundoff at eps |f'| rather than eps |f| / h
         self.Dp = np.cumsum(self.Bp[::-1], axis=0)[-2::-1]
-        xg = np.linspace(0.0, _PI, N + 1)[:-1, None] + self.h * self.t[None, :]
+        xg = np.linspace(0.0, _PI, N + 1)[:-1] + self.h * self.t[:, None]
         sin_xg = np.sin(xg)
         self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
-        self.wgt = _PI * self.h * self.w[None, :] * sin_xg  # (N, G)
+        self.wgt = _PI * self.h * self.w[:, None] * sin_xg
+        # hessian_band's basis products at a block's entries k <= l
+        B, Bq, (k, l) = self.B, self.Bp / self.h, np.triu_indices(4)
+        self.table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
+        self._memo = None
 
     def _fields(self, fs: np.ndarray):
+        """f', sin f, dW/df = sin 2f / sin^2 r, W and (2 + W)^(alpha - 1)."""
+        if self._memo is not None and np.array_equal(self._memo[0], fs):
+            return self._memo[1]
+        self._memo = None
         fe = _reflect(fs, self.n, 1)
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
         window = np.lib.stride_tricks.sliding_window_view
-        fc = window(fe, 4) @ self.B                  # (N, G)
-        fp = (window(np.diff(fe), 3) @ self.Dp) / self.h
-        sfc = np.sin(fc)
-        W = fp * fp + sfc * sfc * self.inv_sin2
-        return fc, fp, W
+        fc = self.B.T @ window(fe, 4).T
+        fp = (self.Dp.T @ window(np.diff(fe), 3).T) / self.h
+        sf = np.sin(fc)
+        W = fp * fp + sf * sf * self.inv_sin2
+        dW_df = 2.0 * sf * np.cos(fc) * self.inv_sin2
+        self._memo = fs.copy(), (fp, sf, dW_df, W, (2.0 + W) ** (self.alpha - 1.0))
+        return self._memo[1]
 
     def cell_energies(self, fs: np.ndarray) -> np.ndarray:
         """The energy of each cell, shape (N,); they sum to the value."""
-        _, _, W = self._fields(fs)
-        return np.sum(self.wgt * (2.0 + W) ** self.alpha, axis=1)
+        _, _, _, W, core = self._fields(fs)
+        return np.sum(self.wgt * core * (2.0 + W), axis=0)
 
     def degree(self, fs: np.ndarray) -> float:
         """Degree of the map, the integral of sin(f) f' / 2 over [0, pi]."""
-        fc, fp, _ = self._fields(fs)
-        return 0.5 * self.h * float(np.sum((np.sin(fc) * fp) @ self.w))
+        fp, sf, _, _, _ = self._fields(fs)
+        return 0.5 * self.h * float(np.sum(self.w @ (sf * fp)))
 
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha, h, N = self.alpha, self.h, self.N
-        fc, fp, W = self._fields(fs)
-        core = (2.0 + W) ** (alpha - 1.0)
+        N = self.N
+        fp, _, dW_df, W, core = self._fields(fs)
         val = float(np.sum(self.wgt * core * (2.0 + W)))
-        A = alpha * core * self.wgt  # (N, G)
-        dW_dfc = np.sin(2.0 * fc) * self.inv_sin2
-        # dval/d(node at stencil slot k) per cell: (N, 4)
-        cell_grad = (A * 2.0 * fp) @ self.Bp.T / h + (A * dW_dfc) @ self.B.T
+        A = self.alpha * core * self.wgt
+        # per cell, dval/d(node at slot k) sums A dW_k (hessian_band): (4, N)
+        cell_grad = self.Bp @ (2.0 * fp * A) / self.h + self.B @ (dW_df * A)
         grad_e = np.zeros(N + 3)
         for k in range(4):
-            grad_e[k:k + N] += cell_grad[:, k]
+            grad_e[k:k + N] += cell_grad[k]
         grad = grad_e[1:-1].copy()
         grad[1] -= grad_e[0]      # ghost f(-h) = -f(h)
         grad[-2] -= grad_e[-1]    # ghost f(pi+h) = 2 n pi - f(pi-h)
@@ -336,23 +345,34 @@ class _DiscreteEnergy:
         """Hessian over the interior unknowns fs[1:-1] in LAPACK upper
         banded form, shape (4, N-1): row 3 - j holds the j-th upper
         diagonal, right-aligned.  Ghost nodes fold onto nodes 1 and N-1
-        with a sign flip; the endpoint nodes drop out."""
-        alpha, h, N = self.alpha, self.h, self.N
-        B, Bp = self.B, self.Bp
-        fc, fp, W = self._fields(fs)
-        p1 = alpha * (2.0 + W) ** (alpha - 1.0) * self.wgt
-        p2 = alpha * (alpha - 1.0) * (2.0 + W) ** (alpha - 2.0) * self.wgt
-        dW_dfc = np.sin(2.0 * fc) * self.inv_sin2
-        d2W_dfc = 2.0 * np.cos(2.0 * fc) * self.inv_sin2
-        dW = [2.0 * fp * Bp[k][None, :] / h + dW_dfc * B[k][None, :] for k in range(4)]
+        with a sign flip; the endpoint nodes drop out.
+
+        At a Gauss point, wgt (2 + W)^alpha has the second derivative
+        p2 dW_k dW_l + p1 d2W_kl in the cell's nodes k, l, where
+        p1 = alpha (2 + W)^(alpha - 1) wgt, p2 = (alpha - 1) p1 / (2 + W),
+        dW_k = a Bp[k] + b B[k] with a = 2 f' / h, b = sin 2f / sin^2 r, and
+        d2W_kl = 2 Bp[k] Bp[l] / h^2 + 2 cos 2f / sin^2 r B[k] B[l].  A block
+        is p2 a^2 + 2 p1 / h^2 times Bp[k] Bp[l], p2 a b times Bp[k] B[l] +
+        B[k] Bp[l], and p2 b^2 + 2 p1 cos 2f / sin^2 r times B[k] B[l]: one
+        product of these (3G, N) coefficients with the table.
+        """
+        N = self.N
+        fp, sf, b, W, core = self._fields(fs)
+        p1 = self.alpha * self.wgt * core
+        p2 = (self.alpha - 1.0) * p1 / (2.0 + W)
+        a = 2.0 * fp   # without its 1/h, which the table carries
+        coef = np.empty((3, *fp.shape))
+        np.multiply(p2 * a, a, out=coef[0])
+        np.multiply(p2 * a, b, out=coef[1])
+        np.multiply(p2 * b, b, out=coef[2])
+        coef[0] += 2.0 * p1
+        coef[2] += 2.0 * self.inv_sin2 * (1.0 - 2.0 * sf * sf) * p1
+        del p1, p2, a   # freed before the product, which lowers the peak
         # band over the extended nodes 0 .. N+2 (f_{-1} .. f_{N+1}): entry
         # (e - j, e) sits at ab[3 - j, e]; cell c covers nodes c .. c+3
         ab = np.zeros((4, N + 3))
-        for k in range(4):
-            for l in range(k, 4):
-                d2W = (2.0 * Bp[k][None, :] * Bp[l][None, :] / (h * h)
-                       + d2W_dfc * B[k][None, :] * B[l][None, :])
-                ab[3 - (l - k), l:l + N] += np.sum(p2 * dW[k] * dW[l] + p1 * d2W, axis=1)
+        for row, k, l in zip(self.table @ coef.reshape(-1, N), *np.triu_indices(4)):
+            ab[3 - (l - k), l:l + N] += row
         # fold f_{-1} = -f_1 (extended node 0 onto 2) and
         # f_{N+1} = 2 n pi - f_{N-1} (extended node N+2 onto N)
         ab[3, 2] += ab[3, 0] - 2.0 * ab[1, 2]

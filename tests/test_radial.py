@@ -349,27 +349,89 @@ def _dense(ab):
 
 @pytest.mark.parametrize("n, N", [(1, 100), (3, 150), (3, 200)])
 def test_banded_hessian_matches_gradient_differences(n, N):
-    disc = _DiscreteEnergy(1.3, n, N)
+    # the band's coefficients carry (2 + W)^(alpha - 2), so alpha spans
+    # the near-harmonic, the convex-in-W and the strongly convex cases
     fs = RadialProfile.from_function(n, N, lambda r: n * r + 0.2 * np.sin(2 * r)).fs
-    H = _dense(disc.hessian_band(fs))
-    m, eps = N - 1, 1e-5
-    fd = np.empty((m, m))
-    for i in range(m):
-        up, down = fs.copy(), fs.copy()
-        up[i + 1] += eps
-        down[i + 1] -= eps
-        fd[:, i] = (disc.value_and_grad(up)[1] - disc.value_and_grad(down)[1])[1:-1] / (2 * eps)
-    scale = np.max(np.abs(H))
-    assert np.max(np.abs(fd - H)) < 1e-7 * scale
-    # rows 0, 1 and m-2, m-1 carry the ghost nodes folded about the poles
-    for rows in (slice(0, 2), slice(m - 2, m)):
-        assert np.max(np.abs(fd[rows] - H[rows])) < 1e-8 * scale
-    assert np.max(np.abs(np.triu(fd, 4))) < 1e-8 * scale  # seven-banded
+    for alpha in (1.05, 1.3, 2.0, 3.0):
+        disc = _DiscreteEnergy(alpha, n, N)
+        H = _dense(disc.hessian_band(fs))
+        m, eps = N - 1, 1e-5
+        fd = np.empty((m, m))
+        for i in range(m):
+            up, down = fs.copy(), fs.copy()
+            up[i + 1] += eps
+            down[i + 1] -= eps
+            fd[:, i] = (disc.value_and_grad(up)[1] - disc.value_and_grad(down)[1])[1:-1] / (2 * eps)
+        scale = np.max(np.abs(H))
+        assert np.max(np.abs(fd - H)) < 1e-7 * scale, alpha
+        # rows 0, 1 and m-2, m-1 carry the ghost nodes folded about the poles
+        for rows in (slice(0, 2), slice(m - 2, m)):
+            assert np.max(np.abs(fd[rows] - H[rows])) < 1e-8 * scale, alpha
+        assert np.max(np.abs(np.triu(fd, 4))) < 1e-8 * scale, alpha  # seven-banded
 
-    g = disc.value_and_grad(fs)[1][1:-1]
-    d = _newton_direction(disc, fs, g)
-    ref = np.linalg.solve(H, -g)
-    assert np.max(np.abs(d - ref)) < 1e-10 * np.max(np.abs(ref))
+        g = disc.value_and_grad(fs)[1][1:-1]
+        d = _newton_direction(disc, fs, g)
+        if np.linalg.eigvalsh(H)[0] > 0.0:
+            ref = np.linalg.solve(H, -g)
+            assert np.max(np.abs(d - ref)) < 1e-10 * np.max(np.abs(ref)), alpha
+        else:   # n = 1 at alpha = 1.05 is indefinite: the Levenberg shift steps in
+            assert (n, alpha) == (1, 1.05) and float(np.dot(g, d)) < 0.0
+
+
+def test_fields_of_an_earlier_profile_are_never_reused():
+    # the solver's Hessian and degree reuse the fields of the last value
+    # and gradient; any other profile, also the same array changed in
+    # place since, must give what a fresh instance gives, bit for bit
+    N = 300
+    a = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    b = RadialProfile.from_function(3, N, lambda r: 3 * r - 0.1 * np.sin(4 * r)).fs
+
+    def fresh(fs):
+        return _DiscreteEnergy(1.2, 3, N).hessian_band(fs), _DiscreteEnergy(1.2, 3, N).degree(fs)
+
+    disc = _DiscreteEnergy(1.2, 3, N)
+    disc.value_and_grad(a)
+    band, deg = disc.hessian_band(b), disc.degree(b)
+    assert np.array_equal(band, fresh(b)[0]) and deg == fresh(b)[1]
+    disc.value_and_grad(a)
+    a[1:-1] += 0.05 * np.sin(np.arange(1, N))   # in place: a is now another profile
+    band, deg = disc.hessian_band(a), disc.degree(a)
+    assert np.array_equal(band, fresh(a)[0]) and deg == fresh(a)[1]
+    # and the reuse itself, as the solver meets it, changes no bit
+    disc.value_and_grad(b)
+    assert np.array_equal(disc.hessian_band(b.copy()), fresh(b)[0])
+
+
+def _identity_spectrum(alpha, N):
+    """The six lowest eigenvalues of the band at the identity f = r, scaled
+    by the lumped mass h sin r of the interior nodes, and the band."""
+    from scipy.linalg import eig_banded
+    rs = np.linspace(0.0, math.pi, N + 1)
+    ab = _DiscreteEnergy(alpha, 1, N).hessian_band(rs)
+    s = 1.0 / np.sqrt(math.pi / N * np.sin(rs[1:-1]))
+    scaled = ab.copy()
+    for j in range(1, 4):
+        scaled[3 - j, j:] *= s[j:] * s[:-j]
+    scaled[3] *= s * s
+    lam = eig_banded(scaled, select="i", select_range=(0, 5), eigvals_only=True)
+    return lam, ab
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 2.0, 3.0])
+@pytest.mark.parametrize("N, tol", [(400, 3e-7), (1600, 2e-9)])
+def test_hessian_spectrum_at_the_identity_matches_closed_form(alpha, N, tol):
+    # the radial Jacobi operator of the identity: its eigenfunctions are
+    # P_l^1(cos r), with eigenvalue 2 pi alpha 4^(alpha-1) (l (l + 1)
+    # (alpha + 1) / 2 - 2); l = 1, sin r, is the dilation mode, whose
+    # eigenvalue vanishes at alpha = 1
+    lam, ab = _identity_spectrum(alpha, N)
+    ell = np.arange(1, 7)
+    exact = 2 * math.pi * alpha * 4 ** (alpha - 1) * (ell * (ell + 1) * (alpha + 1) / 2 - 2)
+    assert np.max(np.abs(lam - exact) / exact) < tol
+    # the dilation tangent sin r: d^2 E_alpha(m_(e^tau)) / d tau^2 at 0
+    v = np.sin(np.linspace(0.0, math.pi, N + 1)[1:-1])
+    curvature = 2 ** (2 * alpha + 1) * math.pi * alpha * (alpha - 1) / 3
+    assert abs(v @ _dense(ab) @ v - curvature) < 1e-8 * curvature
 
 
 def test_newton_direction_descends_on_indefinite_hessian():

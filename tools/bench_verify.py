@@ -3,8 +3,9 @@
     python3 tools/bench_verify.py --parent HEAD~1 --what "one line on the change"
     python3 tools/bench_verify.py --workload radial-ladder --what "..."
 
-``--workload verify`` (the default) writes BENCH_verify.json and
-``--workload radial-ladder`` writes BENCH_radial.json.  Exports the parent
+``--workload verify`` (the default) writes BENCH_verify.json,
+``--workload radial-ladder`` BENCH_radial.json and ``--workload
+radial-continuation`` BENCH_continuation.json.  Exports the parent
 revision with ``git archive`` into a temporary directory and runs
 BENCHMARK.json's command with that workload and its ``run_seconds`` there
 and in this checkout (the change, as it stands on disk), one after the
@@ -14,7 +15,8 @@ HEAD`` measures uncommitted work against its base):
 - traced (``--trace 1``) once per seed in ``TRACE_SEEDS``, for the
   workload's per-layer metrics: the per-criterion times and the
   maps/mobius/quadrature counts for verify, the per-size solve medians and
-  the Newton, energy and residual times for the radial ladder;
+  the Newton, energy and residual times for the radial ladder, the
+  Newton iterations per solve and their cost for the continuation chains;
 - untraced (``--trace 0``) once per seed in ``E2E_SEEDS``, for the
   end-to-end metrics that BENCHMARK.json declares.
 
@@ -49,6 +51,8 @@ TOPICS = {
                                                                   16000, 32000)),
                                  "radial.s_per_iter_kcell", "radial.energy_s",
                                  "radial.residual_s")),
+    "radial-continuation": ("continuation", ("radial.iters_per_solve",
+                                             "radial.s_per_iter_kcell")),
 }
 
 
