@@ -31,7 +31,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import energy as en
@@ -229,8 +229,7 @@ def _build_map(cfg: RunConfig) -> mp.MapEvaluator:
                       "conjugation, mobius:a,b,c,d or radial:PATH")
 
 
-_ENERGY_COLUMNS = ["map", "alpha", "e_alpha", "e_dirichlet_plus_area",
-                   "degree", "degree_int", "floor_2_2a1_pi", "passes_floor"]
+_ENERGY_COLUMNS = ["map", *(f.name for f in fields(en.EnergyReport))]
 
 
 def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
@@ -243,13 +242,9 @@ def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
     grid = mp.make_grid(*cfg.grid)
     rows, ok = [], True
     for alpha in sorted(cfg.alphas):
-        rep = mp.energy_report(u, alpha, grid)
+        rep = en.energy_report(u, alpha, grid)
         ok = ok and rep.passes_floor
-        rows.append({"map": cfg.map_spec, "alpha": alpha, "e_alpha": rep.e_alpha,
-                     "e_dirichlet_plus_area": rep.e_dirichlet_plus_area,
-                     "degree": rep.degree, "degree_int": rep.degree_int,
-                     "floor_2_2a1_pi": rep.floor_2_2a1_pi,
-                     "passes_floor": rep.passes_floor})
+        rows.append({"map": cfg.map_spec, **vars(rep)})
     return _ENERGY_COLUMNS, rows, ok
 
 
@@ -259,12 +254,8 @@ _RADIAL_COLUMNS = ["alpha", "n", "N", "energy", "residual_sup", "grad_norm",
 
 
 def _solve_row(res: rd.SolveResult, N: int) -> dict:
-    return {"alpha": res.alpha, "n": res.profile.n, "N": N,
-            "energy": res.energy, "residual_sup": res.residual_sup,
-            "grad_norm": res.grad_norm, "degree": res.degree,
-            "degree_int": res.degree_int, "r1": res.r1, "r2": res.r2,
-            "iterations": res.iterations, "converged": res.converged,
-            "stop_reason": res.stop_reason}
+    extra = {"n": res.profile.n, "N": N}   # the two columns SolveResult lacks
+    return {c: extra[c] if c in extra else getattr(res, c) for c in _RADIAL_COLUMNS}
 
 
 def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:

@@ -48,14 +48,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mobius import chi_values
-from .maps import MapEvaluator, QuadratureGrid
+from .maps import MapEvaluator, QuadratureGrid, degree
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "RegimeError",
     "DilationEnergyResult",
     "BoundCheck",
+    "EnergyReport",
     "alpha_energy",
+    "energy_report",
     "e_alpha_lambda",
     "dilation_energy",
     "G_and_Gprime",
@@ -72,15 +74,21 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _XI_REL_TOL = 1e-12       # quadrature tolerance of the excess xi
 _GPRIME_REL_TOL = 1e-11   # quadrature tolerance of the pair G, G'
+_FLOOR_TOL = 1e-8         # quadrature slack of energy_report's degree-one floor check
 
 
 class RegimeError(ValueError):
     """Parameters fall outside the regime a bound is stated for."""
 
 
+def _pow2(x: float) -> float:
+    """2^x, and inf where that leaves double range (x >= 1024)."""
+    return math.inf if x >= 1024.0 else 2.0 ** x
+
+
 def energy_floor(alpha: float) -> float:
     """2^(2 alpha + 1) pi, the least energy of a degree-one map."""
-    return 2.0 ** (2.0 * alpha + 1.0) * math.pi
+    return _pow2(2.0 * alpha + 1.0) * math.pi
 
 
 # explicit lower-bound constants
@@ -249,6 +257,37 @@ def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
     return G, _exp_or_inf(lc - math.log(beta) - 2.0 * ls + log_K)
 
 
+@dataclass(frozen=True)
+class EnergyReport:
+    """Energy/degree summary for one map at one exponent."""
+
+    alpha: float
+    e_alpha: float
+    e_dirichlet_plus_area: float
+    degree: float
+    degree_int: int
+    floor_2_2a1_pi: float
+    passes_floor: bool
+
+
+def energy_report(u: MapEvaluator, alpha: float,
+                  grid: QuadratureGrid) -> EnergyReport:
+    """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
+    degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
+    """
+    if alpha < 1.0:
+        raise ValueError("alpha must be >= 1")
+    dens = u.density(grid.lifted)
+    e1 = grid.integrate(1.0 + dens)
+    ea = alpha_energy(u, alpha, grid)
+    raw, nearest = degree(u, grid)
+    floor = energy_floor(alpha)
+    passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
+    return EnergyReport(alpha=alpha, e_alpha=ea, e_dirichlet_plus_area=e1,
+                        degree=raw, degree_int=nearest,
+                        floor_2_2a1_pi=floor, passes_floor=passes)
+
+
 def alpha_energy(u: MapEvaluator, alpha: float, grid: QuadratureGrid) -> float:
     """E_alpha(u) = 2^(alpha-1) int (1 + e(u))^alpha dA by grid quadrature."""
     if alpha < 1.0:
@@ -266,7 +305,7 @@ def e_alpha_lambda(u: MapEvaluator, alpha: float, lam: float,
 
 def _deformed_energy(ch, dens, alpha: float, grid: QuadratureGrid) -> float:
     """2^(alpha-1) int (1 + chi e)^alpha / chi dA on the grid; chi = 1 gives E_alpha."""
-    return 2.0 ** (alpha - 1.0) * grid.integrate((1.0 + ch * dens) ** alpha / ch)
+    return _pow2(alpha - 1.0) * grid.integrate((1.0 + ch * dens) ** alpha / ch)
 
 
 def d_energy_d_loglambda(u: MapEvaluator, alpha: float, lam: float,

@@ -11,12 +11,12 @@ so quadrature consumes evaluators directly and no interpolation enters the
 bound checks.  Evaluators take complex chart points, or the points a
 :class:`QuadratureGrid` lifted once to projective pairs (p, q), zeta = p/q
 and max(|p|, |q|) = 1, which keeps every density finite through the poles
-of the chart.  The map of M = (a, b; c, d) sends a pair to
-(P, Q) = (a p + b q, c p + d q); its density
-((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 is a Hermitian form of M*M evaluated on
-the lifted points, and its position (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2)
-reads off the image pair.  Pulling a fractional linear map back by another
-one multiplies the matrices, so :class:`PullbackMap` serves the other maps.
+of the chart.  The map of M sends a pair to its image pair (P, Q) = M (p, q)
+(:mod:`alphasphere.mobius`); its density ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2
+is a Hermitian form of M*M on the lifted points, and its position
+(2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2) reads off the image pair.
+Pulling a fractional linear map back by another multiplies the matrices, so
+:class:`PullbackMap`, at ``mobius_apply``'s image points, serves the others.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mobius import MobiusElement, SpherePoint, _form_density, _Lifted, _lift, _sphere_xyz
+from .mobius import (MobiusElement, SpherePoint, _form_density, _image_pair, _Lifted,
+                     _lift, _sphere_xyz, mobius_apply)
 from .quadrature import _rule
 from .radial import RadialProfile
 
@@ -46,19 +47,11 @@ __all__ = [
     "QuadratureGrid",
     "make_grid",
     "degree",
-    "EnergyReport",
-    "energy_report",
 ]
-
-_FLOOR_TOL = 1e-8   # quadrature slack of energy_report's degree-one floor check
 
 
 class NonIntegerDegreeWarning(UserWarning):
     """Jacobian quadrature landed further than 0.01 from an integer."""
-
-
-def _image_pair(m: MobiusElement, pts: _Lifted) -> tuple[np.ndarray, np.ndarray]:
-    return m.a * pts.p + m.b * pts.q, m.c * pts.p + m.d * pts.q
 
 
 class MapEvaluator(ABC):
@@ -92,7 +85,8 @@ class MobiusMap(MapEvaluator):
         self.m = m
 
     def position(self, z):
-        return _sphere_xyz(*_image_pair(self.m, _lift(z)))
+        m = self.m
+        return _sphere_xyz(*_image_pair(m.a, m.b, m.c, m.d, _lift(z)))
 
     def density(self, z):
         m = self.m
@@ -143,13 +137,10 @@ class PullbackMap(MapEvaluator):
 
     def _factor_and_image(self, z):
         pts, m = _lift(z), self.m
-        factor = _form_density(m.a, m.b, m.c, m.d, pts)
-        w, Q = _image_pair(m, pts)  # image P/Q in place of P, inf where Q = 0
-        np.copyto(w, complex(math.inf, 0.0), where=Q == 0)
-        return factor, np.divide(w, Q, out=w, where=Q != 0)
+        return _form_density(m.a, m.b, m.c, m.d, pts), mobius_apply(m, pts)
 
     def position(self, z):
-        return self.u.position(self._factor_and_image(z)[1])
+        return self.u.position(mobius_apply(self.m, z))
 
     def density(self, z):
         factor, w = self._factor_and_image(z)
@@ -267,36 +258,3 @@ def degree(u: MapEvaluator, grid: QuadratureGrid) -> tuple[float, int]:
                       "away from an integer; refine the grid",
                       NonIntegerDegreeWarning, stacklevel=2)
     return raw, nearest
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy/degree summary for one map at one exponent."""
-
-    alpha: float
-    e_alpha: float
-    e_dirichlet_plus_area: float
-    degree: float
-    degree_int: int
-    floor_2_2a1_pi: float
-    passes_floor: bool
-
-
-def energy_report(u: MapEvaluator, alpha: float,
-                  grid: QuadratureGrid) -> EnergyReport:
-    """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
-    degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
-    """
-    from .energy import alpha_energy, energy_floor  # local import: energy builds on maps
-
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    dens = u.density(grid.lifted)
-    e1 = grid.integrate(1.0 + dens)
-    ea = alpha_energy(u, alpha, grid)
-    raw, nearest = degree(u, grid)
-    floor = energy_floor(alpha)
-    passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
-    return EnergyReport(alpha=alpha, e_alpha=ea, e_dirichlet_plus_area=e1,
-                        degree=raw, degree_int=nearest,
-                        floor_2_2a1_pi=floor, passes_floor=passes)

@@ -2,27 +2,29 @@
 conformal factor of dilations.
 
 The unit sphere is identified with the extended complex plane by projecting
-from the north pole: zeta = 0 is the south pole (0, 0, -1) and
-zeta = infinity the north pole (0, 0, 1).  A unit-determinant complex 2x2
-matrix M = (a, b; c, d) acts by the fractional linear map
-zeta -> (a zeta + b)/(c zeta + d).  Its singular value decomposition
-U diag(sqrt(lam), 1/sqrt(lam)) V*, with U, V special unitary, splits the
-action into a rotation, the dilation zeta -> lam * zeta and another
-rotation, so every energy computation that only sees rotation-invariant
-quantities can be reduced to dilations.
+from the north pole: a chart point is a complex number, zeta = 0 is the
+south pole (0, 0, -1) and zeta = inf the north pole (0, 0, 1).  A
+unit-determinant complex 2x2 matrix M = (a, b; c, d) acts by the fractional
+linear map zeta -> (a zeta + b)/(c zeta + d), which :func:`mobius_apply`
+evaluates vectorised over complex scalars or arrays.  Its singular value
+decomposition U diag(sqrt(lam), 1/sqrt(lam)) V*, with U, V special unitary,
+splits the action into a rotation, the dilation zeta -> lam * zeta and
+another rotation, so every energy computation that only sees
+rotation-invariant quantities can be reduced to dilations.
 
 Chart points are lifted once to projective pairs (p, q), zeta = p/q, with
-max(|p|, |q|) = 1.  M maps a pair to (P, Q) = M (p, q), and its conformal
-factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 needs only the Hermitian form
-|P|^2 + |Q|^2 = h11 |p|^2 + h22 |q|^2 + 2 Re(h12 conj(p) q) of H = M*M:
-three numbers per matrix (h11, h12 and det H once the square is completed)
-against the lifted points.  The dilation factor
+max(|p|, |q|) = 1.  M maps a pair to the image pair (P, Q) = M (p, q), and
+its conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 needs only the
+Hermitian form |P|^2 + |Q|^2 = h11 |p|^2 + h22 |q|^2 + 2 Re(h12 conj(p) q)
+of H = M*M: three numbers per matrix (h11, h12 and det H once the square is
+completed) against the lifted points.  The dilation factor
 
     chi_lam(zeta) = (1 + lam^2 |zeta|^2)^2 / (lam^2 (1 + |zeta|^2)^2)
 
-is its reciprocal for diag(sqrt(lam), 1/sqrt(lam)).  The L2 norm of
-grad log chi_lam is provided together with the explicit closed-form upper
-bound obtained by splitting the radial integral at r = 1/lam and r = 1.
+(:func:`chi_values`) is its reciprocal for diag(sqrt(lam), 1/sqrt(lam)).
+The L2 norm of grad log chi_lam is provided together with the explicit
+closed-form upper bound obtained by splitting the radial integral at
+r = 1/lam and r = 1.
 """
 
 from __future__ import annotations
@@ -38,14 +40,10 @@ from .quadrature import adaptive_gauss_legendre
 __all__ = [
     "DegenerateMatrixError",
     "SpherePoint",
-    "StereoPoint",
     "MobiusElement",
     "MobiusSVD",
-    "stereo_to_sphere",
-    "sphere_to_stereo",
     "mobius_apply",
     "mobius_svd",
-    "chi",
     "chi_values",
     "grad_log_chi",
     "norm_grad_log_chi_L2",
@@ -75,33 +73,6 @@ class SpherePoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class StereoPoint:
-    """Point of the extended complex plane; the pole of the chart is carried
-    by the ``at_infinity`` flag rather than a large sentinel value."""
-
-    re: float = 0.0
-    im: float = 0.0
-    at_infinity: bool = False
-
-    @classmethod
-    def from_complex(cls, zeta: complex) -> "StereoPoint":
-        zeta = complex(zeta)
-        if cmath.isinf(zeta):
-            return cls(at_infinity=True)
-        return cls(zeta.real, zeta.imag)
-
-    @classmethod
-    def infinity(cls) -> "StereoPoint":
-        return cls(at_infinity=True)
-
-    @property
-    def zeta(self) -> complex:
-        if self.at_infinity:
-            raise ValueError("point at infinity has no finite coordinate")
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -236,33 +207,18 @@ def _form_density(a, b, c, d, pts: _Lifted) -> np.ndarray:
     return ((pts.pp + pts.qq) / form) ** 2
 
 
-def stereo_to_sphere(p: StereoPoint) -> SpherePoint:
-    """Map the chart coordinate to the sphere:
-    x + iy = 2 zeta/(1+|zeta|^2), z = (|zeta|^2 - 1)/(|zeta|^2 + 1)."""
-    pts = _lift(complex(math.inf, 0.0) if p.at_infinity else p.zeta)
-    return SpherePoint(*(float(v) for v in _sphere_xyz(pts.p, pts.q)))
+def _image_pair(a, b, c, d, pts: _Lifted) -> tuple[np.ndarray, np.ndarray]:
+    """Image pair (P, Q) = (a p + b q, c p + d q) of lifted points, broadcast
+    as in :func:`_form_density`."""
+    return a * pts.p + b * pts.q, c * pts.p + d * pts.q
 
 
-def sphere_to_stereo(q: SpherePoint) -> StereoPoint:
-    """Inverse chart: zeta = (x + iy)/(1 - z); the north pole maps to the
-    point at infinity."""
-    if q.z >= 1.0:
-        return StereoPoint.infinity()
-    denom = 1.0 - q.z
-    return StereoPoint(q.x / denom, q.y / denom)
-
-
-def mobius_apply(m: MobiusElement, p: StereoPoint) -> StereoPoint:
-    """Fractional linear action zeta -> (a zeta + b)/(c zeta + d)."""
-    if p.at_infinity:
-        if m.c == 0:
-            return StereoPoint.infinity()
-        return StereoPoint.from_complex(m.a / m.c)
-    z = p.zeta
-    denom = m.c * z + m.d
-    if denom == 0:
-        return StereoPoint.infinity()
-    return StereoPoint.from_complex((m.a * z + m.b) / denom)
+def mobius_apply(m: MobiusElement, z) -> np.ndarray:
+    """Fractional linear action zeta -> (a zeta + b)/(c zeta + d) at complex
+    chart points (or at points lifted once): the image pair's P/Q, inf
+    where Q = 0.  A scalar point gives a 0-d array."""
+    P, Q = _image_pair(m.a, m.b, m.c, m.d, _lift(z))
+    return np.divide(P, Q, out=np.full(np.shape(P), complex(math.inf, 0.0)), where=Q != 0)
 
 
 def _su2_from_column(col: np.ndarray) -> MobiusElement:
@@ -299,20 +255,10 @@ def chi_values(lam, zs) -> np.ndarray:
     points lifted once, see :func:`_lift`): the reciprocal of the factor of
     diag(sqrt(lam), 1/sqrt(lam)), whose form has h11 = lam, h12 = 0 and
     det H = 1, so ((lam |p|^2 + |q|^2/lam)/(|p|^2 + |q|^2))^2 on the lifted
-    pair.  Tends to lam^2 at the pole; broadcasts over an array of lam."""
+    pair.  Equals lam^2 exactly at inf, where the pair is (1, 0);
+    broadcasts over an array of lam."""
     pts = _lift(zs)
     return ((lam * pts.pp + pts.qq / lam) / (pts.pp + pts.qq)) ** 2
-
-
-def chi(lam: float, p: StereoPoint) -> float:
-    """Conformal factor of the dilation zeta -> lam zeta,
-    chi_lam = (1 + lam^2 |zeta|^2)^2 / (lam^2 (1 + |zeta|^2)^2);
-    equals lam^2 at the point at infinity."""
-    if lam < 1.0:
-        raise ValueError("chi expects lam >= 1")
-    if p.at_infinity:
-        return lam * lam
-    return float(chi_values(lam, np.array([p.zeta]))[0])
 
 
 def grad_log_chi(lam: float, r):

@@ -389,6 +389,8 @@ def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
     entry, guards an indefinite Hessian, and -g is the last resort."""
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
     ab = disc.hessian_band(fs)
+    if not np.all(np.isfinite(ab)):   # it overflows first, before the energy
+        raise ValueError(f"the radial Hessian at alpha = {disc.alpha} overflows double range")
     base = float(np.max(np.abs(ab[3])))
     shift = 0.0
     for _ in range(40):
@@ -401,6 +403,7 @@ def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
     return -g
 
 
+@np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
 def minimize_radial(alpha: float, n: int, N: int = 2000,
                     init: RadialProfile | None = None, *,
                     max_iters: int = 200,
@@ -423,7 +426,8 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     ``converged`` means a gradient or stagnation stop that also leaves the
     independent finite-difference residual at or below 1e-2.  The
     construction needs alpha > 1: at alpha = 1 minimising sequences in the
-    nontrivial classes concentrate and no minimiser exists.
+    nontrivial classes concentrate and no minimiser exists.  A Hessian that
+    leaves double range (alpha in the hundreds) raises ValueError.
     """
     if alpha <= 1.0:
         raise ValueError("minimize_radial requires alpha > 1")

@@ -22,6 +22,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(*argv, cwd=None):
+    # a fresh interpreter, so that a warning numpy prints reaches stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(alphasphere.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "alphasphere", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 def parse_csv(text):
     import csv
     import io
@@ -308,12 +315,9 @@ def test_malformed_profile_file_is_a_config_error(capsys, tmp_path, monkeypatch,
 
 
 def test_empty_init_file_prints_only_the_config_error(tmp_path):
-    # a fresh interpreter, so that a warning numpy prints reaches stderr
     (tmp_path / "empty.txt").write_text("")
-    env = {**os.environ, "PYTHONPATH": str(Path(alphasphere.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "alphasphere", "radial-solve", "--alpha",
-                           "1.3", "--n", "1", "--N", "200", "--init", "empty.txt"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    proc = run_fresh("radial-solve", "--alpha", "1.3", "--n", "1", "--N", "200",
+                     "--init", "empty.txt", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "config error: cannot load init profile: profile file holds no numbers"]
@@ -341,6 +345,41 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ALPHASPHERE_OUTDIR", str(tmp_path / "out"))
     for argv in commands:
         assert run_cli(capsys, *argv[1:])[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("dilation-table", "--alpha", "1.5", "--lambda", "2"),
+     "alpha,lambda,e_alpha,xi,G,Gprime,xi_sigma_large,xi_sigma_mid,xi_sigma_small,growth"),
+    (("energy", "--alpha", "1.5", "--grid", "40,8"),
+     "map,alpha,e_alpha,e_dirichlet_plus_area,degree,degree_int,floor_2_2a1_pi,passes_floor"),
+    (("radial-solve", "--alpha", "1.4", "--n", "1", "--N", "200"),
+     "alpha,n,N,energy,residual_sup,grad_norm,degree,degree_int,r1,r2,iterations,"
+     "converged,stop_reason"),
+    (("verify", "--level", "quick", "--criteria", "c02"),
+     "criterion,check,value,bound,passed,note"),
+], ids=["dilation-table", "energy", "radial-solve", "verify"])
+def test_report_header_is_pinned(capsys, argv, header):
+    # the columns are read by name elsewhere; this pins their order
+    assert run_cli(capsys, *argv)[1].splitlines()[0] == header
+
+
+@pytest.mark.parametrize("argv", [
+    ("dilation-table", "--alpha", "520", "--lambda", "2"),
+    ("energy", "--alpha", "600", "--grid", "8,8"),
+], ids=["dilation-table", "energy"])
+def test_energies_past_double_range_read_inf(argv):
+    proc = run_fresh(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    row = parse_csv(proc.stdout)[0]
+    assert row["e_alpha"] == "inf"
+
+
+def test_radial_overflow_is_one_error_line():
+    proc = run_fresh("radial-solve", "--alpha", "400", "--n", "3", "--N", "1000")
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "overflows" in line
 
 
 def test_bad_config_file_key(capsys, tmp_path):

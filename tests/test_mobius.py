@@ -9,17 +9,16 @@ from alphasphere import (
     GRAD_LOG_CHI_L2_REGIME_CONSTANT,
     MobiusElement,
     SpherePoint,
-    StereoPoint,
-    chi,
     chi_values,
     grad_log_chi,
     grad_log_chi_l2_bound,
+    identity_map,
     mobius_apply,
     mobius_svd,
     norm_grad_log_chi_L2,
-    sphere_to_stereo,
-    stereo_to_sphere,
 )
+
+INF = complex(math.inf, 0.0)
 
 
 finite_c = st.complex_numbers(min_magnitude=0.0, max_magnitude=5.0,
@@ -41,29 +40,11 @@ def random_element(rng, lam_max=10.0):
 
 # ---------------------------------------------------------------- charts
 
-def test_stereo_to_sphere_named_points():
-    assert stereo_to_sphere(StereoPoint(0.0, 0.0)) == SpherePoint(0.0, 0.0, -1.0)
-    p = stereo_to_sphere(StereoPoint(1.0, 0.0))
-    assert abs(p.x - 1.0) < 1e-15 and abs(p.y) < 1e-15 and abs(p.z) < 1e-15
-    assert stereo_to_sphere(StereoPoint.infinity()) == SpherePoint(0.0, 0.0, 1.0)
-
-
-def test_sphere_to_stereo_named_points():
-    assert sphere_to_stereo(SpherePoint(0.0, 0.0, -1.0)).zeta == 0.0
-    assert abs(sphere_to_stereo(SpherePoint(1.0, 0.0, 0.0)).zeta - 1.0) < 1e-15
-    assert sphere_to_stereo(SpherePoint(0.0, 0.0, 1.0)).at_infinity
-
-
-def test_round_trip_on_random_points():
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=(1000, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    for x, y, z in v:
-        q = SpherePoint(float(x), float(y), float(z))
-        back = stereo_to_sphere(sphere_to_stereo(q))
-        assert abs(back.x - q.x) < 1e-12
-        assert abs(back.y - q.y) < 1e-12
-        assert abs(back.z - q.z) < 1e-12
+def test_chart_named_points():
+    chart = identity_map().position
+    assert np.array_equal(chart(0j), [0.0, 0.0, -1.0])
+    assert np.allclose(chart(1 + 0j), [1.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(chart(INF), [0.0, 0.0, 1.0])
 
 
 def test_sphere_point_rejects_off_sphere():
@@ -74,19 +55,35 @@ def test_sphere_point_rejects_off_sphere():
 # ---------------------------------------------------------------- action
 
 def test_apply_identity_and_dilation():
-    p = StereoPoint(0.3, -0.7)
-    assert mobius_apply(MobiusElement.identity(), p).zeta == p.zeta
+    z = 0.3 - 0.7j
+    assert mobius_apply(MobiusElement.identity(), z) == z
     lam = 3.7
-    out = mobius_apply(MobiusElement.dilation(lam), p)
-    assert abs(out.zeta - lam * p.zeta) < 1e-14
+    assert abs(mobius_apply(MobiusElement.dilation(lam), z) - lam * z) < 1e-14
 
 
 def test_apply_pole_and_infinity():
     m = MobiusElement(0.0, 1.0, -1.0, 0.0)  # zeta -> -1/zeta
-    assert mobius_apply(m, StereoPoint(0.0, 0.0)).at_infinity
-    out = mobius_apply(m, StereoPoint.infinity())
-    assert abs(out.zeta - 0.0) < 1e-15
-    assert mobius_apply(MobiusElement.dilation(2.0), StereoPoint.infinity()).at_infinity
+    assert mobius_apply(m, 0j) == INF
+    assert abs(mobius_apply(m, INF)) < 1e-15
+    assert mobius_apply(MobiusElement.dilation(2.0), INF) == INF
+
+
+def test_apply_is_one_vectorised_action():
+    # dyadic entries with a d - b c = 1 make c (-d/c) + d vanish exactly
+    a, b, c, d = 1.5 + 0.5j, -0.5 + 0.625j, 2.0 + 0j, 0.25 + 0.75j
+    m = MobiusElement(a, b, c, d)
+    assert m.det() == 1 and c * (-d / c) + d == 0
+    rng = np.random.default_rng(11)
+    rand = rng.normal(size=200) + 1j * rng.normal(size=200)
+    out = mobius_apply(m, np.concatenate(([0j, INF, -d / c], rand)))
+    assert out.shape == (203,)
+    assert out[2] == INF
+    scalar = np.array([b / d, a / c] + [(a * z + b) / (c * z + d) for z in rand.tolist()])
+    finite = np.delete(out, 2)
+    assert np.max(np.abs(finite - scalar) / np.abs(scalar)) <= 1e-14
+    # a scalar point gives a 0-d array, an array keeps its shape
+    assert mobius_apply(m, 0.5j).shape == ()
+    assert mobius_apply(m, rand.reshape(20, 10)).shape == (20, 10)
 
 
 @settings(max_examples=80, deadline=None)
@@ -95,13 +92,13 @@ def test_group_law(w1, w2, w3, w4):
     rng = np.random.default_rng(abs(hash((w1, w2, w3, w4))) % 2 ** 31)
     m1 = random_element(rng)
     m2 = random_element(rng)
-    z = StereoPoint(float(w1.real) / 5.0, float(w2.imag) / 5.0)
+    z = complex(w1.real, w2.imag) / 5.0
     lhs = mobius_apply(m1, mobius_apply(m2, z))
     rhs = mobius_apply(m1 @ m2, z)
-    if lhs.at_infinity or rhs.at_infinity:
-        assert lhs.at_infinity == rhs.at_infinity
+    if np.isinf(lhs) or np.isinf(rhs):
+        assert np.isinf(lhs) and np.isinf(rhs)
     else:
-        assert abs(lhs.zeta - rhs.zeta) <= 1e-10 * (1.0 + abs(rhs.zeta))
+        assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
 def test_compose_inverse():
@@ -175,9 +172,10 @@ def test_normalized_hits_unit_determinant():
 # ------------------------------------------------------------------- chi
 
 def test_chi_values():
-    assert abs(chi(1.0, StereoPoint(0.4, 2.0)) - 1.0) < 1e-15
-    assert abs(chi(3.0, StereoPoint(0.0, 0.0)) - 1.0 / 9.0) < 1e-15
-    assert chi(5.0, StereoPoint.infinity()) == 25.0
+    assert abs(chi_values(1.0, 0.4 + 2j) - 1.0) < 1e-15
+    assert abs(chi_values(3.0, 0j) - 1.0 / 9.0) < 1e-15
+    for lam in (5.0, 1.1, 7.3, 1e150):
+        assert chi_values(lam, INF) == lam ** 2
 
 
 def test_chi_sup_is_lam_squared():
@@ -197,8 +195,8 @@ def test_grad_log_chi_trivial_and_fd():
         lam = math.exp(rng.uniform(0.0, 3.0))
         r = rng.uniform(0.01, 5.0)
         d = 1e-6 * max(1.0, r)
-        fd = (math.log(chi(max(lam, 1.0), StereoPoint(r + d, 0.0)))
-              - math.log(chi(max(lam, 1.0), StereoPoint(r - d, 0.0)))) / (2.0 * d)
+        fd = (math.log(chi_values(lam, complex(r + d)))
+              - math.log(chi_values(lam, complex(r - d)))) / (2.0 * d)
         assert abs(grad_log_chi(lam, r) - fd) < 1e-6 * max(1.0, abs(fd))
 
 

@@ -1,14 +1,18 @@
-"""Cell-by-cell difference of the verify report between a revision and this checkout.
+"""Cell-by-cell difference of the verify report and the README reports between a
+revision and this checkout.
 
     python3 tools/report_diff.py --parent HEAD~1
 
 Exports ``--parent`` with ``bench_verify.export`` into a temporary
-directory, runs ``alphasphere verify --level full --seed 2024`` (CSV) there
-and in this checkout (the working tree as it stands on disk), and prints
-each cell that differs as ``criterion/check column: old -> new``.  A check
-name that repeats within a criterion is told apart by ``#k``, its k-th
-repeat.  Exits 1 when the two reports differ in their set of rows or in
-their ``passed`` column, else 0.
+directory and runs, there and in this checkout (the working tree as it
+stands on disk), ``alphasphere verify --level full --seed 2024`` and each
+command of this checkout's README command-line block that writes its report
+to stdout (those without ``-o`` or ``--profile-out``).  Prints each cell
+that differs: a verify cell as ``criterion/check column: old -> new``, a
+check name that repeats within a criterion told apart by ``#k``, its k-th
+repeat; a README cell as ``command row k column: old -> new``.  Exits 1
+when the verify reports differ in their set of rows or in their ``passed``
+column, or a README report in its header or its number of rows, else 0.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import argparse
 import csv
 import io
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -28,52 +34,90 @@ from bench_verify import ROOT, export
 ARGV = ["verify", "--level", "full", "--seed", "2024"]
 
 
-def report(root: Path) -> dict[str, dict[str, str]]:
-    """The verify report run from checkout ``root``, by row key."""
+def readme_commands() -> list[list[str]]:
+    """The README's command lines that write their report to stdout, as argv
+    lists without the leading ``alphasphere``."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    argvs = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("alphasphere ")]
+    return [argv for argv in argvs if not {"-o", "--profile-out"} & set(argv)]
+
+
+def table(root: Path, argv: list[str]) -> tuple[list[str], list[dict[str, str]]]:
+    """The header and the rows of the CSV report of ``alphasphere argv`` run
+    from checkout ``root``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "alphasphere", *ARGV], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-m", "alphasphere", *argv], cwd=root, env=env,
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode not in (0, 1) or not proc.stdout:
-        raise RuntimeError(f"verify in {root}: exit {proc.returncode}\n{proc.stderr}")
-    rows: dict[str, dict[str, str]] = {}
+        raise RuntimeError(f"{shlex.join(argv)} in {root}: exit {proc.returncode}\n{proc.stderr}")
+    header, *rows = csv.reader(io.StringIO(proc.stdout))
+    return header, [dict(zip(header, row)) for row in rows]
+
+
+def by_check(rows: list[dict[str, str]]) -> dict[str, dict[str, str]]:
+    """Verify rows keyed ``criterion/check``, a repeat as ``#k``."""
+    keyed: dict[str, dict[str, str]] = {}
     seen: dict[str, int] = {}
-    for row in csv.DictReader(io.StringIO(proc.stdout)):
+    for row in rows:
         key = f"{row['criterion']}/{row['check']}"
         k = seen[key] = seen.get(key, -1) + 1
-        rows[f"{key}#{k}" if k else key] = row
-    return rows
+        keyed[f"{key}#{k}" if k else key] = row
+    return keyed
+
+
+def diff_cells(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]],
+               prefix: str = "") -> int:
+    """Print each cell of a row in both reports that differs; returns their count."""
+    cells = 0
+    for key in (key for key in old if key in new):
+        for column, value in old[key].items():
+            if new[key].get(column) != value:
+                cells += 1
+                print(f"{prefix}{key} {column}: {value} -> {new[key].get(column)}")
+    return cells
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", help="revision to compare against")
     args = ap.parse_args(argv)
+    commands = [ARGV, *readme_commands()]
     tmp = Path(tempfile.mkdtemp(prefix="report-diff-"))
     try:
         sha = export(args.parent, tmp / "parent")
-        old = report(tmp / "parent")
+        olds = [table(tmp / "parent", c) for c in commands]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    new = report(ROOT)
+    news = [table(ROOT, c) for c in commands]
+    side = f"{args.parent} ({sha[:12]})"
 
-    both = [key for key in old if key in new]
-    cells = 0
-    for key in both:
-        for column, value in old[key].items():
-            if new[key].get(column) != value:
-                cells += 1
-                print(f"{key} {column}: {value} -> {new[key].get(column)}")
+    old, new = by_check(olds[0][1]), by_check(news[0][1])
+    cells = diff_cells(old, new)
     for key in sorted(old.keys() - new.keys()):
         print(f"{key}: only in {args.parent}")
     for key in sorted(new.keys() - old.keys()):
         print(f"{key}: only in the working tree")
     rows_differ = old.keys() != new.keys()
-    passed_differ = any(old[k]["passed"] != new[k].get("passed") for k in both)
-    print(f"{' '.join(ARGV)}: {args.parent} ({sha[:12]}) {len(old)} rows, working tree "
-          f"{len(new)} rows, {cells} cells differ"
+    passed_differ = any(old[k]["passed"] != new[k]["passed"] for k in old.keys() & new.keys())
+    print(f"{' '.join(ARGV)}: {side} {len(old)} rows, working tree {len(new)} rows, "
+          f"{cells} cells differ"
           + ("; the row set differs" if rows_differ else "")
           + ("; the passed column differs" if passed_differ else ""))
-    return 1 if rows_differ or passed_differ else 0
+    failed = rows_differ or passed_differ
+
+    for command, (old_h, old_t), (new_h, new_t) in zip(commands[1:], olds[1:], news[1:]):
+        name = shlex.join(command)
+        cells = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
+        header_differs = old_h != new_h
+        count_differs = len(old_t) != len(new_t)
+        print(f"{name}: {side} {len(old_t)} rows, working tree {len(new_t)} rows, "
+              f"{cells} cells differ"
+              + ("; the header differs" if header_differs else "")
+              + ("; the row count differs" if count_differs else ""))
+        failed = failed or header_differs or count_differs
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
