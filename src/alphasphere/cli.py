@@ -31,7 +31,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import energy as en
@@ -40,32 +40,11 @@ from . import mobius as mb
 from . import radial as rd
 from .verification import _COLUMNS, CRITERIA, VerifySettings, _render, run_criteria
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    command: str
-    alphas: list[float] = field(default_factory=list)
-    lams: list[float] = field(default_factory=list)
-    ns: list[int] = field(default_factory=list)
-    Ns: list[int] = field(default_factory=list)
-    grid: tuple[int, int] = (300, 64)
-    map_spec: str = "identity"
-    init: str | None = None
-    profile_out: str | None = None
-    criteria: list[str] = field(default_factory=list)
-    tol: float = 1e-8
-    seed: int = 2024
-    level: str = "full"
-    out: str | None = None
-    fmt: str = "csv"
 
 
 def _parse_floats(s: str) -> list[float]:
@@ -173,40 +152,39 @@ _DILATION_COLUMNS = ["alpha", "lambda", "e_alpha", "xi", "G", "Gprime",
                      "growth"]
 
 
-def _cmd_dilation_table(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+def _cmd_dilation_table(cfg: dict) -> tuple[list[str], list[dict], bool]:
     """dilation energies and bound verdicts"""
-    if not cfg.alphas or not cfg.lams:
+    if not cfg["alpha"] or not cfg["lambda"]:
         raise ConfigError("dilation-table needs --alpha and --lambda")
-    if min(cfg.alphas) < 1.0:
+    if min(cfg["alpha"]) < 1.0:
         raise ConfigError("dilation rows need every exponent >= 1")
-    if min(cfg.lams) <= 0.0:
+    if min(cfg["lambda"]) <= 0.0:
         raise ConfigError("dilation factors --lambda must be positive")
     rows = []
     ok = True
-    for alpha in sorted(cfg.alphas):
-        for lam in sorted(cfg.lams):
+    for alpha in sorted(cfg["alpha"]):
+        for lam in sorted(cfg["lambda"]):
             res = en.dilation_energy(alpha, lam)
             row = {"alpha": alpha, "lambda": lam, "e_alpha": res.value,
                    "xi": res.xi, "G": res.G}
-            checks: dict[str, en.BoundCheck] = {}
             if alpha > 1.0:
                 row["Gprime"] = en.G_and_Gprime(alpha, abs(res.sigma))[1]
-                if lam >= 1.0 and alpha <= 2.0:
-                    for c in en.check_xi_lower_bounds(alpha, lam):
-                        checks[c.regime] = c
-                    if 0.0 <= res.sigma <= 2.0:
-                        checks["growth"] = en.check_growth(alpha, lam)
-            row["xi_sigma_large"] = _verdict(checks.get("sigma_large"))
-            row["xi_sigma_mid"] = _verdict(checks.get("sigma_mid"))
-            row["xi_sigma_small"] = _verdict(checks.get("sigma_small"))
-            row["growth"] = _verdict(checks.get("growth"))
+            # a verdict cell stays empty where its checker's regime excludes the row
+            checks: dict[str, en.BoundCheck] = {}
+            try:
+                for c in en.check_xi_lower_bounds(alpha, lam):
+                    checks[f"xi_{c.regime}"] = c
+                checks["growth"] = en.check_growth(alpha, lam)
+            except en.RegimeError:
+                pass
+            for column in _DILATION_COLUMNS[6:]:
+                row[column] = _verdict(checks.get(column))
             ok = ok and all(c.passed for c in checks.values())
             rows.append(row)
     return _DILATION_COLUMNS, rows, ok
 
 
-def _build_map(cfg: RunConfig) -> mp.MapEvaluator:
-    spec = cfg.map_spec
+def _build_map(spec: str) -> mp.MapEvaluator:
     if spec == "identity":
         return mp.identity_map()
     if spec == "constant":
@@ -232,19 +210,19 @@ def _build_map(cfg: RunConfig) -> mp.MapEvaluator:
 _ENERGY_COLUMNS = ["map", *(f.name for f in fields(en.EnergyReport))]
 
 
-def _cmd_energy(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+def _cmd_energy(cfg: dict) -> tuple[list[str], list[dict], bool]:
     """energy report for a named map"""
-    if not cfg.alphas:
+    if not cfg["alpha"]:
         raise ConfigError("energy needs --alpha")
-    if min(cfg.alphas) < 1.0:
+    if min(cfg["alpha"]) < 1.0:
         raise ConfigError("energies need every exponent >= 1")
-    u = _build_map(cfg)
-    grid = mp.make_grid(*cfg.grid)
+    u = _build_map(cfg["map"])
+    grid = mp.make_grid(*cfg["grid"])
     rows, ok = [], True
-    for alpha in sorted(cfg.alphas):
+    for alpha in sorted(cfg["alpha"]):
         rep = en.energy_report(u, alpha, grid)
         ok = ok and rep.passes_floor
-        rows.append({"map": cfg.map_spec, **vars(rep)})
+        rows.append({"map": cfg["map"], **vars(rep)})
     return _ENERGY_COLUMNS, rows, ok
 
 
@@ -258,49 +236,49 @@ def _solve_row(res: rd.SolveResult, N: int) -> dict:
     return {c: extra[c] if c in extra else getattr(res, c) for c in _RADIAL_COLUMNS}
 
 
-def _cmd_radial_solve(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+def _cmd_radial_solve(cfg: dict) -> tuple[list[str], list[dict], bool]:
     """minimise the radial energy along warm alpha chains"""
-    if not cfg.alphas or not cfg.ns or not cfg.Ns:
+    if not cfg["alpha"] or not cfg["n"] or not cfg["N"]:
         raise ConfigError("radial-solve needs --alpha, --n and --N")
-    if not all(a > 1.0 for a in cfg.alphas):
+    if not all(a > 1.0 for a in cfg["alpha"]):
         raise ConfigError("radial solves need every exponent > 1")
-    if min(cfg.ns) < 1:
+    if min(cfg["n"]) < 1:
         raise ConfigError("winding counts --n must be >= 1")
-    if min(cfg.Ns) < 100:
+    if min(cfg["N"]) < 100:
         raise ConfigError("grid sizes --N must be >= 100")
-    ns, Ns = sorted(set(cfg.ns)), sorted(set(cfg.Ns))   # one chain per pair
-    if (cfg.init or cfg.profile_out) and len(ns) * len(Ns) != 1:
+    ns, Ns = sorted(set(cfg["n"])), sorted(set(cfg["N"]))   # one chain per pair
+    if (cfg["init"] or cfg["profile-out"]) and len(ns) * len(Ns) != 1:
         raise ConfigError("--init and --profile-out need one --n and one --N")
     start = None
-    if cfg.init is not None:
+    if cfg["init"] is not None:
         try:
-            start = rd.load_profile(cfg.init, n=cfg.ns[0])
+            start = rd.load_profile(cfg["init"], n=cfg["n"][0])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load init profile: {exc}") from exc
     rows = []
     for n in ns:
         for N in Ns:
             init = start
-            for alpha in cfg.alphas:  # each step warm-starts the next
-                res = rd.minimize_radial(alpha, n, N, init, tol_scale=cfg.tol)
+            for alpha in cfg["alpha"]:  # each step warm-starts the next
+                res = rd.minimize_radial(alpha, n, N, init, tol_scale=cfg["tol"])
                 rows.append(_solve_row(res, N))
                 init = res.profile
-    if cfg.profile_out:
-        path = _resolve_out(cfg.profile_out)
+    if cfg["profile-out"]:
+        path = _resolve_out(cfg["profile-out"])
         path.parent.mkdir(parents=True, exist_ok=True)
         rd.save_profile(res.profile, path)
     return _RADIAL_COLUMNS, rows, all(row["converged"] for row in rows)
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[list[str], list[dict], bool]:
+def _cmd_verify(cfg: dict) -> tuple[list[str], list[dict], bool]:
     """run the verification battery"""
-    names = cfg.criteria or sorted(CRITERIA)
+    names = cfg["criteria"] or sorted(CRITERIA)
     for name in names:
         if name not in CRITERIA:
             raise ConfigError(f"unknown criterion {name!r}; known: "
                               + ",".join(sorted(CRITERIA)))
     timings: dict[str, float] = {}
-    rows = run_criteria(VerifySettings(seed=cfg.seed, level=cfg.level), names, timings)
+    rows = run_criteria(VerifySettings(seed=cfg["seed"], level=cfg["level"]), names, timings)
     ok = all(r.passed for r in rows)
     counts = {}
     for r in rows:
@@ -324,30 +302,29 @@ _COMMANDS = {
 
 _ALL = tuple(_COMMANDS)
 
-# config key, which is also the long flag -> (RunConfig field, parser of
-# the string value, commands that take the flag, help); a flag and a
+# config key, which is also the long flag -> (default, parser of the
+# string value, commands that take the flag, help); a flag and a
 # config-file value go through the same parser
 _OPTIONS = {
-    "alpha": ("alphas", _parse_floats, ("dilation-table", "energy", "radial-solve"),
+    "alpha": ((), _parse_floats, ("dilation-table", "energy", "radial-solve"),
               "comma-separated exponents (radial-solve: a warm chain, in the order given)"),
-    "lambda": ("lams", _parse_floats, ("dilation-table",), "comma-separated dilation factors"),
-    "n": ("ns", _parse_ints, ("radial-solve",), "comma-separated winding counts"),
-    "N": ("Ns", _parse_ints, ("radial-solve",), "comma-separated grid cell counts"),
-    "grid": ("grid", _parse_grid, ("energy",), "quadrature sizes 'n_radial,n_angular'"),
-    "map": ("map_spec", str, ("energy",),
+    "lambda": ((), _parse_floats, ("dilation-table",), "comma-separated dilation factors"),
+    "n": ((), _parse_ints, ("radial-solve",), "comma-separated winding counts"),
+    "N": ((), _parse_ints, ("radial-solve",), "comma-separated grid cell counts"),
+    "grid": ((300, 64), _parse_grid, ("energy",), "quadrature sizes 'n_radial,n_angular'"),
+    "map": ("identity", str, ("energy",),
             "identity | constant | conjugation | mobius:a,b,c,d | radial:PATH"),
-    "init": ("init", str, ("radial-solve",), "two-column profile file to start from"),
-    "profile-out": ("profile_out", str, ("radial-solve",),
+    "init": (None, str, ("radial-solve",), "two-column profile file to start from"),
+    "profile-out": (None, str, ("radial-solve",),
                     "write the chain's final profile as two-column text"),
-    "tol": ("tol", _parse_tol, ("radial-solve",), "gradient stopping scale (default 1e-8)"),
-    "criteria": ("criteria", _parse_names, ("verify",),
-                 "comma-separated subset, e.g. c01,c05"),
-    "level": ("level", _one_of("level", "full", "quick"), ("verify",),
+    "tol": (1e-8, _parse_tol, ("radial-solve",), "gradient stopping scale (default 1e-8)"),
+    "criteria": ((), _parse_names, ("verify",), "comma-separated subset, e.g. c01,c05"),
+    "level": ("full", _one_of("level", "full", "quick"), ("verify",),
               "battery size: full (default) or quick"),
-    "seed": ("seed", _parse_seed, ("verify",), "seed for randomised checks"),
-    "out": ("out", str, _ALL,
+    "seed": (2024, _parse_seed, ("verify",), "seed for randomised checks"),
+    "out": (None, str, _ALL,
             "output path (default: stdout); bare names resolve under $ALPHASPHERE_OUTDIR"),
-    "format": ("fmt", _one_of("format", "csv", "json"), _ALL,
+    "format": ("csv", _one_of("format", "csv", "json"), _ALL,
                "report format: csv (default) or json"),
 }
 
@@ -368,28 +345,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Each option from its flag, else from the config file; file keys that
-    the command does not take are parsed too."""
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The command and each option by config key, from its flag, else from
+    the config file, else its default; file keys that the command does not
+    take are parsed too."""
     file_cfg = _read_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=args.command)
-    for key, (attr, parse, _, _) in _OPTIONS.items():
+    cfg = {"command": args.command}
+    for key, (default, parse, _, _) in _OPTIONS.items():
         v = getattr(args, key, None)
         if v is None:
             v = file_cfg.get(key)
-        if v is not None:
-            setattr(cfg, attr, parse(v))
+        cfg[key] = default if v is None else parse(v)
     return cfg
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one resolved configuration; returns the exit status."""
+def run(cfg: dict) -> int:
+    """Execute one resolved configuration, as ``_merge_config`` returns it;
+    returns the exit status."""
     try:
-        columns, rows, ok = _COMMANDS[cfg.command](cfg)
+        columns, rows, ok = _COMMANDS[cfg["command"]](cfg)
     except (ValueError, rd.SplitUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(_render(columns, rows, cfg.fmt), cfg.out)
+    _emit(_render(columns, rows, cfg["format"]), cfg["out"])
     return 0 if ok else 1
 
 

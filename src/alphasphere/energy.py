@@ -35,14 +35,16 @@ evaluated as a log, divided by its value at the right end, which keeps
 every value in (0, 1] however large sigma is, and integrated in linear
 space; the log of the divisor is added back afterwards.  The module also
 carries the explicit lower-bound constants for xi ((e^2 - e - 2)/(2 e^4)
-when sigma >= 2, 1/(6 cosh^2 1) when log lam <= 1, and the optimised
-tanh(theta)(1 - cosh(theta)/sinh 1) constant for the growth of G' between
-those regimes).
+when sigma >= 2, 1/(6 cosh^2 1) when log lam <= 1, and for the growth of G'
+between those regimes the maximum of tanh(theta)(1 - cosh(theta)/sinh 1),
+which lies where cosh^3 theta = sinh 1 and equals
+(1 - sinh(1)^(-2/3))^(3/2)).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)   # exp overflows exactly above this
 _XI_REL_TOL = 1e-12       # quadrature tolerance of the excess xi
 _GPRIME_REL_TOL = 1e-11   # quadrature tolerance of the pair G, G'
 _FLOOR_TOL = 1e-8         # quadrature slack of energy_report's degree-one floor check
@@ -96,16 +99,8 @@ XI_SIGMA_LARGE_CONSTANT = (math.e ** 2 - math.e - 2.0) / (2.0 * math.e ** 4)
 XI_SIGMA_SMALL_CONSTANT = 1.0 / (6.0 * math.cosh(1.0) ** 2)
 
 
-def _theta_growth_constant() -> float:
-    # best value of tanh(t)(1 - cosh(t)/sinh 1) over the feasible t-range;
-    # a grid maximum slightly below the true optimum is conservative
-    t_max = float(np.arccosh(math.sinh(1.0)))
-    ts = np.linspace(1e-4, t_max - 1e-4, 20001)
-    vals = np.tanh(ts) * (1.0 - np.cosh(ts) / math.sinh(1.0))
-    return float(np.max(vals))
-
-
-GROWTH_THETA_CONSTANT = _theta_growth_constant()
+# max of tanh(t)(1 - cosh(t)/sinh 1), attained where cosh^3 t = sinh 1
+GROWTH_THETA_CONSTANT = (1.0 - math.sinh(1.0) ** (-2.0 / 3.0)) ** 1.5
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ def _scaled_integral(log_f, log_f_end: float, b: float, rel_tol: float) -> float
 
 
 def _exp_or_inf(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
+    return math.inf if x > _LOG_MAX else math.exp(x)
 
 
 def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
@@ -303,6 +298,7 @@ def e_alpha_lambda(u: MapEvaluator, alpha: float, lam: float,
     return _deformed_energy(chi_values(lam, grid.lifted), u.density(grid.lifted), alpha, grid)
 
 
+@np.errstate(over="ignore")   # inf is the energy reported past double range
 def _deformed_energy(ch, dens, alpha: float, grid: QuadratureGrid) -> float:
     """2^(alpha-1) int (1 + chi e)^alpha / chi dA on the grid; chi = 1 gives E_alpha."""
     return _pow2(alpha - 1.0) * grid.integrate((1.0 + ch * dens) ** alpha / ch)

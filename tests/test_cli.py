@@ -366,13 +366,52 @@ def test_report_header_is_pinned(capsys, argv, header):
 @pytest.mark.parametrize("argv", [
     ("dilation-table", "--alpha", "520", "--lambda", "2"),
     ("energy", "--alpha", "600", "--grid", "8,8"),
-], ids=["dilation-table", "energy"])
+    ("energy", "--alpha", "1100", "--grid", "8,8"),
+], ids=["dilation-table", "energy", "energy-density-power"])
 def test_energies_past_double_range_read_inf(argv):
     proc = run_fresh(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     row = parse_csv(proc.stdout)[0]
     assert row["e_alpha"] == "inf"
+
+
+def test_dilation_G_is_finite_up_to_double_range(capsys):
+    # log(G - 1) = 709.48 here: past 709, short of the overflow at 709.78
+    code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "2", "--lambda", "4e154")
+    assert code == 0
+    G = float(parse_csv(out)[0]["G"])
+    assert 1e308 < G < math.inf
+
+
+def _edge_lambdas(alpha):
+    # below 1, at 1, at log lam = 1, just past sigma = 2, far past it
+    edges = [0.5, 1.0, math.e, 1e6]
+    if alpha > 1.0:
+        edges.insert(3, 1.01 * math.exp(2.0 / (alpha - 1.0)))
+    return edges
+
+
+@pytest.mark.parametrize("alpha, lam", [(alpha, lam) for alpha in (1.0, 1.5, 2.0, 2.5)
+                                        for lam in _edge_lambdas(alpha)])
+def test_dilation_verdicts_follow_the_checkers(capsys, alpha, lam):
+    code, out, _ = run_cli(capsys, "dilation-table", "--alpha", repr(alpha),
+                           "--lambda", repr(lam))
+    expected = {}
+    try:
+        for c in alphasphere.check_xi_lower_bounds(alpha, lam):
+            expected[f"xi_{c.regime}"] = c.passed
+    except alphasphere.RegimeError:
+        pass
+    try:
+        expected["growth"] = alphasphere.check_growth(alpha, lam).passed
+    except alphasphere.RegimeError:
+        pass
+    row = parse_csv(out)[0]
+    for column in ("xi_sigma_large", "xi_sigma_mid", "xi_sigma_small", "growth"):
+        verdict = expected.get(column)
+        assert row[column] == ("" if verdict is None else "pass" if verdict else "fail")
+    assert code == (0 if all(expected.values()) else 1)
 
 
 def test_radial_overflow_is_one_error_line():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alphasphere import (
+    GROWTH_THETA_CONSTANT,
     G_and_Gprime,
     MobiusElement,
     RadialProfile,
@@ -26,6 +27,7 @@ from alphasphere import (
     radial_energy_between,
 )
 
+from alphasphere.energy import _LOG_MAX, _exp_or_inf
 from test_mobius import random_element
 
 
@@ -268,6 +270,24 @@ def test_growth_check_small_sigma_example():
 def test_growth_check_regime_error():
     with pytest.raises(RegimeError):
         check_growth(1.5, math.exp(10.0))  # sigma = 5 > 2
+
+
+def test_growth_theta_constant_is_the_closed_form_maximum():
+    # the maximiser of tanh(t)(1 - cosh(t)/sinh 1) solves cosh^3 t = sinh 1
+    t_star = math.acosh(math.sinh(1.0) ** (1.0 / 3.0))
+    assert math.cosh(t_star) ** 3 == pytest.approx(math.sinh(1.0), rel=1e-15)
+    value = math.tanh(t_star) * (1.0 - math.cosh(t_star) / math.sinh(1.0))
+    assert GROWTH_THETA_CONSTANT == pytest.approx(value, rel=1e-15)
+    # no smaller than the grid maximum it replaces
+    ts = np.linspace(1e-4, math.acosh(math.sinh(1.0)) - 1e-4, 20001)
+    grid_max = float(np.max(np.tanh(ts) * (1.0 - np.cosh(ts) / math.sinh(1.0))))
+    assert GROWTH_THETA_CONSTANT >= grid_max
+
+
+def test_exp_or_inf_cuts_at_the_overflow_point():
+    assert _exp_or_inf(709.5) == math.exp(709.5)
+    assert _exp_or_inf(_LOG_MAX) == math.exp(_LOG_MAX) < math.inf
+    assert _exp_or_inf(math.nextafter(_LOG_MAX, math.inf)) == math.inf
 
 
 # --------------------------------------------------- log lam derivative

@@ -10,7 +10,9 @@ command of this checkout's README command-line block that writes its report
 to stdout (those without ``-o`` or ``--profile-out``).  Prints each cell
 that differs: a verify cell as ``criterion/check column: old -> new``, a
 check name that repeats within a criterion told apart by ``#k``, its k-th
-repeat; a README cell as ``command row k column: old -> new``.  Exits 1
+repeat; a README cell as ``command row k column: old -> new``.  Then
+prints one line per criterion or command with differing cells: how many,
+and the largest relative change among its numeric cells.  Exits 1
 when the verify reports differ in their set of rows or in their ``passed``
 column, or a README report in its header or its number of rows, else 0.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import re
 import shlex
@@ -67,16 +70,27 @@ def by_check(rows: list[dict[str, str]]) -> dict[str, dict[str, str]]:
     return keyed
 
 
+def relative_change(old: str, new: str) -> float | None:
+    """|new - old| / |old| of two numeric cells (inf when old is 0 or not
+    finite), or None when either cell is not a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    return abs(b - a) / abs(a) if math.isfinite(a) and a != 0.0 else math.inf
+
+
 def diff_cells(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]],
-               prefix: str = "") -> int:
-    """Print each cell of a row in both reports that differs; returns their count."""
-    cells = 0
+               prefix: str = "") -> list[tuple[str, float | None]]:
+    """Print each cell of a row in both reports that differs; returns, per
+    such cell, its row key and its relative change."""
+    changes = []
     for key in (key for key in old if key in new):
         for column, value in old[key].items():
             if new[key].get(column) != value:
-                cells += 1
+                changes.append((key, relative_change(value, new[key].get(column))))
                 print(f"{prefix}{key} {column}: {value} -> {new[key].get(column)}")
-    return cells
+    return changes
 
 
 def main(argv=None) -> int:
@@ -94,7 +108,10 @@ def main(argv=None) -> int:
     side = f"{args.parent} ({sha[:12]})"
 
     old, new = by_check(olds[0][1]), by_check(news[0][1])
-    cells = diff_cells(old, new)
+    changes = diff_cells(old, new)
+    groups: dict[str, list[float | None]] = {}
+    for key, change in changes:
+        groups.setdefault(key.split("/", 1)[0], []).append(change)
     for key in sorted(old.keys() - new.keys()):
         print(f"{key}: only in {args.parent}")
     for key in sorted(new.keys() - old.keys()):
@@ -102,21 +119,27 @@ def main(argv=None) -> int:
     rows_differ = old.keys() != new.keys()
     passed_differ = any(old[k]["passed"] != new[k]["passed"] for k in old.keys() & new.keys())
     print(f"{' '.join(ARGV)}: {side} {len(old)} rows, working tree {len(new)} rows, "
-          f"{cells} cells differ"
+          f"{len(changes)} cells differ"
           + ("; the row set differs" if rows_differ else "")
           + ("; the passed column differs" if passed_differ else ""))
     failed = rows_differ or passed_differ
 
     for command, (old_h, old_t), (new_h, new_t) in zip(commands[1:], olds[1:], news[1:]):
         name = shlex.join(command)
-        cells = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
+        changes = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
+        if changes:
+            groups[name] = [change for _, change in changes]
         header_differs = old_h != new_h
         count_differs = len(old_t) != len(new_t)
         print(f"{name}: {side} {len(old_t)} rows, working tree {len(new_t)} rows, "
-              f"{cells} cells differ"
+              f"{len(changes)} cells differ"
               + ("; the header differs" if header_differs else "")
               + ("; the row count differs" if count_differs else ""))
         failed = failed or header_differs or count_differs
+    for group, group_changes in groups.items():
+        numeric = [c for c in group_changes if c is not None]
+        print(f"{group}: {len(group_changes)} cells differ, "
+              + (f"largest relative change {max(numeric):.3g}" if numeric else "none numeric"))
     return 1 if failed else 0
 
 
