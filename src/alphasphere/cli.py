@@ -232,7 +232,8 @@ _RADIAL_COLUMNS = ["alpha", "n", "N", "energy", "residual_sup", "grad_norm",
 
 
 def _solve_row(res: rd.SolveResult, N: int) -> dict:
-    extra = {"n": res.profile.n, "N": N}   # the two columns SolveResult lacks
+    r1, r2 = (*res.crossings, None, None)[:2]   # empty where the winding has fewer
+    extra = {"n": res.profile.n, "N": N, "r1": r1, "r2": r2}   # columns SolveResult lacks
     return {c: extra[c] if c in extra else getattr(res, c) for c in _RADIAL_COLUMNS}
 
 
@@ -364,7 +365,7 @@ def run(cfg: dict) -> int:
     returns the exit status."""
     try:
         columns, rows, ok = _COMMANDS[cfg["command"]](cfg)
-    except (ValueError, rd.SplitUnavailableError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_render(columns, rows, cfg["format"]), cfg["out"])

@@ -161,13 +161,21 @@ def _log_sinh_scalar(t: float) -> float:
     return t - _LOG2 + math.log(-math.expm1(-2.0 * t))
 
 
-def _scaled_integral(log_f, log_f_end: float, b: float, rel_tol: float) -> float:
-    """log of int_0^b exp(log_f) for an integrand that is positive and
-    increasing on [0, b]: dividing by its value exp(log_f_end) at b keeps
-    every integrand value in (0, 1], so nothing leaves double range."""
+def _scaled_integral(log_f, log_f_end: float, b: float, rel_tol: float,
+                     offset: float) -> float:
+    """offset + log of int_0^b exp(log_f) for an integrand that is positive
+    and increasing on [0, b]: dividing by its value exp(log_f_end) at b keeps
+    every integrand value in (0, 1], so nothing leaves double range.  The
+    integral lies between (b/2) f(b/2) and b f(b); far past double range the
+    quadrature stops converging, so where the lower bound already puts the
+    result past _LOG_MAX it is returned instead: either exponentiates to inf."""
+    if offset + log_f_end + math.log(b) > _LOG_MAX:
+        lower = offset + math.log(0.5 * b) + float(log_f(0.5 * b))
+        if lower > _LOG_MAX:
+            return lower
     integral = adaptive_gauss_legendre(lambda t: np.exp(log_f(t) - log_f_end),
                                        0.0, b, rel_tol=rel_tol)
-    return log_f_end + math.log(integral)
+    return offset + (log_f_end + math.log(integral))
 
 
 def _exp_or_inf(x: float) -> float:
@@ -176,7 +184,7 @@ def _exp_or_inf(x: float) -> float:
 
 def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
     """log(G(sigma) - 1) for tau = |log lam|, computed without cancellation;
-    finite for every finite tau > 0."""
+    finite for every finite tau > 0, and a lower bound on it past _LOG_MAX."""
     beta = alpha - 1.0
     if tau == 0.0 or beta == 0.0:
         return -math.inf
@@ -194,9 +202,8 @@ def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
 
     lc = _log_cosh_scalar(tau)
     g = beta * lc + _log_cosh_scalar(beta * tau)
-    log_integral = _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)),
-                                    tau, rel_tol)
-    return log_integral - _log_sinh_scalar(tau)
+    return _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)), tau, rel_tol,
+                            -_log_sinh_scalar(tau))
 
 
 def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
@@ -247,9 +254,9 @@ def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
                 + np.log(-np.expm1(-2.0 * sb)) + np.log(-np.expm1(-2.0 * alpha * sb)))
 
     ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
-    log_K = _scaled_integral(log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x),
-                             sigma, _GPRIME_REL_TOL)
-    return G, _exp_or_inf(lc - math.log(beta) - 2.0 * ls + log_K)
+    return G, _exp_or_inf(_scaled_integral(
+        log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x), sigma, _GPRIME_REL_TOL,
+        lc - math.log(beta) - 2.0 * ls))
 
 
 @dataclass(frozen=True)
@@ -332,7 +339,9 @@ def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
     closed form; the check composes the adjacent explicit constants,
     xi >= base * [beta/(6 cosh^2 1) + C_theta (sigma - beta)], and is named
     ``xi_sigma_mid_composed`` to flag that.  The large-regime verdict
-    compares logs, which stay finite where both sides overflow.
+    compares logs, which stay finite where both sides overflow; for alpha <= 2
+    and finite lam the lower bound of :func:`_scaled_integral` stays below
+    360, so that log is the quadrature's value.
     """
     if not 1.0 < alpha <= 2.0:
         raise RegimeError("bounds are stated for 1 < alpha <= 2")

@@ -20,18 +20,17 @@ reconstruction is the local cubic through the four nodes around each cell,
 with nodes beyond the endpoints supplied by the odd reflections that every
 regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
 it.  This one per-cell integrator serves the minimiser's objective, the
-reported energy, the degree and the disc/annulus/cap split; only a cell
-that a window's end cuts is integrated point by point through the
-reconstruction, which the crossings and the 2-d map read as well.
+reported energy, the degree and the window energies; only a cell that a
+window's end cuts is integrated point by point through the reconstruction,
+which the k pi crossings and the 2-d map read as well.
 
-The module provides the energy, a finite-difference residual for the above
-equation, a direct minimiser over nodal values (damped Newton with a banded
-Cholesky solve, Armijo backtracking and analytic discrete derivatives), a
-shooting integrator as an independent construction, and the disc/annulus
-energy split of the threefold-winding solutions.  Importing it loads numpy
-alone: scipy.linalg loads on the first Newton step, scipy.integrate and
-scipy.optimize on the first shot, and the pi and 2 pi crossings are found
-on the local cubic by Newton steps that bisection keeps in their cell.
+The module provides the energy and the energies of the windows between the
+k pi crossings, a finite-difference residual for the above equation, a
+direct minimiser over nodal values (damped Newton with a banded Cholesky
+solve, Armijo backtracking and analytic discrete derivatives), and a
+shooting integrator as an independent construction.  Importing it loads
+numpy alone: scipy.linalg loads on the first Newton step, and
+scipy.integrate and scipy.optimize on the first shot.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ __all__ = [
     "RadialProfile",
     "SolveResult",
     "radial_energy",
-    "radial_energy_between",
+    "window_energies",
     "radial_residual",
     "minimize_radial",
     "shoot_radial",
@@ -76,7 +75,7 @@ class ShootFailedError(RuntimeError):
 
 
 class SplitUnavailableError(RuntimeError):
-    """The profile lacks the crossings needed for the disc/annulus split."""
+    """The disc/annulus/cap split needs a converged solve of winding 3."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,8 @@ class RadialProfile:
             raise ValueError("rs and fs must be 1-d arrays of equal length")
         if len(rs) < 101:
             raise ValueError("profile needs at least 100 cells")
+        if not (np.isfinite(rs).all() and np.isfinite(fs).all()):
+            raise ValueError("grid and nodal values must be finite")
         h = rs[1] - rs[0]
         if abs(rs[0]) > 0 or abs(rs[-1] - _PI) > 1e-12 or np.max(np.abs(np.diff(rs) - h)) > 1e-12:
             raise ValueError("grid must be uniform on [0, pi]")
@@ -163,7 +164,8 @@ class SolveResult:
     "stagnation", "max_iters" or "line_search".  ``energy`` is the
     discrete objective the iteration minimised, evaluated at the final
     profile; ``history`` holds it for the initial and every accepted
-    iterate.
+    iterate.  ``crossings`` holds the first upward crossings of pi, 2 pi,
+    ..., (n - 1) pi, which every finite profile has.
     """
 
     profile: RadialProfile
@@ -173,15 +175,14 @@ class SolveResult:
     grad_norm: float
     degree: float
     degree_int: int
-    r1: float | None
-    r2: float | None
+    crossings: tuple[float, ...]
     iterations: int
     converged: bool
     stop_reason: str
     history: tuple = field(default=(), repr=False)
 
 
-def _window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
+def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
     """Energies of the windows between consecutive ``edges``: the cell
     energies of the cells a window holds whole, plus 4-point Gauss-Legendre
     through the local cubic on the panels its ends cut from at most two
@@ -211,14 +212,7 @@ def radial_energy(profile: RadialProfile, alpha: float) -> float:
     """Energy I(f) of the profile's local-cubic reconstruction: the sum of
     the cell energies of the discrete objective :func:`minimize_radial`
     minimises."""
-    return _window_energies(profile, alpha, (0.0, _PI))[0]
-
-
-def radial_energy_between(profile: RadialProfile, alpha: float,
-                          a: float, b: float) -> float:
-    """Energy of the restriction to polar angles in [a, b]: the cells inside
-    it whole, and the at most two cells cut at a and b point by point."""
-    return _window_energies(profile, alpha, (a, b))[0]
+    return window_energies(profile, alpha, (0.0, _PI))[0]
 
 
 def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
@@ -484,10 +478,6 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
     deg = disc.degree(fs)
-    r1 = r2 = None
-    if n == 3:
-        r1 = _first_crossing(final, _PI)
-        r2 = _first_crossing(final, 2.0 * _PI, after=r1)
     return SolveResult(
         profile=final,
         alpha=alpha,
@@ -496,8 +486,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         grad_norm=float(np.max(np.abs(g))),
         degree=deg,
         degree_int=int(round(deg)),
-        r1=r1,
-        r2=r2,
+        crossings=_crossings(final),
         iterations=it,
         converged=converged,
         stop_reason=stop_reason,
@@ -505,36 +494,35 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     )
 
 
-def _first_crossing(profile: RadialProfile, level: float,
-                    after: float | None = None) -> float | None:
-    """The r where the reconstruction climbs through ``level`` in the first
-    cell that ends right of ``after``, lies below the level at its left node
-    and not at its right one; None if no cell does."""
-    lo = after if after is not None else 0.0
-    gs = profile.fs - level
-    idx = np.nonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0) & (profile.rs[1:] > lo))[0]
-    if not len(idx):
-        return None
-    # the reconstruction returns the nodal values exactly, so the cell
-    # brackets a root of its cubic: Newton steps from the chord's root,
-    # each replaced by bisection when it leaves the shrinking bracket
-    # (a right node on the level is the chord's root, and exact)
-    i = idx[0]
-    a, b = float(profile.rs[i]), float(profile.rs[i + 1])
-    r = a + (b - a) * float(gs[i] / (gs[i] - gs[i + 1]))
-    for _ in range(64):   # bisection alone narrows a cell to two floats in 64
-        f, fp = profile.value_and_slope(r)
-        g = float(f) - level
-        if g == 0.0:
-            break
-        a, b = (r, b) if g < 0.0 else (a, r)
-        step = r - g / float(fp) if fp else math.nan
-        if not a < step < b and step != r:
-            step = 0.5 * (a + b)
-        if not a < step < b:
-            break   # Newton stands still, or the bracket is two adjacent floats
-        r = step
-    return r
+def _crossings(profile: RadialProfile) -> tuple[float, ...]:
+    """The r where the reconstruction first climbs through pi, 2 pi, ...,
+    (n - 1) pi.  As fs[0] = 0 and fs[N] = n pi, level k pi is first crossed
+    in the cell that ends at the first node at or above it.  The
+    reconstruction returns the nodal values exactly, so that cell brackets a
+    root of its cubic: Newton steps from the chord's root, each replaced by
+    bisection when it leaves the shrinking bracket (a right node on the
+    level is the chord's root, and exact)."""
+    out = []
+    for k in range(1, profile.n):
+        level = k * _PI
+        gs = profile.fs - level
+        i = int(np.argmax(gs >= 0.0)) - 1
+        a, b = float(profile.rs[i]), float(profile.rs[i + 1])
+        r = a + (b - a) * float(gs[i] / (gs[i] - gs[i + 1]))
+        for _ in range(64):   # bisection alone narrows a cell to two floats in 64
+            f, fp = profile.value_and_slope(r)
+            g = float(f) - level
+            if g == 0.0:
+                break
+            a, b = (r, b) if g < 0.0 else (a, r)
+            step = r - g / float(fp) if fp else math.nan
+            if not a < step < b and step != r:
+                step = 0.5 * (a + b)
+            if not a < step < b:
+                break   # Newton stands still, or the bracket is two adjacent floats
+            r = step
+        out.append(r)
+    return tuple(out)
 
 
 def _series_coeff(alpha: float, a: float) -> float:
@@ -634,15 +622,12 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
 def annulus_split(result: SolveResult) -> tuple[float, float, float]:
     """Split the energy of a threefold-winding solution into the geodesic
     disc about the north pole where f climbs to pi, the annulus where it
-    climbs to 2 pi, and the remaining cap."""
-    if result.profile.n != 3:
-        raise SplitUnavailableError("split is defined for winding count 3")
-    if not result.converged:
-        raise SplitUnavailableError("solve did not converge")
-    if result.r1 is None or result.r2 is None:
-        raise SplitUnavailableError("profile lacks the pi and 2 pi crossings")
-    return tuple(_window_energies(result.profile, result.alpha,
-                                  (0.0, result.r1, result.r2, _PI)))
+    climbs to 2 pi, and the remaining cap: the n = 3 case of
+    :func:`window_energies` between the crossings."""
+    if result.profile.n != 3 or not result.converged:
+        raise SplitUnavailableError("the split needs a converged solve of winding count 3")
+    return tuple(window_energies(result.profile, result.alpha,
+                                 (0.0, *result.crossings, _PI)))
 
 
 def save_profile(profile: RadialProfile, path) -> None:

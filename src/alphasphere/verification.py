@@ -323,9 +323,9 @@ def c10_radial_n3(ctx: _Context) -> list[tuple]:
     floor_n3 = 2.0 ** (3.0 * 1.2 + 1.0) * math.pi  # threefold-winding floor
     grid = ctx.grid(300 if ctx.settings.quick else 600, 8)
     crit = en.d_energy_d_loglambda(mp.RadialMap(res.profile), 1.2, 1.0, grid)
-    disc_e, ann_e, cap_e = rd.annulus_split(res)
-    e1 = abs(float(res.profile.value(res.r1)) - math.pi)
-    e2 = abs(float(res.profile.value(res.r2)) - 2.0 * math.pi)
+    r1, r2 = res.crossings
+    disc_e, ann_e, cap_e = rd.window_energies(res.profile, 1.2, (0.0, r1, r2, math.pi))
+    err = max(abs(float(res.profile.value(r)) - k * math.pi) for k, r in ((1, r1), (2, r2)))
     return [
         ("converged", float(res.converged), 1.0, res.converged,
          f"{res.iterations} iterations"),
@@ -335,8 +335,8 @@ def c10_radial_n3(ctx: _Context) -> list[tuple]:
         _at_most("criticality_dloglam", abs(crit), 1e-5 * res.energy),
         _at_most("split_additivity", abs(disc_e + ann_e + cap_e - res.energy), 1e-9,
                  note=f"disc={disc_e:.6f} annulus={ann_e:.6f} cap={cap_e:.6f}"),
-        _at_most("crossing_values", max(e1, e2), 1e-6,
-                 note=f"r1={res.r1:.6f} r2={res.r2:.6f}"),
+        _at_most("crossing_values", err, 1e-6,
+                 note=f"r1={r1:.6f} r2={r2:.6f}"),
     ]
 
 

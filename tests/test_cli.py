@@ -204,6 +204,17 @@ def test_radial_solve_chain_per_winding(capsys):
         assert float(r["energy"]) == pytest.approx(cold, rel=1e-10)
 
 
+def test_radial_solve_crossing_columns(capsys):
+    # r1 and r2 are the first two k pi crossings, empty where there are fewer
+    code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.2", "--n", "1,2,4",
+                           "--N", "1000")
+    assert code == 0
+    n1, n2, n4 = parse_csv(out)
+    assert n1["r1"] == n1["r2"] == ""
+    assert abs(float(n2["r1"]) - math.pi / 2) <= 1e-12 and n2["r2"] == ""
+    assert abs(float(n4["r2"]) - math.pi / 2) <= 1e-12
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1.5\nlambda = 2,4\n# comment\nformat = csv\n")
@@ -367,7 +378,11 @@ def test_report_header_is_pinned(capsys, argv, header):
     ("dilation-table", "--alpha", "520", "--lambda", "2"),
     ("energy", "--alpha", "600", "--grid", "8,8"),
     ("energy", "--alpha", "1100", "--grid", "8,8"),
-], ids=["dilation-table", "energy", "energy-density-power"])
+    # far past double range, where the excess quadrature fails to converge or gives 0
+    ("dilation-table", "--alpha", "1.2e5", "--lambda", "2"),
+    ("dilation-table", "--alpha", "3e5", "--lambda", "2"),
+], ids=["dilation-table", "energy", "energy-density-power",
+        "dilation-table-quadrature", "dilation-table-log-zero"])
 def test_energies_past_double_range_read_inf(argv):
     proc = run_fresh(*argv)
     assert proc.returncode == 0, proc.stderr

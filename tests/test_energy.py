@@ -24,7 +24,7 @@ from alphasphere import (
     mobius_map,
     pullback,
     radial_energy,
-    radial_energy_between,
+    window_energies,
 )
 
 from alphasphere.energy import _LOG_MAX, _exp_or_inf
@@ -61,7 +61,7 @@ def test_alpha_energy_requires_alpha_geq_one(grid):
     with pytest.raises(ValueError):
         radial_energy(p, 0.9)
     with pytest.raises(ValueError):
-        radial_energy_between(p, 0.9, 0.0, 1.0)
+        window_energies(p, 0.9, (0.0, 1.0))
 
 
 # ------------------------------------------------------- deformed energy
@@ -288,6 +288,15 @@ def test_exp_or_inf_cuts_at_the_overflow_point():
     assert _exp_or_inf(709.5) == math.exp(709.5)
     assert _exp_or_inf(_LOG_MAX) == math.exp(_LOG_MAX) < math.inf
     assert _exp_or_inf(math.nextafter(_LOG_MAX, math.inf)) == math.inf
+
+
+@pytest.mark.parametrize("alpha", [3e3, 1e7])
+def test_dilation_far_past_double_range_is_inf(alpha):
+    # there the excess quadratures stop converging or integrate to 0
+    for tau in (15.0, 50.0):
+        res = dilation_energy(alpha, math.exp(tau))
+        assert res.value == res.xi == res.G == math.inf
+        assert G_and_Gprime(alpha, res.sigma) == (math.inf, math.inf)
 
 
 # --------------------------------------------------- log lam derivative

@@ -19,12 +19,12 @@ from alphasphere import (
     load_profile,
     minimize_radial,
     radial_energy,
-    radial_energy_between,
     radial_residual,
     save_profile,
     shoot_radial,
+    window_energies,
 )
-from alphasphere.radial import _DiscreteEnergy, _first_crossing, _newton_direction
+from alphasphere.radial import _crossings, _DiscreteEnergy, _newton_direction
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,13 @@ def test_profile_validation():
     assert p.fs[0] == 0.0 and p.fs[-1] == 2 * math.pi
     with pytest.raises(ValueError):
         RadialProfile(1, p.rs, p.fs + 1e-3)  # endpoints off
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RadialProfile.from_function(3, 200, lambda r: 3 * r + np.where(r > 1, bad, 0))
+        rs = p.rs.copy()
+        rs[50] = bad   # a NaN node slips through the uniformity comparisons
+        with pytest.raises(ValueError, match="finite"):
+            RadialProfile(2, rs, p.fs)
 
 
 def test_profile_resample_preserves_endpoints():
@@ -149,7 +156,7 @@ def test_energy_window_additivity(n3_solve, edges):
     p = n3_solve.profile
     cuts = edges(p.rs)
     total = radial_energy(p, 1.2)
-    parts = [radial_energy_between(p, 1.2, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    parts = window_energies(p, 1.2, cuts)
     assert abs(sum(parts) - total) < 1e-9
     for a, b, part in zip(cuts[:-1], cuts[1:], parts):
         assert part > 0.0 if a < b else part == 0.0
@@ -170,9 +177,9 @@ def test_energy_is_the_minimised_discrete_objective():
 
 
 def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
-    # the solver and the split read the per-cell fields; only the cells cut
-    # at r1 and r2 (4 Gauss points each) and the crossings' root finding
-    # may go through value_and_slope
+    # the solver and the window energies read the per-cell fields; only the
+    # cells cut at the crossings (4 Gauss points each) and the crossings'
+    # root finding may go through value_and_slope
     sizes = []
     value_and_slope = RadialProfile.value_and_slope
 
@@ -181,11 +188,13 @@ def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
         return value_and_slope(self, r)
 
     monkeypatch.setattr(RadialProfile, "value_and_slope", counted)
-    res = minimize_radial(1.2, 3, 1000)
-    assert sizes and max(sizes) <= 8
-    sizes.clear()
-    annulus_split(res)
-    assert sizes and max(sizes) <= 8
+    for n in (3, 5):
+        sizes.clear()
+        res = minimize_radial(1.2, n, 1000)
+        assert sizes and max(sizes) <= 8
+        sizes.clear()
+        window_energies(res.profile, 1.2, (0.0, *res.crossings, math.pi))
+        assert sizes and max(sizes) <= 8
 
 
 # -------------------------------------------------------------- residual
@@ -248,35 +257,60 @@ def test_minimize_n3(n3_solve):
     assert res.degree_int == 1
     assert res.energy > 2.0 ** (3 * 1.2 + 1.0) * math.pi
     assert res.residual_sup <= 1e-4
-    assert 0.0 < res.r1 < res.r2 < math.pi
-    assert float(res.profile.value(res.r1)) == pytest.approx(math.pi, abs=1e-8)
-    assert float(res.profile.value(res.r2)) == pytest.approx(2 * math.pi, abs=1e-8)
+    r1, r2 = res.crossings
+    assert 0.0 < r1 < r2 < math.pi
+    assert float(res.profile.value(r1)) == pytest.approx(math.pi, abs=1e-8)
+    assert float(res.profile.value(r2)) == pytest.approx(2 * math.pi, abs=1e-8)
 
 
-def _brentq_crossing(p, level, after=0.0):
+def _brentq_crossing(p, level):
     # scipy's root finder on the first cell that climbs through the level
     from scipy.optimize import brentq
-    i = next(i for i in range(p.N) if p.fs[i] < level <= p.fs[i + 1] and p.rs[i + 1] > after)
+    i = next(i for i in range(p.N) if p.fs[i] < level <= p.fs[i + 1])
     return brentq(lambda r: float(p.value(r)) - level, p.rs[i], p.rs[i + 1], xtol=1e-14)
 
 
-@pytest.mark.parametrize("alpha,N", [(1.1, 333), (1.2, 1000), (1.5, 4000), (2.0, 150)])
-def test_crossings_match_brentq(alpha, N):
-    res = minimize_radial(alpha, 3, N)
-    assert abs(res.r1 - _brentq_crossing(res.profile, math.pi)) <= 1e-14
-    assert abs(res.r2 - _brentq_crossing(res.profile, 2 * math.pi, res.r1)) <= 1e-14
+@pytest.mark.parametrize("alpha,N,n", [
+    (1.1, 333, 3), (1.2, 1000, 3), (1.5, 4000, 3), (2.0, 150, 3),
+    (1.2, 1000, 2), (1.2, 1000, 4), (1.2, 1000, 5),
+], ids=["1.1-333", "1.2-1000", "1.5-4000", "2.0-150", "n2", "n4", "n5"])
+def test_crossings_match_brentq(alpha, N, n):
+    res = minimize_radial(alpha, n, N)
+    rs = res.crossings
+    assert len(rs) == n - 1
+    for k, r in enumerate(rs, 1):
+        assert abs(r - _brentq_crossing(res.profile, k * math.pi)) <= 1e-14
+        assert abs(float(res.profile.value(r)) - k * math.pi) <= 1e-12
+    # the minimiser is symmetric under r -> pi - r, f -> n pi - f
+    for r, mirror in zip(rs, rs[::-1]):
+        assert abs(r + mirror - math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_windows_between_crossings(n):
+    alpha = 1.2
+    res = minimize_radial(alpha, n, 1000)
+    edges = (0.0, *res.crossings, math.pi)
+    parts = window_energies(res.profile, alpha, edges)
+    assert abs(sum(parts) - res.energy) < 1e-9
+    for part, a, b in zip(parts, edges[:-1], edges[1:]):
+        # f climbs from k pi to (k + 1) pi, so the window's Dirichlet part is
+        # at least 4 pi, and (2 + W)^alpha >= 2^alpha (1 + alpha W / 2)
+        area = 2.0 * math.pi * (math.cos(a) - math.cos(b))
+        assert part >= 2.0 ** (alpha - 1.0) * (area + 4.0 * math.pi * alpha)
+        # measured, not implied: the hemispheres of n = 2 lie below the floor
+        if n >= 3:
+            assert part >= energy_floor(alpha) - 1e-9
 
 
 def test_crossing_after_skips_earlier_climbs():
-    # f climbs through 1.5 pi, falls back below it and climbs again
-    p = RadialProfile.from_function(3, 400, lambda r: 3 * r + 2.5 * np.sin(2 * r))
-    level = 1.5 * math.pi
-    first = _first_crossing(p, level)
-    second = _first_crossing(p, level, after=1.2)
-    assert first < 1.2 < 2.0 < second
-    assert abs(first - _brentq_crossing(p, level)) <= 1e-14
-    assert abs(second - _brentq_crossing(p, level, 1.2)) <= 1e-14
-    assert _first_crossing(p, level, after=2.5) is None
+    # f climbs through pi, falls back below it and climbs again; the
+    # crossing is the first climb
+    p = RadialProfile.from_function(2, 400, lambda r: 2 * r + 1.2 * np.sin(2 * r))
+    [first] = _crossings(p)
+    assert np.any((p.rs > first) & (p.fs < math.pi))
+    assert first < 1.2
+    assert abs(first - _brentq_crossing(p, math.pi)) <= 1e-14
 
 
 def test_crossing_on_a_node_is_that_node():
@@ -285,9 +319,7 @@ def test_crossing_on_a_node_is_that_node():
     k1, k2 = (int(np.argmax(fs >= v)) for v in (math.pi, 2 * math.pi))
     fs[k1], fs[k2] = math.pi, 2 * math.pi
     q = p.with_values(fs)
-    r1 = _first_crossing(q, math.pi)
-    assert r1 == q.rs[k1]
-    assert _first_crossing(q, 2 * math.pi, after=r1) == q.rs[k2]
+    assert _crossings(q) == (q.rs[k1], q.rs[k2])
 
 
 def test_minimize_n2_has_degree_zero():
@@ -474,19 +506,9 @@ def test_shoot_reports_failure():
 # ----------------------------------------------------------------- split
 
 def test_annulus_split(n3_solve):
-    disc, ann, cap = annulus_split(n3_solve)
-    assert abs(disc + ann + cap - n3_solve.energy) < 1e-9
-    # every piece covers the sphere exactly once (f passes through a
-    # multiple of pi at each cut), so each inherits the degree-one floor
-    for part in (disc, ann, cap):
-        assert part >= energy_floor(1.2) - 1e-9
-    # and each dominates its own area term alone
-    alpha = 1.2
-    r1, r2 = n3_solve.r1, n3_solve.r2
-    for part, (a, b) in zip((disc, ann, cap),
-                            ((0.0, r1), (r1, r2), (r2, math.pi))):
-        area_term = 2.0 ** alpha * math.pi * (math.cos(a) - math.cos(b))
-        assert part >= area_term
+    # the n = 3 case of the windows between the crossings
+    edges = (0.0, *n3_solve.crossings, math.pi)
+    assert annulus_split(n3_solve) == tuple(window_energies(n3_solve.profile, 1.2, edges))
 
 
 def test_annulus_split_rejects_wrong_winding():

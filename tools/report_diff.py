@@ -7,7 +7,8 @@ Exports ``--parent`` with ``bench_verify.export`` into a temporary
 directory and runs, there and in this checkout (the working tree as it
 stands on disk), ``alphasphere verify --level full --seed 2024`` and each
 command of this checkout's README command-line block that writes its report
-to stdout (those without ``-o`` or ``--profile-out``).  Prints each cell
+to stdout (those without ``-o`` or ``--profile-out``).  Prints the line
+count of ``src/alphasphere/*.py`` on both sides, then each cell
 that differs: a verify cell as ``criterion/check column: old -> new``, a
 check name that repeats within a criterion told apart by ``#k``, its k-th
 repeat; a README cell as ``command row k column: old -> new``.  Then
@@ -45,6 +46,12 @@ def readme_commands() -> list[list[str]]:
     argvs = [shlex.split(line)[1:] for line in block.splitlines()
              if line.startswith("alphasphere ")]
     return [argv for argv in argvs if not {"-o", "--profile-out"} & set(argv)]
+
+
+def source_lines(root: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/alphasphere/*.py``
+    counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "alphasphere").glob("*.py"))
 
 
 def table(root: Path, argv: list[str]) -> tuple[list[str], list[dict[str, str]]]:
@@ -101,11 +108,14 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="report-diff-"))
     try:
         sha = export(args.parent, tmp / "parent")
+        old_lines = source_lines(tmp / "parent")
         olds = [table(tmp / "parent", c) for c in commands]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     news = [table(ROOT, c) for c in commands]
     side = f"{args.parent} ({sha[:12]})"
+    print(f"src/alphasphere/*.py: {side} {old_lines} lines, "
+          f"working tree {source_lines(ROOT)} lines")
 
     old, new = by_check(olds[0][1]), by_check(news[0][1])
     changes = diff_cells(old, new)
