@@ -265,9 +265,13 @@ class _DiscreteEnergy:
     the local cubic described above.  Value, gradient and Hessian are exact
     derivatives of one another, which makes the gradient stopping rule
     trustworthy; the Hessian is seven-banded, so Newton steps cost O(N).
-    Fields at the Gauss points have shape (G, N); the last profile's are
-    kept, keyed on a copy of its values (arrays change in place), so the
-    Hessian and degree of an accepted iterate reuse its line search's.
+
+    One instance serves one solve, with one workspace of (G, N) planes, G
+    Gauss points by N cells, that every evaluation writes in place: five
+    hold the last profile's fields, kept under a copy of its values (arrays
+    change in place) so that an accepted iterate's Hessian and degree reuse
+    its line search's, and seven are scratch.  The fields are views, valid
+    until another profile is evaluated; what the methods return is fresh.
     """
 
     def __init__(self, alpha: float, n: int, N: int):
@@ -291,23 +295,31 @@ class _DiscreteEnergy:
         # hessian_band's basis products at a block's entries k <= l
         B, Bq, (k, l) = self.B, self.Bp / self.h, np.triu_indices(4)
         self.table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
-        self._memo = None
+        self._work = np.empty((12, len(self.t), N))
+        self._key = None
 
     def _fields(self, fs: np.ndarray):
         """f', sin f, dW/df = sin 2f / sin^2 r, W and (2 + W)^(alpha - 1)."""
-        if self._memo is not None and np.array_equal(self._memo[0], fs):
-            return self._memo[1]
-        self._memo = None
+        fields = fp, sf, dW_df, W, core = self._work[:5]
+        if self._key is not None and np.array_equal(self._key, fs):
+            return fields
+        self._key = None
+        fc, tmp = self._work[5:7]
         fe = _reflect(fs, self.n, 1)
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
         window = np.lib.stride_tricks.sliding_window_view
-        fc = self.B.T @ window(fe, 4).T
-        fp = (self.Dp.T @ window(np.diff(fe), 3).T) / self.h
-        sf = np.sin(fc)
-        W = fp * fp + sf * sf * self.inv_sin2
-        dW_df = 2.0 * sf * np.cos(fc) * self.inv_sin2
-        self._memo = fs.copy(), (fp, sf, dW_df, W, (2.0 + W) ** (self.alpha - 1.0))
-        return self._memo[1]
+        np.matmul(self.B.T, window(fe, 4).T, out=fc)
+        np.matmul(self.Dp.T, window(np.diff(fe), 3).T, out=fp)
+        fp /= self.h
+        np.sin(fc, out=sf)
+        np.multiply(fp, fp, out=W)
+        W += np.multiply(np.multiply(sf, sf, out=tmp), self.inv_sin2, out=tmp)
+        np.multiply(np.multiply(sf, 2.0, out=dW_df), np.cos(fc, out=tmp), out=dW_df)
+        dW_df *= self.inv_sin2
+        np.add(W, 2.0, out=core)
+        core **= self.alpha - 1.0
+        self._key = fs.copy()
+        return fields
 
     def cell_energies(self, fs: np.ndarray) -> np.ndarray:
         """The energy of each cell, shape (N,); they sum to the value."""
@@ -322,10 +334,16 @@ class _DiscreteEnergy:
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
         N = self.N
         fp, _, dW_df, W, core = self._fields(fs)
-        val = float(np.sum(self.wgt * core * (2.0 + W)))
-        A = self.alpha * core * self.wgt
-        # per cell, dval/d(node at slot k) sums A dW_k (hessian_band): (4, N)
-        cell_grad = self.Bp @ (2.0 * fp * A) / self.h + self.B @ (dW_df * A)
+        t, u, A, cell_grad, other = self._work[5:10]
+        np.multiply(self.wgt, core, out=t)
+        val = float(np.sum(np.multiply(t, np.add(W, 2.0, out=u), out=t)))
+        np.multiply(core, self.alpha, out=A)   # alpha core wgt, in this order
+        A *= self.wgt
+        # per cell, dval/d(node at slot k) sums A dW_k (hessian_band): (4, N),
+        # a plane's shape as G = 4
+        np.matmul(self.Bp, np.multiply(np.multiply(fp, 2.0, out=t), A, out=t), out=cell_grad)
+        cell_grad /= self.h
+        cell_grad += np.matmul(self.B, np.multiply(dW_df, A, out=u), out=other)
         grad_e = np.zeros(N + 3)
         for k in range(4):
             grad_e[k:k + N] += cell_grad[k]
@@ -352,20 +370,25 @@ class _DiscreteEnergy:
         """
         N = self.N
         fp, sf, b, W, core = self._fields(fs)
-        p1 = self.alpha * self.wgt * core
-        p2 = (self.alpha - 1.0) * p1 / (2.0 + W)
-        a = 2.0 * fp   # without its 1/h, which the table carries
-        coef = np.empty((3, *fp.shape))
-        np.multiply(p2 * a, a, out=coef[0])
-        np.multiply(p2 * a, b, out=coef[1])
-        np.multiply(p2 * b, b, out=coef[2])
-        coef[0] += 2.0 * p1
-        coef[2] += 2.0 * self.inv_sin2 * (1.0 - 2.0 * sf * sf) * p1
-        del p1, p2, a   # freed before the product, which lowers the peak
+        coef, (p1, p2, a, t) = self._work[5:8], self._work[8:12]
+        np.multiply(np.multiply(self.wgt, self.alpha, out=p1), core, out=p1)
+        np.divide(np.multiply(p1, self.alpha - 1.0, out=p2), np.add(W, 2.0, out=t), out=p2)
+        np.multiply(fp, 2.0, out=a)   # without its 1/h, which the table carries
+        np.multiply(np.multiply(p2, a, out=t), a, out=coef[0])
+        np.multiply(t, b, out=coef[1])
+        np.multiply(np.multiply(p2, b, out=t), b, out=coef[2])
+        coef[0] += np.multiply(p1, 2.0, out=t)
+        # 2 / sin^2 r (1 - 2 sin^2 f) p1, multiplied in that order
+        np.subtract(1.0, np.multiply(np.multiply(sf, 2.0, out=a), sf, out=a), out=a)
+        np.multiply(np.multiply(self.inv_sin2, 2.0, out=t), a, out=t)
+        coef[2] += np.multiply(t, p1, out=t)
+        # the product overwrites p1 .. t, which are spent
+        prod = np.matmul(self.table, coef.reshape(-1, N),
+                         out=self._work[8:].reshape(-1)[:10 * N].reshape(10, N))
         # band over the extended nodes 0 .. N+2 (f_{-1} .. f_{N+1}): entry
         # (e - j, e) sits at ab[3 - j, e]; cell c covers nodes c .. c+3
         ab = np.zeros((4, N + 3))
-        for row, k, l in zip(self.table @ coef.reshape(-1, N), *np.triu_indices(4)):
+        for row, k, l in zip(prod, *np.triu_indices(4)):
             ab[3 - (l - k), l:l + N] += row
         # fold f_{-1} = -f_1 (extended node 0 onto 2) and
         # f_{N+1} = 2 n pi - f_{N-1} (extended node N+2 onto N)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,109 @@ def test_fields_of_an_earlier_profile_are_never_reused():
     # and the reuse itself, as the solver meets it, changes no bit
     disc.value_and_grad(b)
     assert np.array_equal(disc.hessian_band(b.copy()), fresh(b)[0])
+
+
+def _plain_evaluation(disc, fs):
+    """Value, gradient and band from allocating numpy expressions in the
+    order the in-place workspace code must keep, as the reference."""
+    N, window = disc.N, np.lib.stride_tricks.sliding_window_view
+    fe = np.concatenate(([-fs[1]], fs, [2.0 * disc.n * math.pi - fs[-2]]))
+    fc = disc.B.T @ window(fe, 4).T
+    fp = (disc.Dp.T @ window(np.diff(fe), 3).T) / disc.h
+    sf = np.sin(fc)
+    W = fp * fp + sf * sf * disc.inv_sin2
+    b = 2.0 * sf * np.cos(fc) * disc.inv_sin2
+    core = (2.0 + W) ** (disc.alpha - 1.0)
+    val = float(np.sum(disc.wgt * core * (2.0 + W)))
+    A = disc.alpha * core * disc.wgt
+    cell_grad = disc.Bp @ (2.0 * fp * A) / disc.h + disc.B @ (b * A)
+    grad = np.zeros(N + 3)
+    for k in range(4):
+        grad[k:k + N] += cell_grad[k]
+    grad[2] -= grad[0]
+    grad[-3] -= grad[-1]
+    grad = grad[1:-1]
+    grad[0] = grad[-1] = 0.0
+    p1 = disc.alpha * disc.wgt * core
+    p2 = (disc.alpha - 1.0) * p1 / (2.0 + W)
+    a = 2.0 * fp
+    coef = np.stack((p2 * a * a + 2.0 * p1, p2 * a * b,
+                     p2 * b * b + 2.0 * disc.inv_sin2 * (1.0 - 2.0 * sf * sf) * p1))
+    ab = np.zeros((4, N + 3))
+    for row, k, l in zip(disc.table @ coef.reshape(-1, N), *np.triu_indices(4)):
+        ab[3 - (l - k), l:l + N] += row
+    ab[3, 2] += ab[3, 0] - 2.0 * ab[1, 2]
+    ab[2, 3] -= ab[0, 3]
+    ab[3, N] += ab[3, N + 2] - 2.0 * ab[1, N + 2]
+    ab[2, N] -= ab[0, N + 2]
+    return val, grad, ab[:, 2:N + 1]
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 2.0, 3.0])   # (2 + W) to the 0.5, 1, 2 too
+def test_workspace_evaluations_match_the_plain_expressions(alpha):
+    # the in-place arithmetic keeps the reference's operation order, so
+    # every value, gradient entry and band entry agrees to the bit
+    for n, N in ((1, 150), (3, 1000)):
+        disc = _DiscreteEnergy(alpha, n, N)
+        rng = np.random.default_rng(N)
+        for amp in (0.0, 0.05):
+            fs = RadialProfile.from_function(n, N, lambda r: n * r + 0.3 * np.sin(2 * r)).fs
+            fs[1:-1] += amp * rng.standard_normal(N - 1)
+            val, grad, band = _plain_evaluation(disc, fs)
+            got_val, got_grad = disc.value_and_grad(fs)
+            assert got_val == val and np.array_equal(got_grad, grad), (n, N, amp)
+            assert np.array_equal(disc.hessian_band(fs), band), (n, N, amp)
+
+
+def test_returned_gradient_and_band_outlive_later_evaluations():
+    # fields live in the instance's workspace and are overwritten by the
+    # next profile; what the evaluations return must not be views on it
+    N = 300
+    a = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    b = RadialProfile.from_function(3, N, lambda r: 3 * r - 0.1 * np.sin(4 * r)).fs
+    disc = _DiscreteEnergy(1.2, 3, N)
+    val, grad = disc.value_and_grad(a)
+    band, cells = disc.hessian_band(a), disc.cell_energies(a)
+    kept = [grad.copy(), band.copy(), cells.copy()]
+    c = a.copy()
+    c[1:-1] += 0.01 * np.sin(np.arange(1, N))
+    for fs in (b, c, b):
+        for evaluate in (disc.value_and_grad, disc.hessian_band, disc.cell_energies, disc.degree):
+            evaluate(fs)
+    for got, want in zip((grad, band, cells), kept):
+        assert np.array_equal(got, want)
+    assert disc.value_and_grad(a)[0] == val
+
+
+def test_evaluations_form_no_fresh_planes():
+    # value_and_grad and hessian_band form their (G, N) fields, scratch and
+    # the band's (10, N) table product in the instance's one workspace, so
+    # what they allocate is 1-d node arrays and the returned band; before
+    # the workspace each allocated about nine (G, N) planes
+    N = 4000
+    disc = _DiscreteEnergy(1.2, 3, N)
+    plane = len(disc.t) * N * 8   # bytes of one (G, N) float plane
+    base = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    bump = np.zeros(N + 1)
+    bump[1:-1] = np.sin(np.arange(1, N))
+
+    def peak(fn, fs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(fs)
+        return tracemalloc.get_traced_memory()[1] - before, out
+
+    tracemalloc.start()
+    try:
+        disc.value_and_grad(base)   # warm-up
+        disc.hessian_band(base)
+        for k in range(1, 4):   # each a profile the instance has not seen
+            vg, _ = peak(disc.value_and_grad, base + 1e-3 * k * bump)
+            hb, band = peak(disc.hessian_band, base - 1e-3 * k * bump)
+            assert vg < plane, (k, vg / plane)
+            assert hb < band.base.nbytes + plane, (k, hb / plane)
+    finally:
+        tracemalloc.stop()
 
 
 def _identity_spectrum(alpha, N):

@@ -1,4 +1,5 @@
-"""Per-step split of a radial Newton iteration, timed piece by piece.
+"""Per-step split of a radial Newton iteration, timed and fault-counted
+piece by piece.
 
     PYTHONPATH=src python3 tools/newton_split.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/newton_split.py
@@ -16,12 +17,18 @@ any checkout):
 - line search: one trial step as the solver makes it (copy, step, value
   and gradient of the new profile, Armijo test).
 
-Prints the median over ``REPEATS`` calls of each piece in ms, and the
-median wall time of the whole solve divided by its iterations.
+Prints, for each piece, the median over ``REPEATS`` calls in ms and the
+minor page faults per call (``resource.getrusage().ru_minflt`` read around
+each call), and for the whole solve its median wall time divided by its
+iterations and its minor page faults per solve.  Faults count the fresh
+pages of large arrays that the allocator handed back to the system and
+maps again; a piece repeated alone keeps its blocks, so they show most in
+the whole solve, which builds its instance and interleaves the pieces.
 """
 
 from __future__ import annotations
 
+import resource
 import statistics
 import timeit
 
@@ -33,15 +40,18 @@ from alphasphere.radial import _DiscreteEnergy, minimize_radial
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 
 
-def median_ms(stmt, setup=lambda: None, repeats=REPEATS) -> float:
-    times = []
+def measure(stmt, setup=lambda: None, repeats=REPEATS) -> tuple[float, float]:
+    """Median wall time in ms and mean minor page faults of one ``stmt``."""
+    times, faults = [], 0
     for _ in range(repeats):
         setup()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         times.append(timeit.timeit(stmt, number=1))
-    return 1e3 * statistics.median(times)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return 1e3 * statistics.median(times), faults / repeats
 
 
-def split(N: int) -> dict[str, float]:
+def split(N: int) -> dict[str, tuple[float, float]]:
     res = minimize_radial(ALPHA, N_WIND, N)
     fs = res.profile.fs
     other = fs.copy()
@@ -70,20 +80,23 @@ def split(N: int) -> dict[str, float]:
     def solve():
         minimize_radial(ALPHA, N_WIND, N)
 
-    return {
-        "value and gradient": median_ms(fresh_value_and_grad),
-        "band assembly": median_ms(lambda: disc.hessian_band(fs),
-                                   setup=lambda: disc.value_and_grad(fs)),
-        "Cholesky solve": median_ms(lambda: cho_solve_banded((cholesky_banded(ab), False), -g)),
-        "line search": median_ms(trial),
-        "whole solve per iteration": median_ms(solve, repeats=5) / res.iterations,
+    parts = {
+        "value and gradient": measure(fresh_value_and_grad),
+        "band assembly": measure(lambda: disc.hessian_band(fs),
+                                 setup=lambda: disc.value_and_grad(fs)),
+        "Cholesky solve": measure(lambda: cho_solve_banded((cholesky_banded(ab), False), -g)),
+        "line search": measure(trial),
     }
+    solve_ms, solve_faults = measure(solve, repeats=5)
+    parts["whole solve, per iteration"] = (solve_ms / res.iterations, solve_faults)
+    return parts
 
 
 def main() -> int:
     for N in SIZES:
-        parts = split(N)
-        print(f"N = {N}: " + ", ".join(f"{k} {v:.2f} ms" for k, v in parts.items()))
+        print(f"N = {N}: median ms, minor page faults per call (per solve for the whole solve)")
+        for piece, (ms, faults) in split(N).items():
+            print(f"  {piece:<28}{ms:8.2f} ms {faults:9.0f} faults")
     return 0
 
 
