@@ -60,6 +60,7 @@ __all__ = [
 
 _PI = math.pi
 _GL_ORDER = 4          # Gauss points per cell of the discrete energy
+_GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _EPS = float(np.finfo(float).eps)
 # shooting: series start at r = _SHOOT_EPS, DOP853 tolerances
@@ -387,7 +388,7 @@ class _DiscreteEnergy:
                          out=self._work[8:].reshape(-1)[:10 * N].reshape(10, N))
         # band over the extended nodes 0 .. N+2 (f_{-1} .. f_{N+1}): entry
         # (e - j, e) sits at ab[3 - j, e]; cell c covers nodes c .. c+3
-        ab = np.zeros((4, N + 3))
+        ab = np.zeros((4, N + 3), order="F")   # so that LAPACK solves it in place
         for row, k, l in zip(prod, *np.triu_indices(4)):
             ab[3 - (l - k), l:l + N] += row
         # fold f_{-1} = -f_1 (extended node 0 onto 2) and
@@ -401,30 +402,31 @@ class _DiscreteEnergy:
 
 def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
-    """Newton direction on the interior nodes by a banded Cholesky solve;
-    a Levenberg shift of the diagonal, doubling from 1e-12 of its largest
-    entry, guards an indefinite Hessian, and -g is the last resort."""
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    """Newton direction on the interior nodes by one in-place banded
+    Cholesky solve (LAPACK pbsv); a Levenberg shift of the diagonal,
+    doubling from 1e-12 of its largest entry, guards an indefinite Hessian,
+    and -g is the last resort.  A failed factorisation overwrites its band,
+    so each retry forms the band again from the memoised fields."""
+    from scipy.linalg import LinAlgError, solveh_banded
     ab = disc.hessian_band(fs)
     if not np.all(np.isfinite(ab)):   # it overflows first, before the energy
-        raise ValueError(f"the radial Hessian at alpha = {disc.alpha} overflows double range")
+        raise OverflowError(f"the radial Hessian at alpha = {disc.alpha} overflows double range")
     base = float(np.max(np.abs(ab[3])))
     shift = 0.0
     for _ in range(40):
-        shifted = ab.copy()
-        shifted[3] += shift
         try:
-            return cho_solve_banded((cholesky_banded(shifted), False), -g)
+            return solveh_banded(ab, -g, overwrite_ab=True, check_finite=False)
         except LinAlgError:
             shift = max(2.0 * shift, 1e-12 * base)
+            ab = disc.hessian_band(fs)
+            ab[3] += shift
     return -g
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
 def minimize_radial(alpha: float, n: int, N: int = 2000,
                     init: RadialProfile | None = None, *,
-                    max_iters: int = 200,
-                    tol_scale: float = 1e-8) -> SolveResult:
+                    max_iters: int = 200) -> SolveResult:
     """Minimise I over profiles with fixed endpoints f(0) = 0, f(pi) = n*pi.
 
     Damped Newton on the interior nodal values of the discrete energy: the
@@ -433,7 +435,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     along it.  The iteration stops on the first of:
 
     - "gradient": the sup-norm of the analytic discrete gradient is at or
-      below ``tol_scale * h * max(1, I)``;
+      below ``1e-8 * h * max(1, I)``;
     - "stagnation": the Newton decrement -g.d is at or below the roundoff
       floor eps * |I| * N, where no line search can resolve a decrease; the
       full step is kept if it lowers the gradient's sup-norm;
@@ -444,7 +446,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     independent finite-difference residual at or below 1e-2.  The
     construction needs alpha > 1: at alpha = 1 minimising sequences in the
     nontrivial classes concentrate and no minimiser exists.  A Hessian that
-    leaves double range (alpha in the hundreds) raises ValueError.
+    leaves double range (alpha in the hundreds) raises OverflowError.
     """
     if alpha <= 1.0:
         raise ValueError("minimize_radial requires alpha > 1")
@@ -466,7 +468,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     it = 0
     for it in range(1, max_iters + 1):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol_scale * disc.h * max(1.0, abs(val)):
+        if gnorm <= _GRAD_TOL * disc.h * max(1.0, abs(val)):
             stop_reason = "gradient"
             break
         d = _newton_direction(disc, fs, g)

@@ -53,6 +53,8 @@ class VerifySettings:
     def __post_init__(self):
         if self.level not in ("full", "quick"):
             raise ValueError("level must be 'full' or 'quick'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def quick(self) -> bool:
@@ -414,12 +416,15 @@ CRITERIA = {fn.__name__[:3]: _checked(fn) for fn in (
 def run_criteria(settings: VerifySettings, names: list[str] | None = None,
                  timings: dict[str, float] | None = None) -> list[CheckRow]:
     """Rows of the named criteria (all by default); ``timings`` receives each
-    criterion's wall time in seconds, keyed like the rows' criterion column."""
+    criterion's wall time in seconds, keyed like the rows' criterion column.
+    An unknown name raises ValueError before any criterion runs."""
+    names = names or sorted(CRITERIA)
+    if unknown := sorted(set(names) - CRITERIA.keys()):
+        raise ValueError(f"unknown criteria {','.join(unknown)}; "
+                         f"known: {','.join(sorted(CRITERIA))}")
     ctx = _Context(settings=settings)
     rows: list[CheckRow] = []
-    for name in names or sorted(CRITERIA):
-        if name not in CRITERIA:
-            raise KeyError(f"unknown criterion {name!r}")
+    for name in names:
         rows.extend(CRITERIA[name](ctx))
     if timings is not None:
         timings.update(ctx.timings)

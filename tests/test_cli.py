@@ -240,7 +240,8 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("verify", "--criteria", "c99"),
     ("energy", "--map", "wat", "--alpha", "1.2"),
     ("radial-solve", "--alpha", "1.2", "--n", "3"),
-    # out-of-range radial inputs are configuration errors, not failed checks
+    # out-of-range radial inputs are configuration errors, not failed checks,
+    # also where a chain's earlier steps have been solved
     ("radial-solve", "--alpha", "1.2,1.0", "--n", "3", "--N", "300"),
     ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "50"),
     ("radial-solve", "--alpha", "1.2", "--n", "0", "--N", "300"),
@@ -255,7 +256,7 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("dilation-table", "--alpha", "1.5", "--lambda", "2,-1"),
     ("dilation-table", "--alpha", "0.9,1.2", "--lambda", "2"),
     ("energy", "--map", "identity", "--alpha", "0.5"),
-    ("radial-solve", "--alpha", "1.2", "--n", "3", "--N", "300", "--tol", "nan"),
+    ("energy", "--alpha", "1.5", "--grid", "3,8"),
     # malformed Moebius maps: a NaN entry and a singular matrix
     ("energy", "--map", "mobius:nan,0,0,1", "--alpha", "1.5"),
     ("energy", "--map", "mobius:1,0,0,0", "--alpha", "1.5"),
@@ -267,9 +268,29 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
 def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     save_profile(RadialProfile.linear(3, 300), tmp_path / "init.txt")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
     assert "config error" in err
+
+
+def test_range_rules_live_in_the_library(capsys):
+    from alphasphere.verification import VerifySettings, run_criteria
+    # every criterion name is checked before the first criterion runs
+    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--criteria", "c01,c99")
+    assert code == 2 and out == ""
+    assert "config error: unknown criteria c99" in err and "c01_" not in err
+    with pytest.raises(ValueError, match="c99"):
+        run_criteria(VerifySettings(level="quick"), ["c99"])
+    with pytest.raises(ValueError, match="seed"):
+        VerifySettings(seed=-1)
+
+
+def test_config_file_value_for_an_unused_key_is_ignored(capsys, tmp_path):
+    # a shared config file's verify settings do not concern dilation-table
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("seed = -1\nlevel = slow\nalpha = 1.5\nlambda = 2\n")
+    code, out, _ = run_cli(capsys, "dilation-table", "--config", str(cfg))
+    assert code == 0 and len(parse_csv(out)) == 1
 
 
 def test_readme_continuation_chain(capsys):
@@ -474,7 +495,6 @@ OPTION_CASES = {
     "map": (("energy", "--alpha", "1.5", "--grid", "40,8"), "conjugation"),
     "init": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "init.txt"),
     "profile-out": (("radial-solve", "--alpha", "1.4", "--n", "1", "--N", "200"), "p.out"),
-    "tol": (("radial-solve", "--alpha", "1.3", "--n", "3", "--N", "200"), "0.1"),
     "criteria": (("verify", "--level", "quick"), "c02"),
     "level": (("verify", "--criteria", "c04"), "quick"),
     "seed": (("verify", "--level", "quick", "--criteria", "c05"), "3"),
@@ -524,7 +544,7 @@ def test_bad_choice_is_a_config_error_by_flag_and_file(capsys, tmp_path, key, ba
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--alpha", "1.2"),
-    ("energy", "--alpha", "1.5", "--tol", "1e-8"),
+    ("energy", "--alpha", "1.5", "--init", "p.txt"),
     ("dilation-table", "--alpha", "1.5", "--lambda", "2", "--n", "3"),
     ("dilation-table", "--alpha", "1.5", "--lambda", "2", "--seed", "5"),
 ])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 import alphasphere
 from alphasphere import (
@@ -341,6 +341,10 @@ def test_minimize_validates():
         minimize_radial(1.0, 3, 300)
     with pytest.raises(ValueError):
         minimize_radial(1.2, 3, 300, init=RadialProfile.linear(2, 300))
+    # a Hessian past double range is a numerical limit, not an argument check
+    with pytest.raises(OverflowError) as info:
+        minimize_radial(400, 3, 1000)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_minimize_cold_large_grid_stops():
@@ -538,6 +542,25 @@ def test_evaluations_form_no_fresh_planes():
         tracemalloc.stop()
 
 
+def test_newton_direction_solves_its_band_in_place():
+    # one LAPACK pbsv call factors and solves the Fortran-ordered band it is
+    # given, so a direction holds the band, -g and the solution, 1.5 band
+    # sizes; a copy for the shift and one for the factor made it 3.5
+    N = 4000
+    disc = _DiscreteEnergy(1.2, 3, N)
+    fs = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    g = disc.value_and_grad(fs)[1][1:-1]
+    _newton_direction(disc, fs, g)   # warm-up: loads scipy.linalg
+    tracemalloc.start()
+    try:
+        _newton_direction(disc, fs, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 4 * (N + 3) * 8
+    assert peak < 2 * band, peak / band
+
+
 def _identity_spectrum(alpha, N):
     """The six lowest eigenvalues of the band at the identity f = r, scaled
     by the lumped mass h sin r of the interior nodes, and the band."""
@@ -582,6 +605,19 @@ def test_newton_direction_descends_on_indefinite_hessian():
     d = _newton_direction(disc, fs, g)
     assert np.all(np.isfinite(d))
     assert float(np.dot(g, d)) < 0.0
+    # a failed factorisation overwrites its band: each retry must factor a
+    # fresh band with the doubled shift, as a copy of the first would give
+    ab = disc.hessian_band(fs)
+    shift = 1e-12 * float(np.max(np.abs(ab[3])))
+    while True:
+        shifted = ab.copy()
+        shifted[3] += shift
+        try:
+            ref = cho_solve_banded((cholesky_banded(shifted), False), -g)
+            break
+        except LinAlgError:
+            shift *= 2.0
+    assert np.array_equal(d, ref)
 
 
 # -------------------------------------------------------------- shooting

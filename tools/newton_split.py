@@ -13,7 +13,9 @@ any checkout):
   seen, as each line-search trial is;
 - band assembly: ``hessian_band`` of the profile whose value and gradient
   were formed last, as the solver calls it after accepting a step;
-- Cholesky solve: ``cholesky_banded`` and ``cho_solve_banded`` of the band;
+- Cholesky solve: one ``solveh_banded`` call (LAPACK pbsv) that factors
+  and solves a fresh copy of the band in place, as ``_newton_direction``
+  calls it (the copy is made outside the timed call);
 - line search: one trial step as the solver makes it (copy, step, value
   and gradient of the new profile, Armijo test).
 
@@ -33,7 +35,7 @@ import statistics
 import timeit
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solveh_banded
 
 from alphasphere.radial import _DiscreteEnergy, minimize_radial
 
@@ -60,7 +62,8 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     val, grad = disc.value_and_grad(fs)
     g = grad[1:-1]
     ab = disc.hessian_band(fs)
-    d = cho_solve_banded((cholesky_banded(ab), False), -g)
+    d = solveh_banded(ab, -g)
+    spent = np.empty_like(ab)   # the band that each timed solve overwrites
     gd = float(np.dot(g, d))
     profiles = [fs, other]
 
@@ -84,7 +87,9 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "value and gradient": measure(fresh_value_and_grad),
         "band assembly": measure(lambda: disc.hessian_band(fs),
                                  setup=lambda: disc.value_and_grad(fs)),
-        "Cholesky solve": measure(lambda: cho_solve_banded((cholesky_banded(ab), False), -g)),
+        "Cholesky solve": measure(
+            lambda: solveh_banded(spent, -g, overwrite_ab=True, check_finite=False),
+            setup=lambda: np.copyto(spent, ab)),
         "line search": measure(trial),
     }
     solve_ms, solve_faults = measure(solve, repeats=5)

@@ -15,7 +15,8 @@ repeat; a README cell as ``command row k column: old -> new``.  Then
 prints one line per criterion or command with differing cells: how many,
 and the largest relative change among its numeric cells.  Exits 1
 when the verify reports differ in their set of rows or in their ``passed``
-column, or a README report in its header or its number of rows, else 0.
+column, a README report in its header or its number of rows, or any run in
+its exit status, which is printed then; else 0.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ def source_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "alphasphere").glob("*.py"))
 
 
-def table(root: Path, argv: list[str]) -> tuple[list[str], list[dict[str, str]]]:
-    """The header and the rows of the CSV report of ``alphasphere argv`` run
-    from checkout ``root``."""
+def table(root: Path, argv: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
+    """The exit status, the header and the rows of the CSV report of
+    ``alphasphere argv`` run from checkout ``root``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-m", "alphasphere", *argv], cwd=root, env=env,
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode not in (0, 1) or not proc.stdout:
         raise RuntimeError(f"{shlex.join(argv)} in {root}: exit {proc.returncode}\n{proc.stderr}")
     header, *rows = csv.reader(io.StringIO(proc.stdout))
-    return header, [dict(zip(header, row)) for row in rows]
+    return proc.returncode, header, [dict(zip(header, row)) for row in rows]
 
 
 def by_check(rows: list[dict[str, str]]) -> dict[str, dict[str, str]]:
@@ -117,7 +118,14 @@ def main(argv=None) -> int:
     print(f"src/alphasphere/*.py: {side} {old_lines} lines, "
           f"working tree {source_lines(ROOT)} lines")
 
-    old, new = by_check(olds[0][1]), by_check(news[0][1])
+    statuses_differ = False
+    for command, (old_code, _, _), (new_code, _, _) in zip(commands, olds, news):
+        if old_code != new_code:
+            print(f"{shlex.join(command)}: exit {old_code} at {side}, "
+                  f"{new_code} in the working tree")
+            statuses_differ = True
+
+    old, new = by_check(olds[0][2]), by_check(news[0][2])
     changes = diff_cells(old, new)
     groups: dict[str, list[float | None]] = {}
     for key, change in changes:
@@ -132,9 +140,9 @@ def main(argv=None) -> int:
           f"{len(changes)} cells differ"
           + ("; the row set differs" if rows_differ else "")
           + ("; the passed column differs" if passed_differ else ""))
-    failed = rows_differ or passed_differ
+    failed = statuses_differ or rows_differ or passed_differ
 
-    for command, (old_h, old_t), (new_h, new_t) in zip(commands[1:], olds[1:], news[1:]):
+    for command, (_, old_h, old_t), (_, new_h, new_t) in zip(commands[1:], olds[1:], news[1:]):
         name = shlex.join(command)
         changes = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
         if changes:
