@@ -62,6 +62,7 @@ _PI = math.pi
 _GL_ORDER = 4          # Gauss points per cell of the discrete energy
 _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
+_COARSEN, _COARSEST = 4, 500   # a cold start's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
 # shooting: series start at r = _SHOOT_EPS, DOP853 tolerances
 _SHOOT_EPS, _SHOOT_RTOL, _SHOOT_ATOL = 1e-6, 1e-10, 1e-12
@@ -141,7 +142,7 @@ class RadialProfile:
         return RadialProfile(self.n, self.rs, np.asarray(fs, dtype=float))
 
     def resampled(self, N: int) -> "RadialProfile":
-        return RadialProfile.from_function(self.n, N, self.value)
+        return self if N == self.N else RadialProfile.from_function(self.n, N, self.value)
 
     @classmethod
     def linear(cls, n: int, N: int) -> "RadialProfile":
@@ -165,8 +166,10 @@ class SolveResult:
     "stagnation", "max_iters" or "line_search".  ``energy`` is the
     discrete objective the iteration minimised, evaluated at the final
     profile; ``history`` holds it for the initial and every accepted
-    iterate.  ``crossings`` holds the first upward crossings of pi, 2 pi,
-    ..., (n - 1) pi, which every finite profile has.
+    iterate, and ``iterations`` counts the steps, both on the final grid
+    alone (not a cold start's coarser levels).  ``crossings`` holds the
+    first upward crossings of pi, 2 pi, ..., (n - 1) pi, which every
+    finite profile has.
     """
 
     profile: RadialProfile
@@ -432,7 +435,10 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     Damped Newton on the interior nodal values of the discrete energy: the
     Hessian is banded, so a direction costs O(N) through a banded Cholesky
     solve, and an Armijo line search starting at the full step backtracks
-    along it.  The iteration stops on the first of:
+    along it.  A cold start (``init`` None) with n >= 2 and N // 4 >= 500
+    starts from this solve on N // 4 cells, which leaves one or two steps on
+    N cells; ``max_iters`` bounds each level.  Other cold starts take f = n r,
+    for n = 1 the minimiser.  The iteration stops on the first of:
 
     - "gradient": the sup-norm of the analytic discrete gradient is at or
       below ``1e-8 * h * max(1, I)``;
@@ -450,14 +456,12 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     """
     if alpha <= 1.0:
         raise ValueError("minimize_radial requires alpha > 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if init is None:
-        init = RadialProfile.linear(n, N)
-    elif init.N != N or init.n != n:
-        if init.n != n:
-            raise ValueError("init profile has the wrong winding count")
-        init = init.resampled(N)
+        init = (minimize_radial(alpha, n, N // _COARSEN, max_iters=max_iters).profile
+                if n >= 2 and N // _COARSEN >= _COARSEST else RadialProfile.linear(n, N))
+    if init.n != n:
+        raise ValueError("init profile has the wrong winding count")
+    init = init.resampled(N)
 
     disc = _DiscreteEnergy(alpha, n, N)
     fs = init.fs.copy()
@@ -473,30 +477,26 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
             break
         d = _newton_direction(disc, fs, g)
         gd = float(np.dot(g, d))
-        if -gd <= _EPS * abs(val) * N:
-            # the predicted decrease is below the energy's roundoff, so the
-            # energy cannot judge this step; the gradient still can
-            trial = fs.copy()
-            trial[1:-1] += d
-            tval, tgrad = disc.value_and_grad(trial)
-            if float(np.max(np.abs(tgrad))) < gnorm:
-                fs, val, g = trial, tval, tgrad[1:-1]
-                history.append(val)
-            stop_reason = "stagnation"
-            break
+        # a predicted decrease below the energy's roundoff leaves the energy
+        # unable to judge the full step; the gradient still can
+        stalled = -gd <= _EPS * abs(val) * N
         s = 1.0
         for _ in range(60):
             trial = fs.copy()
             trial[1:-1] += s * d
             tval, tgrad = disc.value_and_grad(trial)
-            if tval <= val + 1e-4 * s * gd:
+            if stalled or tval <= val + 1e-4 * s * gd:
                 break
             s *= 0.5
         else:
             stop_reason = "line_search"
             break
-        fs, val, g = trial, tval, tgrad[1:-1]
-        history.append(val)
+        if not stalled or float(np.max(np.abs(tgrad))) < gnorm:
+            fs, val, g = trial, tval, tgrad[1:-1]
+            history.append(val)
+        if stalled:
+            stop_reason = "stagnation"
+            break
 
     final = init.with_values(fs)
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))

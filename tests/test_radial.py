@@ -58,6 +58,7 @@ def test_profile_resample_preserves_endpoints():
     q = p.resampled(250)
     assert q.fs[0] == 0.0 and q.fs[-1] == 3 * math.pi
     assert abs(q.value(1.0) - p.value(1.0)) < 1e-8
+    assert p.resampled(400) is p   # its own grid needs no resampling
 
 
 def test_profile_save_load_roundtrip(tmp_path):
@@ -341,6 +342,9 @@ def test_minimize_validates():
         minimize_radial(1.0, 3, 300)
     with pytest.raises(ValueError):
         minimize_radial(1.2, 3, 300, init=RadialProfile.linear(2, 300))
+    for N in (300, 4000):   # the linear start's profile rejects n < 1, coarse level or not
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            minimize_radial(1.2, 0, N)
     # a Hessian past double range is a numerical limit, not an argument check
     with pytest.raises(OverflowError) as info:
         minimize_radial(400, 3, 1000)
@@ -365,6 +369,53 @@ def test_slope_roundoff_stays_at_eps_on_fine_grids():
     fine, coarse = minimize_radial(1.2, 3, 32000), minimize_radial(1.2, 3, 4000)
     assert abs(fine.degree - 1.0) <= 1e-14
     assert abs(fine.energy - coarse.energy) <= 1e-14 * coarse.energy
+
+
+@pytest.mark.parametrize("N", [2000, 8000])
+@pytest.mark.parametrize("alpha", [1.1, 1.5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cold_start_from_coarse_solve_matches_linear_start(n, alpha, N):
+    cold = minimize_radial(alpha, n, N)
+    linear = minimize_radial(alpha, n, N, RadialProfile.linear(n, N))
+    assert cold.converged == linear.converged
+    assert abs(cold.energy - linear.energy) <= 1e-12 * linear.energy
+
+
+def test_cold_start_leaves_few_fine_steps():
+    # from f = 3 r this solve takes 5 steps on the fine grid
+    assert minimize_radial(1.2, 3, 16000).iterations <= 2
+
+
+def test_cold_start_of_winding_one_stays_linear():
+    # f = r is the minimiser, so a coarse solve would only add work
+    res = minimize_radial(1.2, 1, 16000)
+    assert (res.stop_reason, res.iterations) == ("gradient", 1)
+
+
+def test_cold_start_descends_by_quarters_to_500_cells(monkeypatch):
+    calls = []
+
+    def spy(alpha, n, N, init=None, **kwargs):
+        calls.append((n, N, init is None, kwargs.get("max_iters")))
+        return minimize_radial(alpha, n, N, init, **kwargs)
+
+    # the recursion looks the solver up as a module global
+    monkeypatch.setattr("alphasphere.radial.minimize_radial", spy)
+    spy(1.2, 3, 32000, max_iters=7)
+    assert calls == [(3, 32000, True, 7), (3, 8000, True, 7), (3, 2000, True, 7),
+                     (3, 500, True, 7)]
+    calls.clear()
+    spy(1.2, 3, 1999)   # N // 4 < 500: no coarse level
+    spy(1.2, 1, 8000)   # the linear start is the minimiser
+    assert [N for _, N, _, _ in calls] == [1999, 8000]
+
+
+def test_cold_start_reaches_large_exponents():
+    # from f = 3 r this solve spends all 200 steps and ends with a residual
+    # of 1.4e5; the coarse levels bring it near the minimiser
+    res = minimize_radial(150, 3, 2000)
+    assert res.converged
+    assert res.iterations <= 5
 
 
 def test_minimize_reports_max_iters():

@@ -21,11 +21,14 @@ any checkout):
 
 Prints, for each piece, the median over ``REPEATS`` calls in ms and the
 minor page faults per call (``resource.getrusage().ru_minflt`` read around
-each call), and for the whole solve its median wall time divided by its
-iterations and its minor page faults per solve.  Faults count the fresh
-pages of large arrays that the allocator handed back to the system and
-maps again; a piece repeated alone keeps its blocks, so they show most in
-the whole solve, which builds its instance and interleaves the pieces.
+each call); for the whole solve from the linear start f = 3 r, its median
+wall time divided by its iterations and its minor page faults per solve;
+and for the cold solve, which starts from the solves on the coarser grids
+N // 4, N // 16, ..., its median wall time and minor page faults per
+solve.  Faults count the fresh pages of large arrays that the allocator
+handed back to the system and maps again; a piece repeated alone keeps its
+blocks, so they show most in the whole solve, which builds its instance
+and interleaves the pieces.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import timeit
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from alphasphere.radial import _DiscreteEnergy, minimize_radial
+from alphasphere.radial import RadialProfile, _DiscreteEnergy, minimize_radial
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 
@@ -54,7 +57,8 @@ def measure(stmt, setup=lambda: None, repeats=REPEATS) -> tuple[float, float]:
 
 
 def split(N: int) -> dict[str, tuple[float, float]]:
-    res = minimize_radial(ALPHA, N_WIND, N)
+    linear = RadialProfile.linear(N_WIND, N)
+    res = minimize_radial(ALPHA, N_WIND, N, linear)
     fs = res.profile.fs
     other = fs.copy()
     other[1:-1] += 1e-9 * np.sin(np.arange(1, N))
@@ -81,6 +85,9 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         return tval <= val + 1e-4 * steps[0] * gd
 
     def solve():
+        minimize_radial(ALPHA, N_WIND, N, linear)
+
+    def cold_solve():
         minimize_radial(ALPHA, N_WIND, N)
 
     parts = {
@@ -94,12 +101,13 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     }
     solve_ms, solve_faults = measure(solve, repeats=5)
     parts["whole solve, per iteration"] = (solve_ms / res.iterations, solve_faults)
+    parts["cold solve, total"] = measure(cold_solve, repeats=5)
     return parts
 
 
 def main() -> int:
     for N in SIZES:
-        print(f"N = {N}: median ms, minor page faults per call (per solve for the whole solve)")
+        print(f"N = {N}: median ms, minor page faults per call (per solve for whole solves)")
         for piece, (ms, faults) in split(N).items():
             print(f"  {piece:<28}{ms:8.2f} ms {faults:9.0f} faults")
     return 0
