@@ -174,7 +174,7 @@ def _build_map(spec: str) -> mp.MapEvaluator:
     if spec.startswith("mobius:"):
         try:
             a, b, c, d = (complex(x) for x in spec[len("mobius:"):].split(","))
-            return mp.mobius_map(mb.MobiusElement.normalized(a, b, c, d))
+            return mp.MobiusMap(mb.MobiusElement.normalized(a, b, c, d))
         except ValueError as exc:
             raise ValueError(f"bad mobius entries in {spec!r}: {exc}") from exc
     if spec.startswith("radial:"):

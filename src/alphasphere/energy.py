@@ -116,6 +116,7 @@ class DilationEnergyResult:
     value: float
     G: float
     xi: float
+    log_excess: float   # log(G - 1), finite where xi overflows
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,11 @@ def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
     tau = math.log(lam)
     beta = alpha - 1.0
     base = energy_floor(alpha)
-    ratio = _exp_or_inf(_log_excess_ratio(alpha, abs(tau), _XI_REL_TOL))
+    log_excess = _log_excess_ratio(alpha, abs(tau), _XI_REL_TOL)
+    ratio = _exp_or_inf(log_excess)
     xi = base * ratio
-    return DilationEnergyResult(alpha=alpha, lam=lam, tau=tau,
-                                sigma=beta * tau, beta=beta,
-                                value=base + xi, G=1.0 + ratio, xi=xi)
+    return DilationEnergyResult(alpha=alpha, lam=lam, tau=tau, sigma=beta * tau, beta=beta,
+                                value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
 
 
 def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
@@ -277,11 +278,11 @@ def energy_report(u: MapEvaluator, alpha: float,
     """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
     degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
     """
-    if alpha < 1.0:
+    if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     dens = u.density(grid.lifted)
     e1 = grid.integrate(1.0 + dens)
-    ea = alpha_energy(u, alpha, grid)
+    ea = _deformed_energy(1.0, dens, alpha, grid)
     raw, nearest = degree(u, grid)
     floor = energy_floor(alpha)
     passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
@@ -292,7 +293,7 @@ def energy_report(u: MapEvaluator, alpha: float,
 
 def alpha_energy(u: MapEvaluator, alpha: float, grid: QuadratureGrid) -> float:
     """E_alpha(u) = 2^(alpha-1) int (1 + e(u))^alpha dA by grid quadrature."""
-    if alpha < 1.0:
+    if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     return _deformed_energy(1.0, u.density(grid.lifted), alpha, grid)
 
@@ -300,7 +301,7 @@ def alpha_energy(u: MapEvaluator, alpha: float, grid: QuadratureGrid) -> float:
 def e_alpha_lambda(u: MapEvaluator, alpha: float, lam: float,
                    grid: QuadratureGrid) -> float:
     """Deformed energy E_(alpha,lam)(u); at lam = 1 this is alpha_energy."""
-    if alpha < 1.0 or lam < 1.0:
+    if not (1.0 <= alpha < math.inf and 1.0 <= lam < math.inf):
         raise ValueError("needs alpha >= 1 and lam >= 1")
     return _deformed_energy(chi_values(lam, grid.lifted), u.density(grid.lifted), alpha, grid)
 
@@ -319,7 +320,7 @@ def d_energy_d_loglambda(u: MapEvaluator, alpha: float, lam: float,
 
     with W = |grad u|^2 and z the height of the dilated chart point,
     (lam^2 |p|^2 - |q|^2)/(lam^2 |p|^2 + |q|^2) on the lifted pair."""
-    if alpha < 1.0 or lam < 1.0:
+    if not (1.0 <= alpha < math.inf and 1.0 <= lam < math.inf):
         raise ValueError("needs alpha >= 1 and lam >= 1")
     pts = grid.lifted
     ch = chi_values(lam, pts)
@@ -339,23 +340,19 @@ def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
     closed form; the check composes the adjacent explicit constants,
     xi >= base * [beta/(6 cosh^2 1) + C_theta (sigma - beta)], and is named
     ``xi_sigma_mid_composed`` to flag that.  The large-regime verdict
-    compares logs, which stay finite where both sides overflow; for alpha <= 2
+    compares log excesses, finite where both sides overflow; for alpha <= 2
     and finite lam the lower bound of :func:`_scaled_integral` stays below
     360, so that log is the quadrature's value.
     """
     if not 1.0 < alpha <= 2.0:
         raise RegimeError("bounds are stated for 1 < alpha <= 2")
-    if lam < 1.0:
+    if not lam >= 1.0:
         raise RegimeError("bounds are stated for lam >= 1")
-    base = energy_floor(alpha)
-    beta = alpha - 1.0
-    tau = math.log(lam)
-    sigma = beta * tau
-    log_ratio = _log_excess_ratio(alpha, tau, _XI_REL_TOL)
-    xi = base * _exp_or_inf(log_ratio)   # as in dilation_energy
+    res = dilation_energy(alpha, lam)
+    base, beta, tau, sigma, xi = energy_floor(alpha), res.beta, res.tau, res.sigma, res.xi
     checks: list[BoundCheck] = []
     if sigma >= 2.0:
-        log_gap = log_ratio - math.log(XI_SIGMA_LARGE_CONSTANT) - 2.0 * sigma
+        log_gap = res.log_excess - math.log(XI_SIGMA_LARGE_CONSTANT) - 2.0 * sigma
         rhs = base * XI_SIGMA_LARGE_CONSTANT * _exp_or_inf(2.0 * sigma)
         margin = xi - rhs if rhs < math.inf else math.copysign(math.inf, log_gap)
         checks.append(BoundCheck("xi_sigma_large", xi, rhs, margin, log_gap >= 0.0,
@@ -404,7 +401,7 @@ def eaclose_gap(u: MapEvaluator, alpha: float, lam: float,
         E_(alpha,lam)(v) - E_(alpha,lam)(Id)
             >= -alpha 2^(alpha-2) (1 + lam^2)^(alpha-1) || |grad v|^2 - 2 ||_1.
     """
-    if not 1.0 <= alpha <= 2.0 or lam < 1.0:
+    if not (1.0 <= alpha <= 2.0 and 1.0 <= lam < math.inf):
         raise RegimeError("gap bound is stated for 1 <= alpha <= 2, lam >= 1")
     ch, dens = chi_values(lam, grid.lifted), u.density(grid.lifted)
     # the identity's density is exactly 1 on the lifted points

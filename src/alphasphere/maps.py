@@ -42,7 +42,6 @@ __all__ = [
     "PullbackMap",
     "RadialMap",
     "identity_map",
-    "mobius_map",
     "pullback",
     "QuadratureGrid",
     "make_grid",
@@ -197,10 +196,6 @@ def identity_map() -> MobiusMap:
     return MobiusMap(MobiusElement.identity())
 
 
-def mobius_map(m: MobiusElement) -> MobiusMap:
-    return MobiusMap(m)
-
-
 def pullback(u: MapEvaluator, m: MobiusElement) -> MapEvaluator:
     """u o m; for fractional linear u this is the map of the matrix product."""
     if isinstance(u, MobiusMap):
@@ -218,8 +213,6 @@ class QuadratureGrid:
 
     zs: np.ndarray
     weights: np.ndarray
-    n_radial: int
-    n_angular: int
     lifted: _Lifted = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -244,8 +237,7 @@ def make_grid(n_radial: int, n_angular: int) -> QuadratureGrid:
     zs = np.outer(r, np.exp(1j * phi)).ravel()
     weights = np.outer(w_theta * (2.0 * math.pi / n_angular),
                        np.ones(n_angular)).ravel()
-    return QuadratureGrid(zs=zs, weights=weights,
-                          n_radial=n_radial, n_angular=n_angular)
+    return QuadratureGrid(zs=zs, weights=weights)
 
 
 def degree(u: MapEvaluator, grid: QuadratureGrid) -> tuple[float, int]:

@@ -280,7 +280,7 @@ def norm_grad_log_chi_L2(lam: float) -> float:
     2 pi * int_0^pi (d/dr log chi_lam)^2 sin(theta) dtheta by adaptive
     Gauss-Legendre panels.
     """
-    if lam < 1.0:
+    if not 1.0 <= lam < math.inf:
         raise ValueError("norm_grad_log_chi_L2 expects lam >= 1")
     if lam == 1.0:
         return 0.0
@@ -297,7 +297,7 @@ def grad_log_chi_l2_bound(lam: float) -> float:
     """Closed-form upper bound for :func:`norm_grad_log_chi_L2`:
     4 sqrt(8 pi) ((lam+1)/lam) ((lam-1)/lam) (1/4 + 1/8 + log lam)^(1/2),
     obtained by splitting the radial integral at 1/lam and 1."""
-    if lam < 1.0:
+    if not 1.0 <= lam < math.inf:
         raise ValueError("bound expects lam >= 1")
     return (4.0 * math.sqrt(8.0 * math.pi) * ((lam + 1.0) / lam)
             * ((lam - 1.0) / lam) * math.sqrt(0.25 + 0.125 + math.log(lam)))

@@ -54,8 +54,7 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 
 def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray],
-                            a: float, b: float, *,
-                            rel_tol: float = 1e-9) -> float:
+                            a: float, b: float, *, rel_tol: float) -> float:
     """Integrate the vectorised callable ``f`` over ``[a, b]``.
 
     Stops once the summed panel error estimates drop below

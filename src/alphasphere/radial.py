@@ -35,6 +35,7 @@ scipy.integrate and scipy.optimize on the first shot.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -45,7 +46,6 @@ from .quadrature import _rule
 
 __all__ = [
     "ShootFailedError",
-    "SplitUnavailableError",
     "RadialProfile",
     "SolveResult",
     "radial_energy",
@@ -64,8 +64,10 @@ _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _COARSEN, _COARSEST = 4, 500   # a cold start's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
-# shooting: series start at r = _SHOOT_EPS, DOP853 tolerances
+# shooting: series start at r = _SHOOT_EPS, DOP853 tolerances, the
+# returned profile's node count and the slope bracket's expansion budget
 _SHOOT_EPS, _SHOOT_RTOL, _SHOOT_ATOL = 1e-6, 1e-10, 1e-12
+_SHOOT_NODES, _SHOOT_EXPAND = 2001, 60
 
 
 class ShootFailedError(RuntimeError):
@@ -76,47 +78,41 @@ class ShootFailedError(RuntimeError):
         self.last_r = last_r
 
 
-class SplitUnavailableError(RuntimeError):
-    """The disc/annulus/cap split needs a converged solve of winding 3."""
-
-
 @dataclass(frozen=True)
 class RadialProfile:
-    """Discretised profile on a uniform grid over [0, pi].
+    """Nodal values ``fs`` on the uniform grid of N = len(fs) - 1 >= 100
+    cells over [0, pi], which ``rs`` returns.
 
-    ``n`` is the winding count: f(0) = 0 and f(pi) = n*pi exactly.  The
-    grid has N = len(rs) - 1 cells with N >= 100.  Between nodes the
-    profile is the local cubic that :func:`minimize_radial` integrates, so
-    :func:`radial_energy` of a profile is the discrete objective the
-    minimiser minimised.
+    ``n`` is the winding count: f(0) = 0 and f(pi) = n*pi exactly.  Between
+    nodes the profile is the local cubic that :func:`minimize_radial`
+    integrates, so :func:`radial_energy` of a profile is the discrete
+    objective the minimiser minimised.
     """
 
     n: int
-    rs: np.ndarray
     fs: np.ndarray
 
     def __post_init__(self) -> None:
-        rs = np.asarray(self.rs, dtype=float)
         fs = np.asarray(self.fs, dtype=float)
-        object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "fs", fs)
         if self.n < 1:
             raise ValueError("winding count n must be >= 1")
-        if rs.shape != fs.shape or rs.ndim != 1:
-            raise ValueError("rs and fs must be 1-d arrays of equal length")
-        if len(rs) < 101:
+        if fs.ndim != 1:
+            raise ValueError("fs must be a 1-d array")
+        if len(fs) < 101:
             raise ValueError("profile needs at least 100 cells")
-        if not (np.isfinite(rs).all() and np.isfinite(fs).all()):
-            raise ValueError("grid and nodal values must be finite")
-        h = rs[1] - rs[0]
-        if abs(rs[0]) > 0 or abs(rs[-1] - _PI) > 1e-12 or np.max(np.abs(np.diff(rs) - h)) > 1e-12:
-            raise ValueError("grid must be uniform on [0, pi]")
+        if not np.isfinite(fs).all():
+            raise ValueError("nodal values must be finite")
         if fs[0] != 0.0 or fs[-1] != self.n * _PI:
             raise ValueError("endpoint values must be exactly 0 and n*pi")
 
     @property
     def N(self) -> int:
-        return len(self.rs) - 1
+        return len(self.fs) - 1
+
+    @functools.cached_property
+    def rs(self) -> np.ndarray:
+        return np.linspace(0.0, _PI, self.N + 1)
 
     @property
     def h(self) -> float:
@@ -138,9 +134,6 @@ class RadialProfile:
     def value(self, r):
         return self.value_and_slope(r)[0]
 
-    def with_values(self, fs: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.n, self.rs, np.asarray(fs, dtype=float))
-
     def resampled(self, N: int) -> "RadialProfile":
         return self if N == self.N else RadialProfile.from_function(self.n, N, self.value)
 
@@ -152,10 +145,9 @@ class RadialProfile:
     def from_function(cls, n: int, N: int, fn) -> "RadialProfile":
         """Sample ``fn`` on the uniform grid; endpoint values are pinned to
         0 and n*pi regardless of fn."""
-        rs = np.linspace(0.0, _PI, N + 1)
-        fs = np.asarray(fn(rs), dtype=float)
+        fs = np.asarray(fn(np.linspace(0.0, _PI, N + 1)), dtype=float)
         fs[0], fs[-1] = 0.0, n * _PI
-        return cls(n, rs, fs)
+        return cls(n, fs)
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
     through the local cubic on the panels its ends cut from at most two
     cells, so that adjacent windows add up to the total up to the
     quadrature error of those panels."""
-    if alpha < 1.0:
+    if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     disc = _DiscreteEnergy(alpha, profile.n, profile.N)
     cells = disc.cell_energies(profile.fs)
@@ -454,7 +446,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     nontrivial classes concentrate and no minimiser exists.  A Hessian that
     leaves double range (alpha in the hundreds) raises OverflowError.
     """
-    if alpha <= 1.0:
+    if not 1.0 < alpha < math.inf:
         raise ValueError("minimize_radial requires alpha > 1")
     if init is None:
         init = (minimize_radial(alpha, n, N // _COARSEN, max_iters=max_iters).profile
@@ -498,7 +490,7 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
             stop_reason = "stagnation"
             break
 
-    final = init.with_values(fs)
+    final = RadialProfile(n, fs)
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
@@ -586,18 +578,19 @@ def _shot(alpha: float, n: int, slope: float):
     return sol
 
 
-def shoot_radial(alpha: float, n: int, slope0: float, *,
-                 num_nodes: int = 2001, max_expand: int = 60) -> RadialProfile:
-    """Construct a profile with f(pi) = n*pi by shooting from r = 0.
+def shoot_radial(alpha: float, n: int, slope0: float) -> RadialProfile:
+    """Construct a profile with f(pi) = n*pi by shooting from r = 0, sampled
+    on 2000 cells.
 
-    ``slope0`` seeds a bracketing search over the initial slope; each shot
-    starts at r = 1e-6 from the regular series f = a r + c r^3 with c fitted
-    from the equation's leading balance.  Raises :class:`ShootFailedError`
-    when shots blow up before the far endpoint and no bracket exists.
+    ``slope0`` seeds a bracketing search over the initial slope, widened by
+    factors of 1.3 up to 60 times; each shot starts at r = 1e-6 from the
+    regular series f = a r + c r^3 with c fitted from the equation's leading
+    balance.  Raises :class:`ShootFailedError` when shots blow up before the
+    far endpoint and no bracket exists.
     """
-    if alpha < 1.0:
+    if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    if slope0 <= 0.0:
+    if not 0.0 < slope0 < math.inf:
         raise ValueError("slope0 must be positive")
     from scipy.optimize import brentq
     target = n * _PI
@@ -616,7 +609,7 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
 
     m0 = miss(slope0)
     if m0 != 0.0:
-        for k in range(1, max_expand + 1):
+        for k in range(1, _SHOOT_EXPAND + 1):
             cand = slope0 * 1.3 ** (k if m0 < 0.0 else -k)
             mc = miss(cand)
             if mc * m0 <= 0.0:
@@ -632,7 +625,7 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
     if sol.status != 0 or sol.t[-1] < _PI - eps:
         raise ShootFailedError("matched shot failed to reach the endpoint",
                                float(sol.t[-1]))
-    rs = np.linspace(0.0, _PI, num_nodes)
+    rs = np.linspace(0.0, _PI, _SHOOT_NODES)
     fs = np.empty_like(rs)
     inner = (rs >= eps) & (rs <= _PI - eps)
     fs[inner] = sol.sol(rs[inner])[0]
@@ -641,7 +634,7 @@ def shoot_radial(alpha: float, n: int, slope0: float, *,
     fs[small] = slope0 * rs[small] + c * rs[small] ** 3
     fs[rs > _PI - eps] = target
     fs[0], fs[-1] = 0.0, target
-    return RadialProfile(n, rs, fs)
+    return RadialProfile(n, fs)
 
 
 def annulus_split(result: SolveResult) -> tuple[float, float, float]:
@@ -650,7 +643,7 @@ def annulus_split(result: SolveResult) -> tuple[float, float, float]:
     climbs to 2 pi, and the remaining cap: the n = 3 case of
     :func:`window_energies` between the crossings."""
     if result.profile.n != 3 or not result.converged:
-        raise SplitUnavailableError("the split needs a converged solve of winding count 3")
+        raise ValueError("the split needs a converged solve of winding count 3")
     return tuple(window_energies(result.profile, result.alpha,
                                  (0.0, *result.crossings, _PI)))
 
@@ -662,7 +655,8 @@ def save_profile(profile: RadialProfile, path) -> None:
 
 def load_profile(path, n: int | None = None) -> RadialProfile:
     """Read a :func:`save_profile` file; raises ``ValueError`` unless it is
-    two columns of finite numbers whose endpoints are 0 and n*pi."""
+    two columns of finite numbers, r on the uniform grid over [0, pi] and f
+    with endpoints 0 and n*pi."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # numpy's note on empty input
         data = np.loadtxt(path, ndmin=2)
@@ -671,9 +665,11 @@ def load_profile(path, n: int | None = None) -> RadialProfile:
     if data.shape[1] != 2 or not np.isfinite(data).all():
         raise ValueError("profile file must be two columns of finite numbers")
     rs, fs = data[:, 0], data[:, 1]
+    if np.max(np.abs(rs - np.linspace(0.0, _PI, len(rs)))) > 1e-12:
+        raise ValueError("r column must be the uniform grid on [0, pi]")
     if n is None:
         n = int(round(fs[-1] / _PI))
     if not (abs(fs[-1] - n * _PI) <= 1e-9 and abs(fs[0]) <= 1e-9):
         raise ValueError("file endpoints are not compatible with f(0)=0, f(pi)=n*pi")
     fs[0], fs[-1] = 0.0, n * _PI
-    return RadialProfile(n, rs, fs)
+    return RadialProfile(n, fs)

@@ -64,15 +64,8 @@ class VerifySettings:
 @dataclass
 class _Context:
     settings: VerifySettings
-    grids: dict = field(default_factory=dict)
     solves: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)  # criterion -> wall time, s
-
-    def grid(self, n_radial: int, n_angular: int) -> mp.QuadratureGrid:
-        key = (n_radial, n_angular)
-        if key not in self.grids:
-            self.grids[key] = mp.make_grid(n_radial, n_angular)
-        return self.grids[key]
 
     def solve_n3(self, N: int) -> rd.SolveResult:
         key = (1.2, 3, N)
@@ -104,11 +97,11 @@ def _at_least(check: str, value: float, bound: float, note: str = "") -> tuple:
 
 def c01_closed_form_vs_direct(ctx: _Context) -> list[tuple]:
     """2-D quadrature of the dilation energy against the 1-D closed form."""
-    grid = ctx.grid(150 if ctx.settings.quick else 400, 8)
+    grid = mp.make_grid(150 if ctx.settings.quick else 400, 8)
     rows = []
     for alpha in (1.1, 1.5, 2.0):
         for lam in (1.0, 2.0, 10.0):
-            direct = en.alpha_energy(mp.mobius_map(mb.MobiusElement.dilation(lam)),
+            direct = en.alpha_energy(mp.MobiusMap(mb.MobiusElement.dilation(lam)),
                                      alpha, grid)
             closed = en.dilation_energy(alpha, lam).value
             rows.append(_at_most(f"alpha={alpha},lam={lam}",
@@ -127,7 +120,7 @@ def c02_alpha1_conformal(ctx: _Context) -> list[tuple]:
 
 
 def c03_identity_energy(ctx: _Context) -> list[tuple]:
-    grid = ctx.grid(150 if ctx.settings.quick else 300, 16)
+    grid = mp.make_grid(150 if ctx.settings.quick else 300, 16)
     ident = mp.identity_map()
     rows = []
     for alpha in (1.0, 1.2, 1.5, 2.0):
@@ -176,7 +169,7 @@ def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
             worst_g = max(worst_g, abs(gp - gp_fd) / abs(gp_fd))
     rows.append(_at_most("Gprime_vs_fd", worst_g, 1e-6))
 
-    grid = ctx.grid(180 if ctx.settings.quick else 320, 48)
+    grid = mp.make_grid(180 if ctx.settings.quick else 320, 48)
     ident = mp.identity_map()
     worst_d = 0.0
     for _ in range(count):
@@ -192,7 +185,7 @@ def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
         worst_d = max(worst_d, abs(lhs - fd) / abs(fd))
     rows.append(_at_most("dloglam_vs_fd", worst_d, 1e-6))
 
-    grid_id = ctx.grid(150 if ctx.settings.quick else 400, 8)
+    grid_id = mp.make_grid(150 if ctx.settings.quick else 400, 8)
     worst_i = 0.0
     for _ in range(count):
         alpha = float(rng.uniform(1.05, 2.0))
@@ -254,7 +247,6 @@ def c07_grad_log_chi_bound(ctx: _Context) -> list[tuple]:
 def c08_degree_floor_pullback(ctx: _Context) -> list[tuple]:
     rows = []
     quick = ctx.settings.quick
-    # the largest grid, c08's alone: not cached in ctx, so it goes on return
     grid = mp.make_grid(200 if quick else 500, 64 if quick else 160)
     rng = ctx.rng(8)
     alpha = 1.3
@@ -292,7 +284,7 @@ def c08_degree_floor_pullback(ctx: _Context) -> list[tuple]:
     for _ in range(n_pts):
         m = _random_element(rng)
         sv = mb.mobius_svd(m)
-        u = mp.mobius_map(_random_element(rng))
+        u = mp.MobiusMap(_random_element(rng))
         z = complex(rng.normal(), rng.normal())
         v = sv.V.inverse()  # V is special unitary, so V^-1 = V*
         els += [mp.pullback(u, m).m, u.m]
@@ -323,7 +315,7 @@ def c09_radial_n1(ctx: _Context) -> list[tuple]:
 def c10_radial_n3(ctx: _Context) -> list[tuple]:
     res = ctx.solve_n3(1000 if ctx.settings.quick else 4000)
     floor_n3 = 2.0 ** (3.0 * 1.2 + 1.0) * math.pi  # threefold-winding floor
-    grid = ctx.grid(300 if ctx.settings.quick else 600, 8)
+    grid = mp.make_grid(300 if ctx.settings.quick else 600, 8)
     crit = en.d_energy_d_loglambda(mp.RadialMap(res.profile), 1.2, 1.0, grid)
     r1, r2 = res.crossings
     disc_e, ann_e, cap_e = rd.window_energies(res.profile, 1.2, (0.0, r1, r2, math.pi))
@@ -344,7 +336,7 @@ def c10_radial_n3(ctx: _Context) -> list[tuple]:
 
 def c11_gap_bound_random(ctx: _Context) -> list[tuple]:
     quick = ctx.settings.quick
-    grid = ctx.grid(200 if quick else 400, 48 if quick else 96)
+    grid = mp.make_grid(200 if quick else 400, 48 if quick else 96)
     rng = ctx.rng(11)
     count = 6 if quick else 20
     n3 = ctx.solve_n3(1000 if quick else 4000)

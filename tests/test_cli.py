@@ -379,6 +379,15 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         assert run_cli(capsys, *argv[1:])[0] == 0, argv
 
 
+def test_readme_python_example_runs():
+    # the library tour's example uses public names; running it catches drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("argv, header", [
     (("dilation-table", "--alpha", "1.5", "--lambda", "2"),
      "alpha,lambda,e_alpha,xi,G,Gprime,xi_sigma_large,xi_sigma_mid,xi_sigma_small,growth"),

@@ -7,6 +7,7 @@ from alphasphere import (
     GROWTH_THETA_CONSTANT,
     G_and_Gprime,
     MobiusElement,
+    MobiusMap,
     RadialProfile,
     RegimeError,
     XI_SIGMA_LARGE_CONSTANT,
@@ -19,11 +20,15 @@ from alphasphere import (
     e_alpha_lambda,
     eaclose_gap,
     energy_floor,
+    energy_report,
+    grad_log_chi_l2_bound,
     identity_map,
     make_grid,
-    mobius_map,
+    minimize_radial,
+    norm_grad_log_chi_L2,
     pullback,
     radial_energy,
+    shoot_radial,
     window_energies,
 )
 
@@ -44,12 +49,12 @@ def test_identity_energy_alpha2(grid):
 
 
 def test_dilation_energy_alpha1_by_quadrature(grid):
-    u = mobius_map(MobiusElement.dilation(7.0))
+    u = MobiusMap(MobiusElement.dilation(7.0))
     assert alpha_energy(u, 1.0, grid) == pytest.approx(8.0 * math.pi, rel=1e-9)
 
 
 def test_quadrature_matches_closed_form(grid):
-    u = mobius_map(MobiusElement.dilation(5.0))
+    u = MobiusMap(MobiusElement.dilation(5.0))
     assert alpha_energy(u, 1.2, grid) == pytest.approx(
         dilation_energy(1.2, 5.0).value, rel=1e-8)
 
@@ -84,7 +89,7 @@ def test_pullback_invariance(grid):
     rng = np.random.default_rng(6)
     a = 1.4
     for lam in (1.5, 4.0):
-        u = mobius_map(random_element(rng))
+        u = MobiusMap(random_element(rng))
         ul = pullback(u, MobiusElement.dilation(lam))
         assert abs(alpha_energy(u, a, grid)
                    - e_alpha_lambda(ul, a, lam, grid)) < 1e-8 * alpha_energy(u, a, grid)
@@ -246,6 +251,20 @@ def test_xi_bounds_regime_selection():
     assert names == {"xi_sigma_large"}
 
 
+def test_xi_bounds_read_dilation_energy():
+    # every lhs is dilation_energy's xi; where it overflows, the large-regime
+    # verdict still compares finite logs
+    for alpha, lam in ((1.5, math.exp(0.5)), (1.5, math.exp(3.0)), (1.3, math.exp(9.0)),
+                       (1.05, 1.0), (1.5, 1e308)):
+        xi = dilation_energy(alpha, lam).xi
+        for c in check_xi_lower_bounds(alpha, lam):
+            assert c.lhs == xi
+    res = dilation_energy(1.5, 1e308)
+    assert res.xi == math.inf and res.log_excess == pytest.approx(math.log(res.G - 1.0))
+    [c] = check_xi_lower_bounds(1.5, 1e308)
+    assert c.name == "xi_sigma_large" and c.passed
+
+
 def test_xi_bounds_validate_regime():
     with pytest.raises(RegimeError):
         check_xi_lower_bounds(1.0, 2.0)
@@ -353,3 +372,40 @@ def test_gap_bound_random_pullbacks(grid):
         a = float(rng.uniform(1.0, 2.0))
         assert eaclose_gap(v, a, lam, grid).passed
 
+
+
+# ---------------------------------------------------------- domain guards
+
+def _guarded_calls():
+    """name -> call of one library function with x in the place of a
+    parameter whose domain excludes NaN and +inf."""
+    grid, u = make_grid(20, 8), identity_map()
+    p = RadialProfile.linear(3, 200)
+    return {
+        "alpha_energy": lambda x: alpha_energy(u, x, grid),
+        "energy_report": lambda x: energy_report(u, x, grid),
+        "e_alpha_lambda:alpha": lambda x: e_alpha_lambda(u, x, 1.5, grid),
+        "e_alpha_lambda:lam": lambda x: e_alpha_lambda(u, 1.5, x, grid),
+        "d_energy_d_loglambda:alpha": lambda x: d_energy_d_loglambda(u, x, 1.5, grid),
+        "d_energy_d_loglambda:lam": lambda x: d_energy_d_loglambda(u, 1.5, x, grid),
+        "eaclose_gap:lam": lambda x: eaclose_gap(u, 1.5, x, grid),
+        "window_energies": lambda x: window_energies(p, x, (0.0, math.pi)),
+        "radial_energy": lambda x: radial_energy(p, x),
+        "minimize_radial": lambda x: minimize_radial(x, 3, 1000),
+        "shoot_radial:alpha": lambda x: shoot_radial(x, 1, 1.0),
+        "shoot_radial:slope0": lambda x: shoot_radial(1.4, 1, x),
+        "norm_grad_log_chi_L2": norm_grad_log_chi_L2,
+        "grad_log_chi_l2_bound": grad_log_chi_l2_bound,
+        "check_xi_lower_bounds:lam": lambda x: check_xi_lower_bounds(1.5, x),
+        "dilation_energy:alpha": lambda x: dilation_energy(x, 2.0),
+        "dilation_energy:lam": lambda x: dilation_energy(1.5, x),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_guarded_calls()))
+def test_domain_guards_reject_nan_and_inf(name, bad):
+    # a guard written as x < bound lets NaN through to a nan result, a
+    # failing verdict or a quadrature that never converges
+    with pytest.raises(ValueError):
+        _guarded_calls()[name](bad)

@@ -7,6 +7,7 @@ import pytest
 from alphasphere import (
     ConjugationMap,
     ConstantMap,
+    MapEvaluator,
     MobiusElement,
     MobiusMap,
     NonIntegerDegreeWarning,
@@ -20,7 +21,6 @@ from alphasphere import (
     energy_report,
     identity_map,
     make_grid,
-    mobius_map,
     mobius_svd,
     pullback,
 )
@@ -80,7 +80,7 @@ def test_identity_density_is_one(grid):
 def test_dilation_density_is_inverse_chi(grid):
     from alphasphere import chi_values
     lam = 6.0
-    d = mobius_map(MobiusElement.dilation(lam)).density(grid.zs)
+    d = MobiusMap(MobiusElement.dilation(lam)).density(grid.zs)
     rsq = np.abs(grid.zs) ** 2
     explicit = lam * lam * (1.0 + rsq) ** 2 / (1.0 + lam * lam * rsq) ** 2
     assert np.max(np.abs(d - explicit) / explicit) < 1e-13
@@ -91,8 +91,8 @@ def test_jacobian_bounded_by_density(grid):
     rng = np.random.default_rng(9)
     profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
     maps = [identity_map(), ConjugationMap(), ConstantMap(SpherePoint(0, 0, 1)),
-            mobius_map(random_element(rng)), RadialMap(profile),
-            pullback(mobius_map(random_element(rng)), random_element(rng))]
+            MobiusMap(random_element(rng)), RadialMap(profile),
+            pullback(MobiusMap(random_element(rng)), random_element(rng))]
     for u in maps:
         e = u.density(grid.zs)
         j = u.jacobian(grid.zs)
@@ -109,7 +109,7 @@ def test_degrees(grid):
 def test_degree_of_random_mobius_maps(grid):
     rng = np.random.default_rng(21)
     for _ in range(20):
-        raw, k = degree(mobius_map(random_element(rng)), grid)
+        raw, k = degree(MobiusMap(random_element(rng)), grid)
         assert k == 1 and abs(raw - 1.0) < 0.01
 
 
@@ -132,7 +132,7 @@ def test_degree_invariant_under_pullback(grid):
 
 def test_pullback_by_identity_is_pointwise_identity(grid):
     rng = np.random.default_rng(3)
-    u = mobius_map(random_element(rng))
+    u = MobiusMap(random_element(rng))
     v = pullback(u, MobiusElement.identity())
     z = grid.zs[::97]
     assert np.max(np.abs(u.density(z) - v.density(z))) < 1e-14
@@ -146,8 +146,8 @@ def test_pullback_matches_matrix_product():
         n = random_element(rng)
         m = random_element(rng)
         # built directly: pullback() itself folds into the product
-        composed = PullbackMap(mobius_map(n), m)
-        product = mobius_map(n @ m)
+        composed = PullbackMap(MobiusMap(n), m)
+        product = MobiusMap(n @ m)
         z = np.array([complex(rng.normal(), rng.normal()) for _ in range(50)])
         assert np.max(np.abs(composed.density(z) - product.density(z))
                       / product.density(z)) < 1e-10
@@ -157,7 +157,7 @@ def test_pullback_matches_matrix_product():
 def test_pullback_of_mobius_map_folds_into_product():
     rng = np.random.default_rng(6)
     n, m = random_element(rng), random_element(rng)
-    folded = pullback(mobius_map(n), m)
+    folded = pullback(MobiusMap(n), m)
     assert type(folded) is MobiusMap
     assert folded.m == n @ m
 
@@ -200,7 +200,7 @@ def _closed_form_density(m, z):
 def test_mobius_evaluators_at_special_points(m, exact_pole):
     pole = -m.d / m.c
     zs = np.array([0.0, 1.0, -1.0, 1j, 1e200, complex(math.inf, 0.0), pole])
-    for u in (mobius_map(m), PullbackMap(identity_map(), m)):
+    for u in (MobiusMap(m), PullbackMap(identity_map(), m)):
         dens = u.density(zs)
         expected = np.array([_closed_form_density(m, z) for z in zs])
         assert np.all(np.isfinite(dens))
@@ -248,7 +248,7 @@ def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
     for lam in (1.0, 3.7, 250.0):
         assert np.array_equal(chi_values(lam, grid.lifted), chi_values(lam, grid.zs))
     profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
-    for u in (mobius_map(random_element(rng)), ConjugationMap(), RadialMap(profile),
+    for u in (MobiusMap(random_element(rng)), ConjugationMap(), RadialMap(profile),
               pullback(RadialMap(profile), random_element(rng))):
         for method in ("position", "density", "jacobian"):
             assert np.array_equal(getattr(u, method)(grid.lifted),
@@ -258,7 +258,7 @@ def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
 def test_nan_chart_points_stay_nan():
     from alphasphere import chi_values
     z = np.array([complex(math.nan, 0.0), complex(math.inf, 0.0), 0.5j])
-    u = mobius_map(MobiusElement.dilation(4.0))
+    u = MobiusMap(MobiusElement.dilation(4.0))
     with np.errstate(invalid="ignore"):
         evals = (u.density(z), u.position(z)[2], chi_values(4.0, z),
                  PullbackMap(identity_map(), MobiusElement.dilation(4.0)).density(z))
@@ -271,7 +271,7 @@ def test_dilation_pullback_identity_pointwise():
     from alphasphere import chi_values
     for _ in range(100):
         lam = math.exp(rng.uniform(0.0, 2.5))
-        u = mobius_map(random_element(rng))
+        u = MobiusMap(random_element(rng))
         um = pullback(u, MobiusElement.dilation(lam))
         z = np.array([complex(rng.normal(), rng.normal())])
         lhs = um.density(z) * chi_values(lam, z)
@@ -318,6 +318,30 @@ def test_energy_report_identity(grid):
     assert rep.e_dirichlet_plus_area == pytest.approx(8.0 * math.pi, rel=1e-10)
     assert rep.degree_int == 1
     assert rep.passes_floor
+
+
+class _CountingMap(MapEvaluator):
+    """An evaluator that counts its density evaluations."""
+
+    def __init__(self, u):
+        self.u, self.density_calls = u, 0
+
+    def position(self, z):
+        return self.u.position(z)
+
+    def density(self, z):
+        self.density_calls += 1
+        return self.u.density(z)
+
+    def jacobian(self, z):
+        return self.u.jacobian(z)
+
+
+def test_energy_report_evaluates_the_density_once(grid):
+    u = _CountingMap(pullback(identity_map(), MobiusElement.dilation(3.0)))
+    rep = energy_report(u, 1.4, grid)
+    assert u.density_calls == 1
+    assert rep.e_alpha == alpha_energy(u, 1.4, grid)
 
 
 def test_energy_report_constant(grid):

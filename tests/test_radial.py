@@ -14,7 +14,6 @@ import alphasphere
 from alphasphere import (
     RadialProfile,
     ShootFailedError,
-    SplitUnavailableError,
     annulus_split,
     energy_floor,
     load_profile,
@@ -43,14 +42,10 @@ def test_profile_validation():
     p = RadialProfile.linear(2, 150)
     assert p.fs[0] == 0.0 and p.fs[-1] == 2 * math.pi
     with pytest.raises(ValueError):
-        RadialProfile(1, p.rs, p.fs + 1e-3)  # endpoints off
+        RadialProfile(1, p.fs + 1e-3)  # endpoints off
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             RadialProfile.from_function(3, 200, lambda r: 3 * r + np.where(r > 1, bad, 0))
-        rs = p.rs.copy()
-        rs[50] = bad   # a NaN node slips through the uniformity comparisons
-        with pytest.raises(ValueError, match="finite"):
-            RadialProfile(2, rs, p.fs)
 
 
 def test_profile_resample_preserves_endpoints():
@@ -68,6 +63,29 @@ def test_profile_save_load_roundtrip(tmp_path):
     q = load_profile(path)
     assert q.n == 3
     assert np.max(np.abs(q.fs - p.fs)) < 1e-12
+
+
+def test_profile_grid_follows_from_N(tmp_path):
+    # the constructor and load_profile both give the one uniform grid of N
+    p = RadialProfile(2, RadialProfile.linear(2, 300).fs)
+    assert np.array_equal(p.rs, np.linspace(0.0, math.pi, 301))
+    assert p.rs is p.rs   # built once per profile
+    path = tmp_path / "prof.txt"
+    save_profile(p, path)
+    assert np.array_equal(load_profile(path).rs, p.rs)
+
+
+def test_load_profile_rejects_a_grid_off_the_uniform_one(tmp_path):
+    p = RadialProfile.linear(2, 200)
+    path = tmp_path / "prof.txt"
+    moved, nan = p.rs.copy(), p.rs.copy()
+    moved[50] += 1e-9
+    nan[50] = np.nan
+    for rs, match in ((moved, "uniform grid"), (2.0 * p.rs, "uniform grid"),
+                      (p.rs + 0.1, "uniform grid"), (nan, "finite")):
+        np.savetxt(path, np.column_stack([rs, p.fs]), fmt="%.17g")
+        with pytest.raises(ValueError, match=match):
+            load_profile(path, n=2)
 
 
 def test_value_and_slope_returns_nodes_exactly():
@@ -133,7 +151,7 @@ def test_threefold_linear_energy_above_floor():
 def test_energy_reflection_symmetry():
     n, N = 3, 400
     p = RadialProfile.from_function(n, N, lambda r: n * r + 0.3 * np.sin(2 * r))
-    q = RadialProfile(n, p.rs, (n * math.pi - p.fs[::-1]))
+    q = RadialProfile(n, n * math.pi - p.fs[::-1])
     assert radial_energy(p, 1.4) == pytest.approx(radial_energy(q, 1.4), rel=1e-12)
 
 
@@ -320,7 +338,7 @@ def test_crossing_on_a_node_is_that_node():
     fs = p.fs.copy()
     k1, k2 = (int(np.argmax(fs >= v)) for v in (math.pi, 2 * math.pi))
     fs[k1], fs[k2] = math.pi, 2 * math.pi
-    q = p.with_values(fs)
+    q = RadialProfile(3, fs)
     assert _crossings(q) == (q.rs[k1], q.rs[k2])
 
 
@@ -674,13 +692,13 @@ def test_newton_direction_descends_on_indefinite_hessian():
 # -------------------------------------------------------------- shooting
 
 def test_shoot_rotation_is_exact():
-    p = shoot_radial(1.4, 1, 1.0, num_nodes=501)
+    p = shoot_radial(1.4, 1, 1.0)
     assert np.max(np.abs(p.fs - p.rs)) < 1e-8
 
 
 def test_shoot_matches_minimizer(n3_solve):
-    shot = shoot_radial(1.2, 3, 9.0, num_nodes=1001)
-    assert np.max(np.abs(shot.fs - n3_solve.profile.fs)) < 1e-3
+    shot = shoot_radial(1.2, 3, 9.0)
+    assert np.max(np.abs(shot.value(n3_solve.profile.rs) - n3_solve.profile.fs)) < 1e-3
 
 
 def test_shoot_validates_slope():
@@ -688,9 +706,11 @@ def test_shoot_validates_slope():
         shoot_radial(1.2, 3, 0.0)
 
 
-def test_shoot_reports_failure():
+def test_shoot_reports_failure(monkeypatch):
+    # two bracket expansions fail as 60 do, without 58 more blown-up shots
+    monkeypatch.setattr(alphasphere.radial, "_SHOOT_EXPAND", 2)
     with pytest.raises(ShootFailedError) as info:
-        shoot_radial(1.2, 3, 1e-6, max_expand=2)
+        shoot_radial(1.2, 3, 1e-6)
     assert info.value.last_r > 0.0
 
 
@@ -704,5 +724,5 @@ def test_annulus_split(n3_solve):
 
 def test_annulus_split_rejects_wrong_winding():
     res = minimize_radial(1.3, 1, 200)
-    with pytest.raises(SplitUnavailableError):
+    with pytest.raises(ValueError, match="winding count 3"):
         annulus_split(res)
