@@ -375,6 +375,8 @@ def check_growth(alpha: float, lam: float) -> BoundCheck:
     sigma = beta, and G' >= the optimised theta constant above it."""
     if not 1.0 < alpha <= 2.0:
         raise RegimeError("growth bound is stated for 1 < alpha <= 2")
+    if not lam >= 1.0:
+        raise RegimeError("growth bound is stated for lam >= 1")
     beta = alpha - 1.0
     tau = math.log(lam)
     sigma = beta * tau

@@ -110,8 +110,8 @@ class MobiusElement:
 
     @classmethod
     def dilation(cls, lam: float) -> "MobiusElement":
-        if lam <= 0:
-            raise ValueError("dilation factor must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("dilation factor must be finite and positive")
         s = math.sqrt(lam)
         return cls(s, 0.0, 0.0, 1.0 / s)
 

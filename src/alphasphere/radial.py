@@ -25,12 +25,11 @@ window's end cuts is integrated point by point through the reconstruction,
 which the k pi crossings and the 2-d map read as well.
 
 The module provides the energy and the energies of the windows between the
-k pi crossings, a finite-difference residual for the above equation, a
+k pi crossings, a finite-difference residual for the above equation and a
 direct minimiser over nodal values (damped Newton with a banded Cholesky
-solve, Armijo backtracking and analytic discrete derivatives), and a
-shooting integrator as an independent construction.  Importing it loads
-numpy alone: scipy.linalg loads on the first Newton step, and
-scipy.integrate and scipy.optimize on the first shot.
+solve, Armijo backtracking and analytic discrete derivatives).  Importing
+it loads numpy alone: scipy.linalg, its only scipy module, loads on the
+first Newton step.
 """
 
 from __future__ import annotations
@@ -45,14 +44,12 @@ import numpy as np
 from .quadrature import _rule
 
 __all__ = [
-    "ShootFailedError",
     "RadialProfile",
     "SolveResult",
     "radial_energy",
     "window_energies",
     "radial_residual",
     "minimize_radial",
-    "shoot_radial",
     "annulus_split",
     "save_profile",
     "load_profile",
@@ -64,18 +61,6 @@ _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _COARSEN, _COARSEST = 4, 500   # a cold start's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
-# shooting: series start at r = _SHOOT_EPS, DOP853 tolerances, the
-# returned profile's node count and the slope bracket's expansion budget
-_SHOOT_EPS, _SHOOT_RTOL, _SHOOT_ATOL = 1e-6, 1e-10, 1e-12
-_SHOOT_NODES, _SHOOT_EXPAND = 2001, 60
-
-
-class ShootFailedError(RuntimeError):
-    """The shooting integrator blew up before reaching the far endpoint."""
-
-    def __init__(self, message: str, last_r: float):
-        super().__init__(message)
-        self.last_r = last_r
 
 
 @dataclass(frozen=True)
@@ -540,101 +525,6 @@ def _crossings(profile: RadialProfile) -> tuple[float, ...]:
             r = step
         out.append(r)
     return tuple(out)
-
-
-def _series_coeff(alpha: float, a: float) -> float:
-    """Cubic coefficient of the regular expansion f = a r + c r^3 + ...
-    solving the critical-profile equation near r = 0."""
-    beta = alpha - 1.0
-    return (a * (1.0 - a * a) * (2.0 * (1.0 + a * a) - beta * a * a)
-            / (24.0 * (1.0 + a * a + beta * a * a)))
-
-
-def _shot(alpha: float, n: int, slope: float):
-    from scipy.integrate import solve_ivp
-    beta = alpha - 1.0
-    eps = _SHOOT_EPS
-
-    def rhs(r, y):
-        f, p = y
-        s, cs = math.sin(r), math.cos(r)
-        sf, cf = math.sin(f), math.cos(f)
-        q = sf / s
-        W = p * p + q * q
-        dW_rest = 2.0 * sf * cf * p / (s * s) - 2.0 * sf * sf * cs / (s ** 3)
-        denom = 1.0 + 2.0 * beta * p * p / (2.0 + W)
-        fpp = (-cs / s * p + sf * cf / (s * s) - beta * p * dW_rest / (2.0 + W)) / denom
-        return (p, fpp)
-
-    def blown(r, y):
-        return (n + 3.0) * _PI - abs(y[0])
-
-    blown.terminal = True
-    c = _series_coeff(alpha, slope)
-    y0 = (slope * eps + c * eps ** 3, slope + 3.0 * c * eps ** 2)
-    sol = solve_ivp(rhs, (eps, _PI - eps), y0, method="DOP853",
-                    rtol=_SHOOT_RTOL, atol=_SHOOT_ATOL, events=blown,
-                    dense_output=True)
-    return sol
-
-
-def shoot_radial(alpha: float, n: int, slope0: float) -> RadialProfile:
-    """Construct a profile with f(pi) = n*pi by shooting from r = 0, sampled
-    on 2000 cells.
-
-    ``slope0`` seeds a bracketing search over the initial slope, widened by
-    factors of 1.3 up to 60 times; each shot starts at r = 1e-6 from the
-    regular series f = a r + c r^3 with c fitted from the equation's leading
-    balance.  Raises :class:`ShootFailedError` when shots blow up before the
-    far endpoint and no bracket exists.
-    """
-    if not 1.0 <= alpha < math.inf:
-        raise ValueError("alpha must be >= 1")
-    if not 0.0 < slope0 < math.inf:
-        raise ValueError("slope0 must be positive")
-    from scipy.optimize import brentq
-    target = n * _PI
-    eps = _SHOOT_EPS
-    last_reached = 0.0
-
-    def miss(a: float) -> float:
-        nonlocal last_reached
-        sol = _shot(alpha, n, a)
-        last_reached = max(last_reached, float(sol.t[-1]))
-        if sol.status != 0 or sol.t[-1] < _PI - eps:
-            # blow-up: report a huge signed miss so bracketing can proceed
-            return math.copysign(1e6, sol.y[0][-1] - target)
-        f_end, p_end = sol.y[0][-1], sol.y[1][-1]
-        return f_end + eps * p_end - target
-
-    m0 = miss(slope0)
-    if m0 != 0.0:
-        for k in range(1, _SHOOT_EXPAND + 1):
-            cand = slope0 * 1.3 ** (k if m0 < 0.0 else -k)
-            mc = miss(cand)
-            if mc * m0 <= 0.0:
-                break
-        else:
-            raise ShootFailedError(
-                f"no slope bracket around {slope0:g}; furthest shot reached "
-                f"r = {last_reached:.6f}", last_reached)
-        slope0 = cand if mc == 0.0 else brentq(miss, min(slope0, cand), max(slope0, cand),
-                                               xtol=1e-13, rtol=1e-15)
-
-    sol = _shot(alpha, n, slope0)
-    if sol.status != 0 or sol.t[-1] < _PI - eps:
-        raise ShootFailedError("matched shot failed to reach the endpoint",
-                               float(sol.t[-1]))
-    rs = np.linspace(0.0, _PI, _SHOOT_NODES)
-    fs = np.empty_like(rs)
-    inner = (rs >= eps) & (rs <= _PI - eps)
-    fs[inner] = sol.sol(rs[inner])[0]
-    c = _series_coeff(alpha, slope0)
-    small = rs < eps
-    fs[small] = slope0 * rs[small] + c * rs[small] ** 3
-    fs[rs > _PI - eps] = target
-    fs[0], fs[-1] = 0.0, target
-    return RadialProfile(n, fs)
 
 
 def annulus_split(result: SolveResult) -> tuple[float, float, float]:

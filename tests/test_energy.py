@@ -28,11 +28,11 @@ from alphasphere import (
     norm_grad_log_chi_L2,
     pullback,
     radial_energy,
-    shoot_radial,
     window_energies,
 )
 
 from alphasphere.energy import _LOG_MAX, _exp_or_inf
+from shooting import shoot_radial
 from test_mobius import random_element
 
 
@@ -291,6 +291,13 @@ def test_growth_check_regime_error():
         check_growth(1.5, math.exp(10.0))  # sigma = 5 > 2
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, math.nan])
+def test_growth_check_rejects_lam_below_one(lam):
+    # checked before log(lam), which raises a math domain error for lam <= 0
+    with pytest.raises(RegimeError, match="lam >= 1"):
+        check_growth(1.5, lam)
+
+
 def test_growth_theta_constant_is_the_closed_form_maximum():
     # the maximiser of tanh(t)(1 - cosh(t)/sinh 1) solves cosh^3 t = sinh 1
     t_star = math.acosh(math.sinh(1.0) ** (1.0 / 3.0))
@@ -399,7 +406,13 @@ def _guarded_calls():
         "check_xi_lower_bounds:lam": lambda x: check_xi_lower_bounds(1.5, x),
         "dilation_energy:alpha": lambda x: dilation_energy(x, 2.0),
         "dilation_energy:lam": lambda x: dilation_energy(1.5, x),
+        "MobiusElement.dilation": MobiusElement.dilation,
     }
+
+
+# messages that a call's ValueError must match, where a subclass raised
+# further on (DegenerateMatrixError) would pass a bare ValueError check
+_GUARD_MESSAGES = {"MobiusElement.dilation": "finite and positive"}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -407,5 +420,5 @@ def _guarded_calls():
 def test_domain_guards_reject_nan_and_inf(name, bad):
     # a guard written as x < bound lets NaN through to a nan result, a
     # failing verdict or a quadrature that never converges
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_GUARD_MESSAGES.get(name)):
         _guarded_calls()[name](bad)

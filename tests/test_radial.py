@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -13,7 +14,6 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 import alphasphere
 from alphasphere import (
     RadialProfile,
-    ShootFailedError,
     annulus_split,
     energy_floor,
     load_profile,
@@ -21,10 +21,12 @@ from alphasphere import (
     radial_energy,
     radial_residual,
     save_profile,
-    shoot_radial,
     window_energies,
 )
 from alphasphere.radial import _crossings, _DiscreteEnergy, _newton_direction
+
+import shooting
+from shooting import ShootFailedError, shoot_radial
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +120,23 @@ def _fresh_python(code):
 
 
 def test_import_leaves_scipy_interpolate_out():
-    # scipy is imported where it is used: the Newton step, the shooting oracle
+    # scipy is imported where it is used, the Newton step its only site
     for module in ("alphasphere", "alphasphere.cli"):
         code = f"import sys, {module}; print(sorted(set({_LAZY_SCIPY!r}) & set(sys.modules)))"
         assert _fresh_python(code).strip() == "[]", module
+
+
+def test_library_imports_scipy_linalg_alone():
+    # the shooting oracle, the one user of scipy.integrate and
+    # scipy.optimize, lives with the tests
+    found = set()
+    for path in Path(alphasphere.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found.add(node.module)
+    assert found == {"scipy.linalg"}
 
 
 def test_dilation_table_loads_no_scipy():
@@ -708,7 +723,7 @@ def test_shoot_validates_slope():
 
 def test_shoot_reports_failure(monkeypatch):
     # two bracket expansions fail as 60 do, without 58 more blown-up shots
-    monkeypatch.setattr(alphasphere.radial, "_SHOOT_EXPAND", 2)
+    monkeypatch.setattr(shooting, "_SHOOT_EXPAND", 2)
     with pytest.raises(ShootFailedError) as info:
         shoot_radial(1.2, 3, 1e-6)
     assert info.value.last_r > 0.0
