@@ -3,7 +3,8 @@
 Commands
 --------
 dilation-table  closed-form dilation energies, excess values and bound
-                verdicts over alpha x lambda
+                verdicts over alpha x lambda; its G and Gprime columns are
+                G(sigma) and dG/dsigma at sigma = (alpha - 1) log lambda
 energy          energy/degree report for a named map
 radial-solve    rotationally symmetric minimisation: the --alpha list is one
                 warm-started chain per (n, N) pair, with one row per step,
@@ -148,7 +149,7 @@ def _cmd_dilation_table(cfg: dict) -> tuple[list[str], list[dict], bool]:
             row = {"alpha": alpha, "lambda": lam, "e_alpha": res.value,
                    "xi": res.xi, "G": res.G}
             if alpha > 1.0:
-                row["Gprime"] = en.G_and_Gprime(alpha, abs(res.sigma))[1]
+                row["Gprime"] = math.copysign(en.Gprime(alpha, abs(res.sigma)), res.sigma)
             # a verdict cell stays empty where its checker's regime excludes the row
             checks: dict[str, en.BoundCheck] = {}
             try:

@@ -22,9 +22,10 @@ xi = E_alpha(m_lam) - 2^(2 alpha + 1) pi is computed cancellation-free from
     (cosh t)^alpha cosh(beta t) - cosh t
         = cosh(t) * expm1(beta log cosh t + log cosh(beta t)),
 
-so xi is accurate in absolute terms even for lam barely above 1.  G', the
-derivative of the dilation energy in log lam up to the factor
-beta * 2^(2 alpha + 1) pi, is the independent quadrature
+so xi is accurate in absolute terms even for lam barely above 1; G is
+dilation_energy(alpha, lam).G and comes from this excess quadrature alone.
+G', the derivative of the dilation energy in log lam up to the factor
+beta * 2^(2 alpha + 1) pi, is the independent route, its own quadrature
 
     G'(sigma) = cosh(sigma/beta) / (beta sinh^2(sigma/beta))
                 * int_0^sigma sinh(s/beta) (cosh(s/beta))^(beta-1)
@@ -62,7 +63,7 @@ __all__ = [
     "energy_report",
     "e_alpha_lambda",
     "dilation_energy",
-    "G_and_Gprime",
+    "Gprime",
     "check_xi_lower_bounds",
     "check_growth",
     "d_energy_d_loglambda",
@@ -76,7 +77,7 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)   # exp overflows exactly above this
 _XI_REL_TOL = 1e-12       # quadrature tolerance of the excess xi
-_GPRIME_REL_TOL = 1e-11   # quadrature tolerance of the pair G, G'
+_GPRIME_REL_TOL = 1e-11   # quadrature tolerance of G'
 _FLOOR_TOL = 1e-8         # quadrature slack of energy_report's degree-one floor check
 
 
@@ -183,7 +184,7 @@ def _exp_or_inf(x: float) -> float:
     return math.inf if x > _LOG_MAX else math.exp(x)
 
 
-def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
+def _log_excess_ratio(alpha: float, tau: float) -> float:
     """log(G(sigma) - 1) for tau = |log lam|, computed without cancellation;
     finite for every finite tau > 0, and a lower bound on it past _LOG_MAX."""
     beta = alpha - 1.0
@@ -203,7 +204,7 @@ def _log_excess_ratio(alpha: float, tau: float, rel_tol: float) -> float:
 
     lc = _log_cosh_scalar(tau)
     g = beta * lc + _log_cosh_scalar(beta * tau)
-    return _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)), tau, rel_tol,
+    return _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)), tau, _XI_REL_TOL,
                             -_log_sinh_scalar(tau))
 
 
@@ -221,31 +222,27 @@ def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
     tau = math.log(lam)
     beta = alpha - 1.0
     base = energy_floor(alpha)
-    log_excess = _log_excess_ratio(alpha, abs(tau), _XI_REL_TOL)
+    log_excess = _log_excess_ratio(alpha, abs(tau))
     ratio = _exp_or_inf(log_excess)
     xi = base * ratio
     return DilationEnergyResult(alpha=alpha, lam=lam, tau=tau, sigma=beta * tau, beta=beta,
                                 value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
 
 
-def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
-    """Normalised dilation-energy profile G and its derivative at sigma.
-
-    G comes from the excess quadrature at tau = sigma/beta; G' from its own
-    integral representation, so the pair provides two independent routes
-    whose consistency is a finite-difference test away.  Requires
-    1 < alpha < inf (the change of variables degenerates at beta = 0) and
-    0 <= sigma < inf.
-    """
+def Gprime(alpha: float, sigma: float) -> float:
+    """G'(sigma), the derivative of the normalised dilation-energy profile
+    G = dilation_energy(alpha, e^(sigma/beta)).G, by its own integral: a
+    route independent of the excess quadrature that gives G, so their
+    consistency is a finite-difference test away.  Requires 1 < alpha < inf
+    (the change of variables degenerates at beta = 0) and 0 <= sigma < inf."""
     beta = alpha - 1.0
     if not 0.0 < beta < math.inf:
-        raise ValueError("G and G' need finite alpha > 1")
+        raise ValueError("G' needs finite alpha > 1")
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and >= 0")
     if sigma == 0.0:
-        return 1.0, 0.0
+        return 0.0
     x = sigma / beta
-    G = 1.0 + _exp_or_inf(_log_excess_ratio(alpha, x, _GPRIME_REL_TOL))
 
     # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1)
     # sinh(alpha s/beta), with log sinh y = y - log 2 + log(-expm1(-2y))
@@ -255,7 +252,7 @@ def G_and_Gprime(alpha: float, sigma: float) -> tuple[float, float]:
                 + np.log(-np.expm1(-2.0 * sb)) + np.log(-np.expm1(-2.0 * alpha * sb)))
 
     ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
-    return G, _exp_or_inf(_scaled_integral(
+    return _exp_or_inf(_scaled_integral(
         log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x), sigma, _GPRIME_REL_TOL,
         lc - math.log(beta) - 2.0 * ls))
 
@@ -385,8 +382,7 @@ def check_growth(alpha: float, lam: float) -> BoundCheck:
     base = energy_floor(alpha)
     if sigma == 0.0:
         return BoundCheck.compare("growth_dloglam", 0.0, 0.0, regime="sigma_small")
-    _, gprime = G_and_Gprime(alpha, sigma)
-    lhs = beta * base * gprime
+    lhs = beta * base * Gprime(alpha, sigma)
     if sigma <= beta:
         rhs = beta * base * sigma / (3.0 * beta * math.cosh(1.0) ** 2)
         regime = "sigma_small"

@@ -149,11 +149,12 @@ def c04_symmetry_monotonicity(ctx: _Context) -> list[tuple]:
 
 def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
     """Analytic derivatives against finite differences, plus the
-    closed-form derivative identity.  G' meets central differences at steps
-    1e-5 and 5e-6.  d E_(alpha,lam)/d log lam meets the Richardson value
-    (4 D(h/2) - D(h))/3 of central differences D at h = 2e-3, whose O(h^4)
-    truncation and ulp(E)/h roundoff both sit far below the 1e-6 relative
-    bound; roundoff at step 1e-5 broke it when |dE/dlog lam| < 4e-4."""
+    closed-form derivative identity.  G' meets central differences, at steps
+    1e-5 and 5e-6, of the G that dilation_energy reports.  d E_(alpha,lam)/d
+    log lam meets the Richardson value (4 D(h/2) - D(h))/3 of central
+    differences D at h = 2e-3, whose O(h^4) truncation and ulp(E)/h
+    roundoff sit far below the 1e-6 relative bound; roundoff at step 1e-5
+    broke it when |dE/dlog lam| < 4e-4."""
     rows = []
     count = 10 if ctx.settings.quick else 50
     rng = ctx.rng(5)
@@ -162,10 +163,11 @@ def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
         alpha = float(rng.uniform(1.05, 2.0))
         loglam = float(rng.uniform(0.1, 3.0))
         sigma = (alpha - 1.0) * loglam
-        _, gp = en.G_and_Gprime(alpha, sigma)
+        gp = en.Gprime(alpha, sigma)
         for step in (1e-5, 5e-6):
-            gp_fd = ((en.G_and_Gprime(alpha, sigma + step)[0]
-                      - en.G_and_Gprime(alpha, sigma - step)[0]) / (2.0 * step))
+            gp_fd = ((en.dilation_energy(alpha, math.exp((sigma + step) / (alpha - 1.0))).G
+                      - en.dilation_energy(alpha, math.exp((sigma - step) / (alpha - 1.0))).G)
+                     / (2.0 * step))
             worst_g = max(worst_g, abs(gp - gp_fd) / abs(gp_fd))
     rows.append(_at_most("Gprime_vs_fd", worst_g, 1e-6))
 
@@ -192,7 +194,7 @@ def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
         lam = math.exp(float(rng.uniform(0.05, 2.5)))
         lhs = en.d_energy_d_loglambda(ident, alpha, lam, grid_id)
         rhs = ((alpha - 1.0) * en.energy_floor(alpha)
-               * en.G_and_Gprime(alpha, (alpha - 1.0) * math.log(lam))[1])
+               * en.Gprime(alpha, (alpha - 1.0) * math.log(lam)))
         worst_i = max(worst_i, abs(lhs - rhs) / abs(rhs))
     rows.append(_at_most("growth_identity", worst_i, 1e-7))
     return rows

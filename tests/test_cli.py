@@ -421,6 +421,18 @@ def test_energies_past_double_range_read_inf(argv):
     assert row["e_alpha"] == "inf"
 
 
+def test_dilation_Gprime_is_odd_in_log_lambda(capsys):
+    # G is even in sigma = (alpha - 1) log lam, so dG/dsigma is odd
+    code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "1.5",
+                           "--lambda", "0.5,1,2")
+    assert code == 0
+    low, one, high = parse_csv(out)
+    assert low["G"] == high["G"]
+    assert float(high["Gprime"]) > 0.0
+    assert low["Gprime"] == "-" + high["Gprime"]
+    assert one["Gprime"] == "0"
+
+
 def test_dilation_G_is_finite_up_to_double_range(capsys):
     # log(G - 1) = 709.48 here: past 709, short of the overflow at 709.78
     code, out, _ = run_cli(capsys, "dilation-table", "--alpha", "2", "--lambda", "4e154")

@@ -5,7 +5,7 @@ import pytest
 
 from alphasphere import (
     GROWTH_THETA_CONSTANT,
-    G_and_Gprime,
+    Gprime,
     MobiusElement,
     MobiusMap,
     RadialProfile,
@@ -32,6 +32,7 @@ from alphasphere import (
 )
 
 from alphasphere.energy import _LOG_MAX, _exp_or_inf
+from alphasphere.quadrature import adaptive_gauss_legendre
 from shooting import shoot_radial
 from test_mobius import random_element
 
@@ -127,7 +128,7 @@ def test_dilation_energy_log_domain_branch():
 def test_G_log_domain_branch():
     # sigma/beta = 500 forces the log-space route for both quantities;
     # frozen against independent high-precision quadrature
-    G, gp = G_and_Gprime(1.004, 2.0)
+    G, gp = _G(1.004, 2.0), Gprime(1.004, 2.0)
     assert G == pytest.approx(27.506046914892534558, rel=1e-11)
     assert gp == pytest.approx(54.014862578432999629, rel=1e-11)
 
@@ -164,13 +165,18 @@ def test_dilation_energy_validates():
 
 # ----------------------------------------------------------- G, G prime
 
+def _G(alpha, sigma):
+    """G(sigma), read from the dilation energy at lam = e^(sigma/beta)."""
+    return dilation_energy(alpha, math.exp(sigma / (alpha - 1.0))).G
+
+
 def test_G_basepoint():
-    assert G_and_Gprime(1.4, 0.0) == (1.0, 0.0)
+    assert (_G(1.4, 0.0), Gprime(1.4, 0.0)) == (1.0, 0.0)
 
 
 def test_G_spot_value():
     # frozen against independent high-precision quadrature
-    G, Gp = G_and_Gprime(1.4, 0.8)
+    G, Gp = _G(1.4, 0.8), Gprime(1.4, 0.8)
     assert G == pytest.approx(1.561086457946803821, rel=1e-10)
     assert Gp == pytest.approx(1.8441575083947459866, rel=1e-10)
 
@@ -178,7 +184,7 @@ def test_G_spot_value():
 def test_Gprime_positive_on_grid():
     for a in (1.1, 1.5, 2.0):
         for s in np.linspace(0.05, 4.0, 25):
-            assert G_and_Gprime(a, float(s))[1] > 0.0
+            assert Gprime(a, float(s)) > 0.0
 
 
 def test_Gprime_matches_finite_difference():
@@ -189,30 +195,47 @@ def test_Gprime_matches_finite_difference():
     cases += [(1.5, 174.9), (1.5, 175.1), (2.0, 229.9), (2.0, 230.1),
               (2.0, 349.9), (2.0, 350.1)]
     for a, s in cases:
-        _, gp = G_and_Gprime(a, s)
+        gp = Gprime(a, s)
         d = 1e-5
-        fd = (G_and_Gprime(a, s + d)[0] - G_and_Gprime(a, s - d)[0]) / (2.0 * d)
+        fd = (_G(a, s + d) - _G(a, s - d)) / (2.0 * d)
         assert abs(gp - fd) < 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("call", [lambda: dilation_energy(1.4, math.e ** 2),
+                                  lambda: Gprime(1.4, 0.8),
+                                  lambda: check_growth(1.5, math.e)],
+                         ids=["dilation_energy", "Gprime", "check_growth"])
+def test_one_quadrature_per_dilation_quantity(monkeypatch, call):
+    # G and G' each come from one route, so no call computes the other
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_gauss_legendre(*args, **kwargs)
+
+    monkeypatch.setattr("alphasphere.energy.adaptive_gauss_legendre", counting)
+    call()
+    assert len(calls) == 1
 
 
 def test_G_rejects_alpha_one():
     with pytest.raises(ValueError):
-        G_and_Gprime(1.0, 0.5)
+        Gprime(1.0, 0.5)
     for alpha, sigma in ((math.nan, 0.5), (math.inf, 0.5), (1.5, math.nan),
                          (1.5, math.inf), (1.5, -0.5)):
         with pytest.raises(ValueError):
-            G_and_Gprime(alpha, sigma)
+            Gprime(alpha, sigma)
 
 
 def test_Gprime_finite_for_large_exponent():
     # exercises the log-domain switch where sinh(s/beta) sinh(alpha s/beta)
     # alone would overflow doubles
     a, s = 3.0, 340.0
-    G, gp = G_and_Gprime(a, s)
+    G, gp = _G(a, s), Gprime(a, s)
     assert math.isfinite(G) and math.isfinite(gp) and gp > 0.0
-    _, gp25 = G_and_Gprime(2.5, 3.0)
+    gp25 = Gprime(2.5, 3.0)
     d = 1e-5
-    fd = (G_and_Gprime(2.5, 3.0 + d)[0] - G_and_Gprime(2.5, 3.0 - d)[0]) / (2 * d)
+    fd = (_G(2.5, 3.0 + d) - _G(2.5, 3.0 - d)) / (2 * d)
     assert abs(gp25 - fd) < 1e-6 * fd
 
 
@@ -322,7 +345,7 @@ def test_dilation_far_past_double_range_is_inf(alpha):
     for tau in (15.0, 50.0):
         res = dilation_energy(alpha, math.exp(tau))
         assert res.value == res.xi == res.G == math.inf
-        assert G_and_Gprime(alpha, res.sigma) == (math.inf, math.inf)
+        assert Gprime(alpha, res.sigma) == math.inf
 
 
 # --------------------------------------------------- log lam derivative
@@ -334,7 +357,7 @@ def test_d_loglam_identity_at_lam1(grid):
 def test_d_loglam_identity_matches_growth_display(grid):
     for a, lam in ((1.2, 2.0), (1.7, 5.0)):
         lhs = d_energy_d_loglambda(identity_map(), a, lam, grid)
-        rhs = (a - 1.0) * energy_floor(a) * G_and_Gprime(a, (a - 1.0) * math.log(lam))[1]
+        rhs = (a - 1.0) * energy_floor(a) * Gprime(a, (a - 1.0) * math.log(lam))
         assert abs(lhs - rhs) < 1e-7 * abs(rhs)
 
 

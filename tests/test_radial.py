@@ -15,6 +15,7 @@ import alphasphere
 from alphasphere import (
     RadialProfile,
     annulus_split,
+    dilation_energy,
     energy_floor,
     load_profile,
     minimize_radial,
@@ -272,6 +273,38 @@ def test_minimize_n1_recovers_rotation():
     assert res.residual_sup < 1e-6
     assert res.degree_int == 1
     assert np.max(np.abs(res.profile.fs - res.profile.rs)) < 1e-8
+
+
+def _dilation_profile(lam, N):
+    """f_lam = 2 arctan(lam tan(r/2)), the radial profile of the dilation m_lam."""
+    return RadialProfile.from_function(1, N, lambda r: 2.0 * np.arctan(lam * np.tan(0.5 * r)))
+
+
+@pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 2.0])
+def test_dilation_profile_energy_matches_closed_form(alpha, lam):
+    # a third route to E_alpha(m_lam): the cell quadrature of the profile,
+    # converging like h^4 because f_lam is not critical
+    exact = dilation_energy(alpha, lam).value
+    gap = {N: abs(radial_energy(_dilation_profile(lam, N), alpha) - exact) / exact
+           for N in (4000, 16000)}
+    assert gap[16000] <= 1e-8
+    if lam == 100.0:
+        assert 150.0 <= gap[4000] / gap[16000] <= 400.0
+
+
+@pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 2.0])
+def test_dilation_profile_descends_to_the_rotation(alpha, lam):
+    # a nontrivial dilation is not alpha-critical: Newton from f_lam ends
+    # at the rotation f = r, on the energy floor
+    res = minimize_radial(alpha, 1, 4000, init=_dilation_profile(lam, 4000))
+    assert res.converged
+    assert np.max(np.abs(res.profile.fs - res.profile.rs)) <= 1e-7
+    floor = energy_floor(alpha)
+    assert abs(res.energy - floor) / floor <= 1e-14
+    hist = np.array(res.history)
+    assert np.all(np.diff(hist) <= 4.0 * np.spacing(hist[:-1]))
 
 
 def test_minimize_preserves_endpoints(n3_solve):

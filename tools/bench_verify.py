@@ -14,9 +14,10 @@ HEAD`` measures uncommitted work against its base):
 
 - traced (``--trace 1``) once per seed in ``TRACE_SEEDS``, for the
   workload's per-layer metrics: the per-criterion times and the
-  maps/mobius/quadrature counts for verify, the per-size solve medians and
-  the Newton, energy and residual times for the radial ladder, the
-  Newton iterations per solve and their cost for the continuation chains;
+  maps/mobius/energy/quadrature counts for verify, the per-size solve
+  medians and the Newton, energy and residual times for the radial
+  ladder, the Newton iterations per solve and their cost for the
+  continuation chains;
 - untraced (``--trace 0``) once per seed in ``E2E_SEEDS``, for the
   end-to-end metrics that BENCHMARK.json declares.
 
@@ -44,7 +45,8 @@ E2E_SEEDS = list(range(11, 21))
 TOPICS = {
     "verify": ("verify", (*(f"verification.c{i:02d}_s" for i in range(1, 13)),
                           "maps.calls", "maps.points", "maps.self_s", "maps.points_per_s",
-                          "mobius.calls", "mobius.self_s", "quadrature.calls",
+                          "mobius.calls", "mobius.self_s", "energy.calls", "energy.self_s",
+                          "quadrature.calls",
                           "quadrature.integrand_calls", "quadrature.integrand_points",
                           "quadrature.self_s")),
     "radial-ladder": ("radial", (*(f"radial.N{N}_p50_s" for N in (1000, 2000, 4000, 8000,
