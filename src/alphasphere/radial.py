@@ -27,9 +27,11 @@ which the k pi crossings and the 2-d map read as well.
 The module provides the energy and the energies of the windows between the
 k pi crossings, a finite-difference residual for the above equation and a
 direct minimiser over nodal values (damped Newton with a banded Cholesky
-solve, Armijo backtracking and analytic discrete derivatives).  Importing
-it loads numpy alone: scipy.linalg, its only scipy module, loads on the
-first Newton step.
+solve, Armijo backtracking and analytic discrete derivatives).  A grid's
+geometry is built once per N and shared read-only, a solve writes its own
+workspace, and every sine comes from the half-angle tangent.  Importing it
+loads numpy alone: scipy.linalg, its only scipy module, loads on the first
+Newton step.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
         lo, hi = cuts[cuts[:, 1] > cuts[:, 0]].T[:, :, None]   # (panels, 1) each
         xg = lo + (hi - lo) * disc.t
         f, fp = profile.value_and_slope(xg)
-        s = np.sin(xg)
-        dens = (2.0 + fp * fp + (np.sin(f) / s) ** 2) ** alpha * s
+        s = _sincos(xg)[0]
+        dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
         out.append(float(np.sum(cells[i:j]) + _PI * np.sum(disc.w * dens * (hi - lo))))
     return out
 
@@ -207,16 +209,14 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     turns their O(h^2) slope error into an O(h) boundary artefact that
     swamps the residual of steep solutions.
     """
-    fs, rs, h = profile.fs, profile.rs, profile.h
-    ext = _reflect(fs, profile.n, 2)
-    f = fs[1:-1]
-    r = rs[1:-1]
-    i = np.arange(1, len(fs) - 1) + 2  # index of f_i inside ext
-    fp = (-ext[i + 2] + 8.0 * ext[i + 1] - 8.0 * ext[i - 1] + ext[i - 2]) / (12.0 * h)
-    fpp = (-ext[i + 2] + 16.0 * ext[i + 1] - 30.0 * ext[i]
-           + 16.0 * ext[i - 1] - ext[i - 2]) / (12.0 * h * h)
-    s, c = np.sin(r), np.cos(r)
-    sf, cf = np.sin(f), np.cos(f)
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("alpha must be >= 1")
+    fs, h = profile.fs, profile.h
+    e = _reflect(fs, profile.n, 1)   # e[k:k + N - 1] is f_{k-1} .. f_{k+N-3}
+    fp = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
+    fpp = (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
+    s, c = _geometry(profile.N)[8:]
+    sf, cf = _sincos(fs[1:-1])
     W = fp * fp + (sf / s) ** 2
     Wp = 2.0 * fp * fpp + 2.0 * sf * cf * fp / (s * s) - 2.0 * sf * sf * c / (s ** 3)
     return fpp + (c / s) * fp - sf * cf / (s * s) + (alpha - 1.0) * fp * Wp / (2.0 + W)
@@ -241,13 +241,52 @@ def _cubic(f0, f1, f2, f3, t):
     return (1.0 - t) * f1 + t * f2 + w * q, f2 - f1 + (2.0 * t - 1.0) * q + w * q1
 
 
+@functools.lru_cache(maxsize=16)
+def _geometry(N: int) -> tuple:
+    """The read-only grid data of the discretisation on N cells: t, w, B, Bp,
+    Dp, table, inv_sin2 and wgt, then sin r and cos r at the interior nodes."""
+    h = _PI / N
+    x, w = _rule(_GL_ORDER)
+    t, w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
+    # the local cubic's Lagrange basis: row k is the cubic through the
+    # k-th unit vector of nodes, at the Gauss points; shape (4, G)
+    B, Bp = _cubic(*np.eye(4)[:, :, None], t)
+    # the rows of Bp sum to zero, so F @ Bp = diff(F) @ Dp with
+    # Dp[j] = sum of Bp[k] over k > j; node differences keep the
+    # slope's roundoff at eps |f'| rather than eps |f| / h
+    Dp = np.cumsum(Bp[::-1], axis=0)[-2::-1]
+    # hessian_band's basis products at a block's entries k <= l
+    Bq, (k, l) = Bp / h, np.triu_indices(4)
+    table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
+    rs = np.linspace(0.0, _PI, N + 1)
+    sin_xg = _sincos(rs[:-1] + h * t[:, None])[0]
+    out = (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg), _PI * h * w[:, None] * sin_xg,
+           *_sincos(rs[1:-1]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _sincos(x, out=None):
+    """sin x and cos x as 2t/(1+t^2) and (1-t^2)/(1+t^2), t = tan(x/2): numpy
+    vectorises tan, not sin and cos.  sin is within 2 ulp, cos within 2 eps.
+    ``out`` holds arrays shaped like x for sin, cos and scratch (may be x)."""
+    s, c, u = np.empty((3, *np.shape(x))) if out is None else out
+    t = np.tan(np.multiply(x, 0.5, out=s), out=s)
+    q = np.divide(1.0, np.add(np.multiply(t, t, out=u), 1.0, out=c), out=c)
+    np.subtract(1.0, u, out=u)
+    np.multiply(np.multiply(t, 2.0, out=t), q, out=t)
+    return s, np.multiply(q, u, out=c)
+
+
 class _DiscreteEnergy:
     """Cell-based discretisation of I(f), the per-cell Gauss quadrature of
     the local cubic described above.  Value, gradient and Hessian are exact
     derivatives of one another, which makes the gradient stopping rule
     trustworthy; the Hessian is seven-banded, so Newton steps cost O(N).
 
-    One instance serves one solve, with one workspace of (G, N) planes, G
+    Every instance on N cells reads one read-only geometry (_geometry); one
+    instance serves one solve, with its own workspace of (G, N) planes, G
     Gauss points by N cells, that every evaluation writes in place: five
     hold the last profile's fields, kept under a copy of its values (arrays
     change in place) so that an accepted iterate's Hessian and degree reuse
@@ -256,26 +295,9 @@ class _DiscreteEnergy:
     """
 
     def __init__(self, alpha: float, n: int, N: int):
-        self.alpha = alpha
-        self.n = n
-        self.N = N
-        self.h = _PI / N
-        x, w = _rule(_GL_ORDER)
-        self.t, self.w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
-        # the local cubic's Lagrange basis: row k is the cubic through the
-        # k-th unit vector of nodes, at the Gauss points; shape (4, G)
-        self.B, self.Bp = _cubic(*np.eye(4)[:, :, None], self.t)
-        # the rows of Bp sum to zero, so F @ Bp = diff(F) @ Dp with
-        # Dp[j] = sum of Bp[k] over k > j; node differences keep the
-        # slope's roundoff at eps |f'| rather than eps |f| / h
-        self.Dp = np.cumsum(self.Bp[::-1], axis=0)[-2::-1]
-        xg = np.linspace(0.0, _PI, N + 1)[:-1] + self.h * self.t[:, None]
-        sin_xg = np.sin(xg)
-        self.inv_sin2 = 1.0 / (sin_xg * sin_xg)
-        self.wgt = _PI * self.h * self.w[:, None] * sin_xg
-        # hessian_band's basis products at a block's entries k <= l
-        B, Bq, (k, l) = self.B, self.Bp / self.h, np.triu_indices(4)
-        self.table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
+        self.alpha, self.n, self.N, self.h = alpha, n, N, _PI / N
+        (self.t, self.w, self.B, self.Bp, self.Dp, self.table,
+         self.inv_sin2, self.wgt) = _geometry(N)[:8]
         self._work = np.empty((12, len(self.t), N))
         self._key = None
 
@@ -292,11 +314,11 @@ class _DiscreteEnergy:
         np.matmul(self.B.T, window(fe, 4).T, out=fc)
         np.matmul(self.Dp.T, window(np.diff(fe), 3).T, out=fp)
         fp /= self.h
-        np.sin(fc, out=sf)
+        _, cf = _sincos(fc, out=(sf, tmp, fc))
+        np.multiply(np.multiply(sf, 2.0, out=dW_df), cf, out=dW_df)
+        dW_df *= self.inv_sin2
         np.multiply(fp, fp, out=W)
         W += np.multiply(np.multiply(sf, sf, out=tmp), self.inv_sin2, out=tmp)
-        np.multiply(np.multiply(sf, 2.0, out=dW_df), np.cos(fc, out=tmp), out=dW_df)
-        dW_df *= self.inv_sin2
         np.add(W, 2.0, out=core)
         core **= self.alpha - 1.0
         self._key = fs.copy()

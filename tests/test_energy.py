@@ -28,6 +28,7 @@ from alphasphere import (
     norm_grad_log_chi_L2,
     pullback,
     radial_energy,
+    radial_residual,
     window_energies,
 )
 
@@ -421,6 +422,7 @@ def _guarded_calls():
         "eaclose_gap:lam": lambda x: eaclose_gap(u, 1.5, x, grid),
         "window_energies": lambda x: window_energies(p, x, (0.0, math.pi)),
         "radial_energy": lambda x: radial_energy(p, x),
+        "radial_residual": lambda x: radial_residual(p, x),
         "minimize_radial": lambda x: minimize_radial(x, 3, 1000),
         "shoot_radial:alpha": lambda x: shoot_radial(x, 1, 1.0),
         "shoot_radial:slope0": lambda x: shoot_radial(1.4, 1, x),

@@ -24,7 +24,7 @@ from alphasphere import (
     save_profile,
     window_energies,
 )
-from alphasphere.radial import _crossings, _DiscreteEnergy, _newton_direction
+from alphasphere.radial import _crossings, _DiscreteEnergy, _geometry, _newton_direction, _sincos
 
 import shooting
 from shooting import ShootFailedError, shoot_radial
@@ -556,6 +556,41 @@ def test_fields_of_an_earlier_profile_are_never_reused():
     assert np.array_equal(disc.hessian_band(b.copy()), fresh(b)[0])
 
 
+def test_sincos_matches_libm():
+    # sin and cos from the half-angle tangent, against numpy's libm sin and
+    # cos: sin to a few ulp, cos to a few eps absolute (its relative error
+    # grows where cos vanishes, but it enters only through products)
+    x = np.random.default_rng(7).uniform(-math.pi, 6 * math.pi, 100_000)
+    s, c = _sincos(x)
+    assert np.max(np.abs(s - np.sin(x)) / np.spacing(np.abs(np.sin(x)))) <= 8
+    assert np.max(np.abs(c - np.cos(x))) <= 4 * np.finfo(float).eps
+    nodes = np.array([0.0, math.pi, 2 * math.pi])
+    s, c = _sincos(nodes)
+    assert np.max(np.abs(s - np.sin(nodes)) / np.spacing(np.abs(np.sin(nodes)))) <= 8
+    assert np.max(np.abs(c - np.cos(nodes))) <= 4 * np.finfo(float).eps
+    # into given arrays, the scratch one being x itself, with the same bits
+    out = (np.empty_like(x), np.empty_like(x), x.copy())
+    got = _sincos(out[2], out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert all(np.array_equal(g, want) for g, want in zip(got, _sincos(x)))
+
+
+def test_geometry_is_built_once_per_grid_and_read_only():
+    N = 300
+    a, b = _DiscreteEnergy(1.2, 3, N), _DiscreteEnergy(2.0, 1, N)
+    names = ("t", "w", "B", "Bp", "Dp", "table", "inv_sin2", "wgt")
+    for name in names:
+        assert getattr(a, name) is getattr(b, name), name
+    geometry = _geometry(N)
+    for arr in geometry:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    _geometry.cache_clear()
+    rebuilt = _geometry(N)
+    assert all(x is not y and np.array_equal(x, y) for x, y in zip(rebuilt, geometry))
+    assert _DiscreteEnergy(1.2, 3, N).wgt is rebuilt[7]
+
+
 def _plain_evaluation(disc, fs):
     """Value, gradient and band from allocating numpy expressions in the
     order the in-place workspace code must keep, as the reference."""
@@ -563,9 +598,11 @@ def _plain_evaluation(disc, fs):
     fe = np.concatenate(([-fs[1]], fs, [2.0 * disc.n * math.pi - fs[-2]]))
     fc = disc.B.T @ window(fe, 4).T
     fp = (disc.Dp.T @ window(np.diff(fe), 3).T) / disc.h
-    sf = np.sin(fc)
+    t = np.tan(fc * 0.5)   # sin and cos from the half-angle tangent
+    q = 1.0 / (t * t + 1.0)
+    sf, cf = t * 2.0 * q, (1.0 - t * t) * q
     W = fp * fp + sf * sf * disc.inv_sin2
-    b = 2.0 * sf * np.cos(fc) * disc.inv_sin2
+    b = 2.0 * sf * cf * disc.inv_sin2
     core = (2.0 + W) ** (disc.alpha - 1.0)
     val = float(np.sum(disc.wgt * core * (2.0 + W)))
     A = disc.alpha * core * disc.wgt

@@ -17,7 +17,16 @@ any checkout):
   and solves a fresh copy of the band in place, as ``_newton_direction``
   calls it (the copy is made outside the timed call);
 - line search: one trial step as the solver makes it (copy, step, value
-  and gradient of the new profile, Armijo test).
+  and gradient of the new profile, Armijo test);
+- sine and cosine: ``_sincos`` of the minimiser's values at the (G, N)
+  Gauss points into given arrays, as ``_DiscreteEnergy`` calls it, next to
+  ``np.sin`` plus ``np.cos`` (libm) of the same points into the same arrays;
+- instance set-up: ``_DiscreteEnergy(alpha, n, N)``, once with the grid
+  geometry's cache cleared before each call (a first solve on N cells) and
+  once with it warm (every later solve on N cells).
+
+A checkout without ``_sincos`` and the geometry cache prints the libm sine
+and cosine alone and times its set-up as cold.
 
 Prints, for each piece, the median over ``REPEATS`` calls in ms and the
 minor page faults per call (``resource.getrusage().ru_minflt`` read around
@@ -41,6 +50,11 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from alphasphere.radial import RadialProfile, _DiscreteEnergy, minimize_radial
+
+try:   # checkouts before the shared geometry have neither
+    from alphasphere.radial import _geometry, _sincos
+except ImportError:
+    _geometry = _sincos = None
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 
@@ -84,6 +98,16 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         tval, _ = disc.value_and_grad(t)
         return tval <= val + 1e-4 * steps[0] * gd
 
+    points = res.profile.value(res.profile.rs[:-1] + disc.h * disc.t[:, None])
+    sin, cos, scratch = np.empty((3, *points.shape))
+
+    def libm():
+        np.sin(points, out=sin)
+        np.cos(points, out=cos)
+
+    def make():
+        _DiscreteEnergy(ALPHA, N_WIND, N)
+
     def solve():
         minimize_radial(ALPHA, N_WIND, N, linear)
 
@@ -99,6 +123,15 @@ def split(N: int) -> dict[str, tuple[float, float]]:
             setup=lambda: np.copyto(spent, ab)),
         "line search": measure(trial),
     }
+    parts["sine and cosine, libm"] = measure(libm)
+    if _sincos is not None:
+        parts["sine and cosine, _sincos"] = measure(
+            lambda: _sincos(points, out=(sin, cos, scratch)))
+    if _geometry is None:
+        parts["instance set-up, cold"] = measure(make)
+    else:
+        parts["instance set-up, cold"] = measure(make, setup=_geometry.cache_clear)
+        parts["instance set-up, warm"] = measure(make)
     solve_ms, solve_faults = measure(solve, repeats=5)
     parts["whole solve, per iteration"] = (solve_ms / res.iterations, solve_faults)
     parts["cold solve, total"] = measure(cold_solve, repeats=5)
@@ -109,7 +142,7 @@ def main() -> int:
     for N in SIZES:
         print(f"N = {N}: median ms, minor page faults per call (per solve for whole solves)")
         for piece, (ms, faults) in split(N).items():
-            print(f"  {piece:<28}{ms:8.2f} ms {faults:9.0f} faults")
+            print(f"  {piece:<30}{ms:8.3f} ms {faults:9.0f} faults")
     return 0
 
 
