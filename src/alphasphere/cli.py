@@ -126,40 +126,33 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
-def _verdict(check: en.BoundCheck | None) -> str | None:
-    if check is None:
-        return None
-    return "pass" if check.passed else "fail"
-
-
 _DILATION_COLUMNS = ["alpha", "lambda", "e_alpha", "xi", "G", "Gprime",
-                     "xi_sigma_large", "xi_sigma_mid", "xi_sigma_small",
-                     "growth"]
+                     "xi_sigma_large", "xi_sigma_mid", "xi_sigma_small", "growth"]
 
 
 def _cmd_dilation_table(cfg: dict) -> tuple[list[str], list[dict], bool]:
     """dilation energies and bound verdicts"""
     if not cfg["alpha"] or not cfg["lambda"]:
         raise ValueError("dilation-table needs --alpha and --lambda")
-    rows = []
-    ok = True
+    rows, ok = [], True
     for alpha in sorted(cfg["alpha"]):
         for lam in sorted(cfg["lambda"]):
             res = en.dilation_energy(alpha, lam)
-            row = {"alpha": alpha, "lambda": lam, "e_alpha": res.value,
-                   "xi": res.xi, "G": res.G}
+            row = {"alpha": alpha, "lambda": lam, "e_alpha": res.value, "xi": res.xi, "G": res.G}
             if alpha > 1.0:
-                row["Gprime"] = math.copysign(en.Gprime(alpha, abs(res.sigma)), res.sigma)
+                gprime = en.Gprime(alpha, abs(res.sigma))
+                row["Gprime"] = math.copysign(gprime, res.sigma)
             # a verdict cell stays empty where its checker's regime excludes the row
             checks: dict[str, en.BoundCheck] = {}
             try:
-                for c in en.check_xi_lower_bounds(alpha, lam):
+                for c in en.check_xi_lower_bounds(res):   # alpha = 1 raises here
                     checks[f"xi_{c.regime}"] = c
-                checks["growth"] = en.check_growth(alpha, lam)
+                checks["growth"] = en.check_growth(alpha, lam, gprime)
             except en.RegimeError:
                 pass
             for column in _DILATION_COLUMNS[6:]:
-                row[column] = _verdict(checks.get(column))
+                c = checks.get(column)
+                row[column] = None if c is None else "pass" if c.passed else "fail"
             ok = ok and all(c.passed for c in checks.values())
             rows.append(row)
     return _DILATION_COLUMNS, rows, ok
@@ -250,13 +243,10 @@ def _cmd_verify(cfg: dict) -> tuple[list[str], list[dict], bool]:
     settings = VerifySettings(seed=cfg["seed"], level=cfg["level"])
     rows = run_criteria(settings, cfg["criteria"], timings)
     ok = all(r.passed for r in rows)
-    counts = {}
-    for r in rows:
-        a, b = counts.get(r.criterion, (0, 0))
-        counts[r.criterion] = (a + r.passed, b + 1)
-    for name in sorted(counts):
-        a, b = counts[name]
-        print(f"{name}: {a}/{b} checks passed ({timings[name]:.2f} s)", file=sys.stderr)
+    for name in sorted(timings):
+        passed = [r.passed for r in rows if r.criterion == name]
+        print(f"{name}: {sum(passed)}/{len(passed)} checks passed ({timings[name]:.2f} s)",
+              file=sys.stderr)
     print(f"verify: {'PASS' if ok else 'FAIL'} "
           f"({sum(r.passed for r in rows)}/{len(rows)} checks)", file=sys.stderr)
     return _COLUMNS, list(map(vars, rows)), ok

@@ -17,29 +17,26 @@ m_lam(zeta) = lam zeta.  On the identity the family has the closed form
                        = 2^(2 alpha + 1) pi * G(sigma),
 
 with beta = alpha - 1 and sigma = beta * tau.  The excess
-xi = E_alpha(m_lam) - 2^(2 alpha + 1) pi is computed cancellation-free from
+xi = E_alpha(m_lam) - 2^(2 alpha + 1) pi is integrated cancellation-free as
 
     (cosh t)^alpha cosh(beta t) - cosh t
         = cosh(t) * expm1(beta log cosh t + log cosh(beta t)),
 
-so xi is accurate in absolute terms even for lam barely above 1; G is
-dilation_energy(alpha, lam).G and comes from this excess quadrature alone.
-G', the derivative of the dilation energy in log lam up to the factor
-beta * 2^(2 alpha + 1) pi, is the independent route, its own quadrature
+so xi is accurate in absolute terms even for lam barely above 1, and
+dilation_energy(alpha, lam).G comes from it alone.  G', the derivative of
+the dilation energy in log lam up to the factor beta * 2^(2 alpha + 1) pi,
+is the independent route, its own quadrature
 
     G'(sigma) = cosh(sigma/beta) / (beta sinh^2(sigma/beta))
                 * int_0^sigma sinh(s/beta) (cosh(s/beta))^(beta-1)
                               sinh(alpha s / beta) ds.
 
-Both integrands are positive and increasing on their intervals.  Each is
-evaluated as a log, divided by its value at the right end, which keeps
-every value in (0, 1] however large sigma is, and integrated in linear
-space; the log of the divisor is added back afterwards.  The module also
-carries the explicit lower-bound constants for xi ((e^2 - e - 2)/(2 e^4)
-when sigma >= 2, 1/(6 cosh^2 1) when log lam <= 1, and for the growth of G'
-between those regimes the maximum of tanh(theta)(1 - cosh(theta)/sinh 1),
-which lies where cosh^3 theta = sinh 1 and equals
-(1 - sinh(1)^(-2/3))^(3/2)).
+Both integrands are positive and increasing.  Both quantities take an array
+of tau (sigma), whose integrals are prefixes of one: one quadrature pass
+returns them all, each segment given as a log and divided by the
+integrand's value at its own right end, which keeps every value in (0, 1]
+however large sigma is.  The explicit lower-bound constants are those of
+check_xi_lower_bounds and check_growth.
 """
 
 from __future__ import annotations
@@ -55,23 +52,10 @@ from .maps import MapEvaluator, QuadratureGrid, degree
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
-    "RegimeError",
-    "DilationEnergyResult",
-    "BoundCheck",
-    "EnergyReport",
-    "alpha_energy",
-    "energy_report",
-    "e_alpha_lambda",
-    "dilation_energy",
-    "Gprime",
-    "check_xi_lower_bounds",
-    "check_growth",
-    "d_energy_d_loglambda",
-    "eaclose_gap",
-    "energy_floor",
-    "XI_SIGMA_LARGE_CONSTANT",
-    "XI_SIGMA_SMALL_CONSTANT",
-    "GROWTH_THETA_CONSTANT",
+    "RegimeError", "DilationEnergyResult", "BoundCheck", "EnergyReport", "alpha_energy",
+    "energy_report", "e_alpha_lambda", "dilation_energy", "Gprime", "check_xi_lower_bounds",
+    "check_growth", "d_energy_d_loglambda", "eaclose_gap", "energy_floor",
+    "XI_SIGMA_LARGE_CONSTANT", "XI_SIGMA_SMALL_CONSTANT", "GROWTH_THETA_CONSTANT",
 ]
 
 _LOG2 = math.log(2.0)
@@ -95,19 +79,18 @@ def energy_floor(alpha: float) -> float:
     return _pow2(2.0 * alpha + 1.0) * math.pi
 
 
-# explicit lower-bound constants
+# explicit lower-bound constants: of xi for sigma >= 2 and for log lam <= 1, and
+# the max of tanh(t)(1 - cosh(t)/sinh 1), attained where cosh^3 t = sinh 1
 XI_SIGMA_LARGE_CONSTANT = (math.e ** 2 - math.e - 2.0) / (2.0 * math.e ** 4)
 XI_SIGMA_SMALL_CONSTANT = 1.0 / (6.0 * math.cosh(1.0) ** 2)
-
-
-# max of tanh(t)(1 - cosh(t)/sinh 1), attained where cosh^3 t = sinh 1
 GROWTH_THETA_CONSTANT = (1.0 - math.sinh(1.0) ** (-2.0 / 3.0)) ** 1.5
 
 
 @dataclass(frozen=True)
 class DilationEnergyResult:
-    """Dilation energy E_alpha(m_lam) together with its excess over the
-    degree-one floor and the normalised profile G."""
+    """Dilation energy E_alpha(m_lam) together with its excess over the degree-one
+    floor and the normalised profile G; for an array of lam, every field but
+    alpha and beta is an array, and ``res[i]`` is the scalar result at index i."""
 
     alpha: float
     lam: float
@@ -118,6 +101,10 @@ class DilationEnergyResult:
     G: float
     xi: float
     log_excess: float   # log(G - 1), finite where xi overflows
+
+    def __getitem__(self, i) -> "DilationEnergyResult":
+        return DilationEnergyResult(**{k: v if np.ndim(v) == 0 else float(v[i])
+                                       for k, v in vars(self).items()})
 
 
 @dataclass(frozen=True)
@@ -163,37 +150,47 @@ def _log_sinh_scalar(t: float) -> float:
     return t - _LOG2 + math.log(-math.expm1(-2.0 * t))
 
 
-def _scaled_integral(log_f, log_f_end: float, b: float, rel_tol: float,
-                     offset: float) -> float:
-    """offset + log of int_0^b exp(log_f) for an integrand that is positive
-    and increasing on [0, b]: dividing by its value exp(log_f_end) at b keeps
-    every integrand value in (0, 1], so nothing leaves double range.  The
-    integral lies between (b/2) f(b/2) and b f(b); far past double range the
-    quadrature stops converging, so where the lower bound already puts the
-    result past _LOG_MAX it is returned instead: either exponentiates to inf."""
-    if offset + log_f_end + math.log(b) > _LOG_MAX:
-        lower = offset + math.log(0.5 * b) + float(log_f(0.5 * b))
-        if lower > _LOG_MAX:
-            return lower
-    integral = adaptive_gauss_legendre(lambda t: np.exp(log_f(t) - log_f_end),
-                                       0.0, b, rel_tol=rel_tol)
-    return offset + (log_f_end + math.log(integral))
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn at every element of x, by libm as in a scalar call (numpy's differs)."""
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _scaled_integral(log_f, end_terms, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """offset + log of int_0^b exp(log_f) at every element of the positive 1-d
+    array b, with (log_f(b), offset) = end_terms(b) by libm, for an integrand
+    positive and increasing on [0, max b], by one prefix pass of the
+    quadrature.  Far past double range it stops converging, so where the
+    integral's lower bound (b/2) f(b/2) already puts the result past _LOG_MAX,
+    that bound is returned instead: either exponentiates to inf."""
+    order = np.argsort(b)
+    ends = b[order]
+    log_end, offset = np.array([end_terms(x) for x in ends.tolist()]).reshape(-1, 2).T
+    res = offset + log_end + np.log(ends)
+    far = res > _LOG_MAX
+    if far.any():
+        res[far] = offset[far] + np.log(0.5 * ends[far]) + log_f(0.5 * ends[far])
+        far &= res > _LOG_MAX
+    if not far.all():
+        scaled = adaptive_gauss_legendre(log_f, 0.0, ends[~far], rel_tol=rel_tol,
+                                         log_scale=log_end[~far])
+        res[~far] = offset[~far] + (log_end[~far] + _each(math.log, scaled))
+    return res[np.argsort(order)]
 
 
 def _exp_or_inf(x: float) -> float:
     return math.inf if x > _LOG_MAX else math.exp(x)
 
 
-def _log_excess_ratio(alpha: float, tau: float) -> float:
-    """log(G(sigma) - 1) for tau = |log lam|, computed without cancellation;
-    finite for every finite tau > 0, and a lower bound on it past _LOG_MAX."""
+def _log_excess_ratio(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """log(G(sigma) - 1) at every tau = |log lam| of an array, without
+    cancellation; finite for finite tau > 0, and a lower bound past _LOG_MAX."""
     beta = alpha - 1.0
-    if tau == 0.0 or beta == 0.0:
-        return -math.inf
-    if tau < 1e-6:
-        # quadratic limit: the integrand's curvature at 0 gives
-        # G - 1 = alpha (alpha - 1) tau^2 / 6 + O(tau^4)
-        return math.log(alpha * beta / 6.0) + 2.0 * math.log(tau)
+    out = np.full(tau.shape, -math.inf)
+    if beta == 0.0:
+        return out
+    # quadratic limit, from the integrand's curvature at 0: G - 1 = alpha beta tau^2 / 6 + O(tau^4)
+    small, big = (0.0 < tau) & (tau < 1e-6), tau >= 1e-6
+    out[small] = _each(lambda t: math.log(alpha * beta / 6.0) + 2.0 * math.log(t), tau[small])
 
     # log of cosh(t) expm1(g) with g = beta log cosh t + log cosh(beta t),
     # using log expm1(g) = g + log(-expm1(-g))
@@ -202,14 +199,19 @@ def _log_excess_ratio(alpha: float, tau: float) -> float:
         g = beta * lc + _log_cosh(beta * t)
         return lc + g + np.log(-np.expm1(-g))
 
-    lc = _log_cosh_scalar(tau)
-    g = beta * lc + _log_cosh_scalar(beta * tau)
-    return _scaled_integral(log_phi, lc + g + math.log(-math.expm1(-g)), tau, _XI_REL_TOL,
-                            -_log_sinh_scalar(tau))
+    def end_terms(t: float) -> tuple[float, float]:   # log phi(t), -log sinh(t)
+        lc = _log_cosh_scalar(t)
+        g = beta * lc + _log_cosh_scalar(beta * t)
+        return lc + g + math.log(-math.expm1(-g)), -_log_sinh_scalar(t)
+
+    out[big] = _scaled_integral(log_phi, end_terms, tau[big], _XI_REL_TOL)
+    return out
 
 
-def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
-    """Closed-form energy of the dilation zeta -> lam zeta.
+@np.errstate(over="ignore", invalid="ignore")   # inf and nan, silently as in float arithmetic
+def dilation_energy(alpha: float, lam) -> DilationEnergyResult:
+    """Closed-form energy of the dilation zeta -> lam zeta, at one lam or,
+    from one quadrature pass, at every lam of an array.
 
     Symmetric in lam <-> 1/lam by construction (only |log lam| enters);
     equals 2^(2 alpha + 1) pi exactly at lam = 1 and for alpha = 1 at
@@ -217,32 +219,31 @@ def dilation_energy(alpha: float, lam: float) -> DilationEnergyResult:
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 1")
-    if not 0.0 < lam < math.inf:
+    lams = np.array(lam, dtype=float, ndmin=1)   # a copy, kept by the result
+    if not ((0.0 < lams) & (lams < math.inf)).all():
         raise ValueError("lam must be finite and positive")
-    tau = math.log(lam)
-    beta = alpha - 1.0
-    base = energy_floor(alpha)
-    log_excess = _log_excess_ratio(alpha, abs(tau))
-    ratio = _exp_or_inf(log_excess)
+    tau, beta, base = _each(math.log, lams), alpha - 1.0, energy_floor(alpha)
+    log_excess = _log_excess_ratio(alpha, np.abs(tau))
+    ratio = _each(_exp_or_inf, log_excess)
     xi = base * ratio
-    return DilationEnergyResult(alpha=alpha, lam=lam, tau=tau, sigma=beta * tau, beta=beta,
-                                value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
+    res = DilationEnergyResult(alpha=alpha, lam=lams, tau=tau, sigma=beta * tau, beta=beta,
+                               value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
+    return res if np.ndim(lam) else res[0]
 
 
-def Gprime(alpha: float, sigma: float) -> float:
+def Gprime(alpha: float, sigma):
     """G'(sigma), the derivative of the normalised dilation-energy profile
     G = dilation_energy(alpha, e^(sigma/beta)).G, by its own integral: a
     route independent of the excess quadrature that gives G, so their
-    consistency is a finite-difference test away.  Requires 1 < alpha < inf
-    (the change of variables degenerates at beta = 0) and 0 <= sigma < inf."""
+    consistency is a finite-difference test away; an array of sigma gives an
+    array.  Requires 1 < alpha < inf (the change of variables degenerates at
+    beta = 0) and 0 <= sigma < inf."""
     beta = alpha - 1.0
     if not 0.0 < beta < math.inf:
         raise ValueError("G' needs finite alpha > 1")
-    if not 0.0 <= sigma < math.inf:
+    sig = np.asarray(sigma, dtype=float)
+    if not ((0.0 <= sig) & (sig < math.inf)).all():
         raise ValueError("sigma must be finite and >= 0")
-    if sigma == 0.0:
-        return 0.0
-    x = sigma / beta
 
     # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1)
     # sinh(alpha s/beta), with log sinh y = y - log 2 + log(-expm1(-2y))
@@ -251,10 +252,14 @@ def Gprime(alpha: float, sigma: float) -> float:
         return (sb + alpha * sb - 2.0 * _LOG2 + (beta - 1.0) * _log_cosh(sb)
                 + np.log(-np.expm1(-2.0 * sb)) + np.log(-np.expm1(-2.0 * alpha * sb)))
 
-    ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
-    return _exp_or_inf(_scaled_integral(
-        log_k, ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x), sigma, _GPRIME_REL_TOL,
-        lc - math.log(beta) - 2.0 * ls))
+    def end_terms(s: float) -> tuple[float, float]:   # log k(s), the prefactor's log
+        x = s / beta
+        ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
+        return ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x), lc - math.log(beta) - 2.0 * ls
+
+    out, pos = np.zeros(sig.shape), sig > 0.0
+    out[pos] = _each(_exp_or_inf, _scaled_integral(log_k, end_terms, sig[pos], _GPRIME_REL_TOL))
+    return float(out) if np.ndim(sigma) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -328,8 +333,9 @@ def d_energy_d_loglambda(u: MapEvaluator, alpha: float, lam: float,
     return grid.integrate(vals)
 
 
-def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
-    """Evaluate the applicable explicit lower bounds on the excess xi.
+def check_xi_lower_bounds(res: DilationEnergyResult) -> list[BoundCheck]:
+    """Evaluate the applicable explicit lower bounds on the excess xi of the
+    scalar dilation energy ``res``.
 
     Large regime (sigma >= 2):   xi >= base * (e^2-e-2)/(2 e^4) * lam^(2a-2)
     Small regime (log lam <= 1): xi >= base * (a-1) (log lam)^2 / (6 cosh^2 1)
@@ -341,12 +347,11 @@ def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
     and finite lam the lower bound of :func:`_scaled_integral` stays below
     360, so that log is the quadrature's value.
     """
-    if not 1.0 < alpha <= 2.0:
+    if not 1.0 < res.alpha <= 2.0:
         raise RegimeError("bounds are stated for 1 < alpha <= 2")
-    if not lam >= 1.0:
+    if not res.lam >= 1.0:
         raise RegimeError("bounds are stated for lam >= 1")
-    res = dilation_energy(alpha, lam)
-    base, beta, tau, sigma, xi = energy_floor(alpha), res.beta, res.tau, res.sigma, res.xi
+    base, beta, tau, sigma, xi = energy_floor(res.alpha), res.beta, res.tau, res.sigma, res.xi
     checks: list[BoundCheck] = []
     if sigma >= 2.0:
         log_gap = res.log_excess - math.log(XI_SIGMA_LARGE_CONSTANT) - 2.0 * sigma
@@ -366,23 +371,23 @@ def check_xi_lower_bounds(alpha: float, lam: float) -> list[BoundCheck]:
     return checks
 
 
-def check_growth(alpha: float, lam: float) -> BoundCheck:
+def check_growth(alpha: float, lam: float, gprime: float) -> BoundCheck:
     """Check the growth of the dilation energy in log lam against the
     explicit derivative bounds: G' >= sigma/(3 beta cosh^2 1) below
-    sigma = beta, and G' >= the optimised theta constant above it."""
+    sigma = beta, and G' >= the optimised theta constant above it; gprime
+    is Gprime(alpha, sigma) at sigma = (alpha - 1) log lam."""
     if not 1.0 < alpha <= 2.0:
         raise RegimeError("growth bound is stated for 1 < alpha <= 2")
     if not lam >= 1.0:
         raise RegimeError("growth bound is stated for lam >= 1")
     beta = alpha - 1.0
-    tau = math.log(lam)
-    sigma = beta * tau
+    sigma = beta * math.log(lam)
     if not 0.0 <= sigma <= 2.0:
         raise RegimeError("growth bound needs 0 <= (alpha-1) log lam <= 2")
     base = energy_floor(alpha)
     if sigma == 0.0:
         return BoundCheck.compare("growth_dloglam", 0.0, 0.0, regime="sigma_small")
-    lhs = beta * base * Gprime(alpha, sigma)
+    lhs = beta * base * gprime
     if sigma <= beta:
         rhs = beta * base * sigma / (3.0 * beta * math.cosh(1.0) ** 2)
         regime = "sigma_small"

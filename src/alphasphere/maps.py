@@ -34,17 +34,8 @@ from .quadrature import _rule
 from .radial import RadialProfile
 
 __all__ = [
-    "NonIntegerDegreeWarning",
-    "MapEvaluator",
-    "MobiusMap",
-    "ConjugationMap",
-    "ConstantMap",
-    "PullbackMap",
-    "RadialMap",
-    "identity_map",
-    "pullback",
-    "QuadratureGrid",
-    "make_grid",
+    "NonIntegerDegreeWarning", "MapEvaluator", "MobiusMap", "ConjugationMap", "ConstantMap",
+    "PullbackMap", "RadialMap", "identity_map", "pullback", "QuadratureGrid", "make_grid",
     "degree",
 ]
 

@@ -38,17 +38,9 @@ import numpy as np
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
-    "DegenerateMatrixError",
-    "SpherePoint",
-    "MobiusElement",
-    "MobiusSVD",
-    "mobius_apply",
-    "mobius_svd",
-    "chi_values",
-    "grad_log_chi",
-    "norm_grad_log_chi_L2",
-    "grad_log_chi_l2_bound",
-    "GRAD_LOG_CHI_L2_REGIME_CONSTANT",
+    "DegenerateMatrixError", "SpherePoint", "MobiusElement", "MobiusSVD", "mobius_apply",
+    "mobius_svd", "chi_values", "grad_log_chi", "norm_grad_log_chi_L2",
+    "grad_log_chi_l2_bound", "GRAD_LOG_CHI_L2_REGIME_CONSTANT",
 ]
 
 _GRAD_LOG_CHI_REL_TOL = 1e-9   # of the quadrature in norm_grad_log_chi_L2

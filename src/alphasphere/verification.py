@@ -111,12 +111,10 @@ def c01_closed_form_vs_direct(ctx: _Context) -> list[tuple]:
 
 def c02_alpha1_conformal(ctx: _Context) -> list[tuple]:
     """At exponent 1 every dilation has energy exactly 8 pi."""
-    rows = []
-    for lam in (1.0, 2.0, 10.0, 100.0, 1e4):
-        v = en.dilation_energy(1.0, lam).value
-        rows.append(_at_most(f"lam={lam}", abs(v - 8.0 * math.pi) / (8.0 * math.pi),
-                             1e-9))
-    return rows
+    lams = (1.0, 2.0, 10.0, 100.0, 1e4)
+    values = en.dilation_energy(1.0, np.array(lams)).value
+    return [_at_most(f"lam={lam}", abs(v - 8.0 * math.pi) / (8.0 * math.pi), 1e-9)
+            for lam, v in zip(lams, values.tolist())]
 
 
 def c03_identity_energy(ctx: _Context) -> list[tuple]:
@@ -131,17 +129,16 @@ def c03_identity_energy(ctx: _Context) -> list[tuple]:
 
 
 def c04_symmetry_monotonicity(ctx: _Context) -> list[tuple]:
-    rows = []
-    npts = 60 if ctx.settings.quick else 200
+    """Dilation energies at lam and 1/lam agree and increase along a grid of
+    tau = log lam; each exponent's values come from one quadrature pass."""
+    rows, npts = [], 60 if ctx.settings.quick else 200
+    lams = np.array([1.5, 7.0, 40.0])
     for alpha in (1.05, 1.5, 2.0):
-        for lam in (1.5, 7.0, 40.0):
-            v1 = en.dilation_energy(alpha, lam).value
-            v2 = en.dilation_energy(alpha, 1.0 / lam).value
-            rows.append(_at_most(f"sym:alpha={alpha},lam={lam}", abs(v1 - v2) / v1,
-                                 1e-10))
         taus = np.linspace(0.0, 20.0 / (alpha - 1.0), npts)
-        vals = np.array([en.dilation_energy(alpha, math.exp(t)).value for t in taus])
-        worst = float(np.min(np.diff(vals) / vals[:-1]))
+        vals = en.dilation_energy(alpha, np.concatenate((lams, 1.0 / lams, np.exp(taus)))).value
+        for lam, v1, v2 in zip(lams.tolist(), vals[:3], vals[3:6]):
+            rows.append(_at_most(f"sym:alpha={alpha},lam={lam}", abs(v1 - v2) / v1, 1e-10))
+        worst = float(np.min(np.diff(vals[6:]) / vals[6:-1]))
         rows.append(_at_least(f"monotone:alpha={alpha}", worst, -1e-12,
                               note="min relative increment"))
     return rows
@@ -150,25 +147,23 @@ def c04_symmetry_monotonicity(ctx: _Context) -> list[tuple]:
 def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
     """Analytic derivatives against finite differences, plus the
     closed-form derivative identity.  G' meets central differences, at steps
-    1e-5 and 5e-6, of the G that dilation_energy reports.  d E_(alpha,lam)/d
-    log lam meets the Richardson value (4 D(h/2) - D(h))/3 of central
-    differences D at h = 2e-3, whose O(h^4) truncation and ulp(E)/h
-    roundoff sit far below the 1e-6 relative bound; roundoff at step 1e-5
-    broke it when |dE/dlog lam| < 4e-4."""
+    1e-5 and 5e-6, of the G that one dilation_energy call reports at the
+    four sigma.  d E_(alpha,lam)/d log lam meets the Richardson value
+    (4 D(h/2) - D(h))/3 of central differences D at h = 2e-3, whose O(h^4)
+    truncation and ulp(E)/h roundoff sit far below the 1e-6 relative bound;
+    roundoff at step 1e-5 broke it when |dE/dlog lam| < 4e-4."""
     rows = []
     count = 10 if ctx.settings.quick else 50
     rng = ctx.rng(5)
-    worst_g = 0.0
+    worst_g, steps = 0.0, np.array([1e-5, 5e-6])
     for _ in range(count):
         alpha = float(rng.uniform(1.05, 2.0))
         loglam = float(rng.uniform(0.1, 3.0))
         sigma = (alpha - 1.0) * loglam
         gp = en.Gprime(alpha, sigma)
-        for step in (1e-5, 5e-6):
-            gp_fd = ((en.dilation_energy(alpha, math.exp((sigma + step) / (alpha - 1.0))).G
-                      - en.dilation_energy(alpha, math.exp((sigma - step) / (alpha - 1.0))).G)
-                     / (2.0 * step))
-            worst_g = max(worst_g, abs(gp - gp_fd) / abs(gp_fd))
+        g = en.dilation_energy(alpha, np.exp((sigma + np.r_[steps, -steps]) / (alpha - 1.0))).G
+        gp_fd = (g[:2] - g[2:]) / (2.0 * steps)
+        worst_g = max(worst_g, float(np.max(np.abs(gp - gp_fd) / np.abs(gp_fd))))
     rows.append(_at_most("Gprime_vs_fd", worst_g, 1e-6))
 
     grid = mp.make_grid(180 if ctx.settings.quick else 320, 48)
@@ -203,29 +198,24 @@ def c05_derivative_consistency(ctx: _Context) -> list[tuple]:
 def c06_explicit_bounds(ctx: _Context) -> list[tuple]:
     """Excess and growth lower bounds with their explicit constants on a
     grid spanning the small and large regimes; every bound evaluation
-    appears as its own row (value = signed margin)."""
-    rows = []
-
-    def add(tag: str, alpha: float, lam: float, c: en.BoundCheck) -> None:
-        rows.append((f"{c.name}:alpha={alpha:.4g},lam={lam:.6g}",
-                     c.margin, 0.0, c.passed, tag))
-
+    appears as its own row (value = signed margin).  Per exponent, the excess
+    rows read one dilation_energy call and the growth rows one Gprime call."""
+    checks = []   # (tag, alpha, lam, BoundCheck)
     n_alpha = 8 if ctx.settings.quick else 20
     n_lam = 4 if ctx.settings.quick else 10
-    for alpha in np.linspace(1.05, 2.0, n_alpha):
-        for loglam in np.linspace(0.0, 1.0, n_lam):
-            lam = math.exp(loglam)
-            for c in en.check_xi_lower_bounds(float(alpha), lam):
-                add("small-regime grid", float(alpha), lam, c)
-        for sigma in np.linspace(2.0, 6.0, n_lam):
-            lam = math.exp(sigma / (alpha - 1.0))
-            for c in en.check_xi_lower_bounds(float(alpha), lam):
-                add("large-regime grid", float(alpha), lam, c)
-        for sigma in np.linspace(0.0, 2.0, n_lam + 1):
-            lam = math.exp(sigma / (alpha - 1.0))
-            add("growth grid", float(alpha), lam,
-                en.check_growth(float(alpha), lam))
-    return rows
+    for alpha in np.linspace(1.05, 2.0, n_alpha).tolist():
+        beta = alpha - 1.0
+        lams = [math.exp(t) for t in np.linspace(0.0, 1.0, n_lam).tolist()]
+        lams += [math.exp(s / beta) for s in np.linspace(2.0, 6.0, n_lam).tolist()]
+        res = en.dilation_energy(alpha, np.array(lams))
+        checks += [("small-regime grid" if k < n_lam else "large-regime grid", alpha, lam, c)
+                   for k, lam in enumerate(lams) for c in en.check_xi_lower_bounds(res[k])]
+        lams = [math.exp(s / beta) for s in np.linspace(0.0, 2.0, n_lam + 1).tolist()]
+        gps = en.Gprime(alpha, np.array([beta * math.log(lam) for lam in lams]))
+        checks += [("growth grid", alpha, lam, en.check_growth(alpha, lam, gp))
+                   for lam, gp in zip(lams, gps.tolist())]
+    return [(f"{c.name}:alpha={alpha:.4g},lam={lam:.6g}", c.margin, 0.0, c.passed, tag)
+            for tag, alpha, lam, c in checks]
 
 
 def c07_grad_log_chi_bound(ctx: _Context) -> list[tuple]:

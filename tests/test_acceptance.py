@@ -4,8 +4,8 @@ criterion (run pytest with -s to see them as they complete)."""
 
 import pytest
 
-from alphasphere import energy, mobius
-from alphasphere.verification import CRITERIA, VerifySettings, _Context
+from alphasphere import energy, mobius, quadrature
+from alphasphere.verification import CRITERIA, VerifySettings, _Context, run_criteria
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +107,24 @@ def test_c11_deformed_energy_gap(ctx):
 
 def test_c12_verify_determinism(ctx):
     _run(ctx, "c12")
+
+
+# adaptive_gauss_legendre calls of the quick battery at seed 2024: measured
+# 124 (c01 6, c05 30, c06 16, c07 9, c12 60, and c04 3, one prefix pass per
+# exponent), plus a margin of 6.  Evaluating c04's tau grid point by point
+# takes 195 calls in c04 alone.
+QUICK_QUADRATURE_CALLS = 124 + 6
+
+
+def test_quick_battery_quadrature_call_ceiling(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quadrature.adaptive_gauss_legendre(*args, **kwargs)
+
+    for module in (energy, mobius):
+        monkeypatch.setattr(module, "adaptive_gauss_legendre", counting)
+    rows = run_criteria(VerifySettings(seed=2024, level="quick"))
+    assert all(r.passed for r in rows)
+    assert len(calls) <= QUICK_QUADRATURE_CALLS

@@ -456,12 +456,14 @@ def test_dilation_verdicts_follow_the_checkers(capsys, alpha, lam):
                            "--lambda", repr(lam))
     expected = {}
     try:
-        for c in alphasphere.check_xi_lower_bounds(alpha, lam):
+        for c in alphasphere.check_xi_lower_bounds(alphasphere.dilation_energy(alpha, lam)):
             expected[f"xi_{c.regime}"] = c.passed
     except alphasphere.RegimeError:
         pass
     try:
-        expected["growth"] = alphasphere.check_growth(alpha, lam).passed
+        sigma = (alpha - 1.0) * abs(math.log(lam))
+        gprime = alphasphere.Gprime(alpha, sigma) if alpha > 1.0 else 0.0
+        expected["growth"] = alphasphere.check_growth(alpha, lam, gprime).passed
     except alphasphere.RegimeError:
         pass
     row = parse_csv(out)[0]

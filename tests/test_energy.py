@@ -32,6 +32,7 @@ from alphasphere import (
     window_energies,
 )
 
+from alphasphere.cli import main
 from alphasphere.energy import _LOG_MAX, _exp_or_inf
 from alphasphere.quadrature import adaptive_gauss_legendre
 from shooting import shoot_radial
@@ -202,12 +203,7 @@ def test_Gprime_matches_finite_difference():
         assert abs(gp - fd) < 1e-6 * abs(fd)
 
 
-@pytest.mark.parametrize("call", [lambda: dilation_energy(1.4, math.e ** 2),
-                                  lambda: Gprime(1.4, 0.8),
-                                  lambda: check_growth(1.5, math.e)],
-                         ids=["dilation_energy", "Gprime", "check_growth"])
-def test_one_quadrature_per_dilation_quantity(monkeypatch, call):
-    # G and G' each come from one route, so no call computes the other
+def _count_quadratures(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -215,8 +211,21 @@ def test_one_quadrature_per_dilation_quantity(monkeypatch, call):
         return adaptive_gauss_legendre(*args, **kwargs)
 
     monkeypatch.setattr("alphasphere.energy.adaptive_gauss_legendre", counting)
+    return calls
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: dilation_energy(1.4, math.e ** 2), 1),
+    (lambda: Gprime(1.4, 0.8), 1),
+    (lambda: check_growth(1.5, math.e, Gprime(1.5, 0.5)), 1),
+    (lambda: main(["dilation-table", "--alpha", "1.5", "--lambda", "2.718281828459045"]), 2),
+], ids=["dilation_energy", "Gprime", "check_growth", "dilation-table"])
+def test_one_quadrature_per_dilation_quantity(monkeypatch, capsys, call, count):
+    # G and G' each come from one route, so no call computes the other, and
+    # the checkers take the values that a dilation-table row already holds
+    calls = _count_quadratures(monkeypatch)
     call()
-    assert len(calls) == 1
+    assert len(calls) == count
 
 
 def test_G_rejects_alpha_one():
@@ -240,11 +249,113 @@ def test_Gprime_finite_for_large_exponent():
     assert abs(gp25 - fd) < 1e-6 * fd
 
 
+# -------------------------------------------------- arrays of tau and sigma
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
+def test_dilation_energy_array_matches_scalar_calls(monkeypatch, alpha):
+    # verify's c04 grid, plus tau = 0 and the quadratic branch tau < 1e-6
+    taus = np.concatenate(([0.0, 3e-7, 8e-7], np.linspace(0.0, 20.0 / (alpha - 1.0), 200)))
+    lams = np.exp(taus)
+    scalar = [dilation_energy(alpha, float(lam)) for lam in lams]
+    calls = _count_quadratures(monkeypatch)
+    res = dilation_energy(alpha, lams)
+    assert len(calls) == 1 and res.xi.shape == lams.shape
+    xi = np.array([r.xi for r in scalar])
+    assert np.all(np.abs(res.xi - xi) <= 1e-12 * xi)
+    assert res.xi[0] == res.xi[3] == 0.0 and res.xi[1] == xi[1] and res.xi[2] == xi[2]
+    for i in (0, 1, 100, -1):
+        assert res[i] == scalar[i] or abs(res[i].xi - scalar[i].xi) <= 1e-12 * scalar[i].xi
+        assert type(res[i].value) is float
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
+def test_Gprime_array_matches_scalar_calls(monkeypatch, alpha):
+    sigmas = np.concatenate(([0.0, 1e-7], np.linspace(0.0, 20.0, 200)))
+    scalar = np.array([Gprime(alpha, float(s)) for s in sigmas])
+    calls = _count_quadratures(monkeypatch)
+    gp = Gprime(alpha, sigmas)
+    assert len(calls) == 1 and gp.shape == sigmas.shape
+    assert gp[0] == gp[2] == 0.0
+    assert np.all(np.abs(gp - scalar) <= 1e-12 * scalar)
+
+
+def test_arrays_keep_their_order_and_a_scalar_gives_a_float():
+    lams = np.array([40.0, 1.0, 1.5, 7.0, 1.5])
+    res = dilation_energy(1.5, lams)
+    assert res.lam is not lams and np.array_equal(res.lam, lams)
+    assert res.xi[1] == 0.0 and res.value[2] == res.value[4]
+    assert list(np.argsort(res.value)) == [1, 2, 4, 3, 0]
+    assert all(type(v) is float for v in vars(dilation_energy(1.5, 7.0)).values())
+    assert type(Gprime(1.5, 0.3)) is float
+    assert Gprime(1.5, np.array([0.9, 0.3]))[1] == pytest.approx(Gprime(1.5, 0.3), rel=1e-12)
+
+
+def test_reciprocal_dilations_are_bit_equal_in_one_array():
+    # powers of two have exact reciprocals, whose logs are exact negatives
+    lams = 2.0 ** np.array([1.0, 2.0, 3.0, 10.0, 40.0])
+    res = dilation_energy(1.5, np.concatenate((lams, 1.0 / lams)))
+    assert np.array_equal(res.value[:5], res.value[5:])
+    assert np.array_equal(res.sigma[:5], -res.sigma[5:])
+
+
+def test_arrays_past_double_range_follow_the_scalar_calls():
+    lams = np.geomspace(1.0001, 1e300, 80)
+    res = dilation_energy(2.0, lams)
+    xi = np.array([dilation_energy(2.0, float(lam)).xi for lam in lams])
+    assert np.array_equal(np.isfinite(res.xi), np.isfinite(xi))
+    assert 0 < np.count_nonzero(np.isfinite(xi)) < len(xi)
+    ok = np.isfinite(xi)
+    assert np.all(np.abs(res.xi[ok] - xi[ok]) <= 1e-12 * xi[ok])
+    assert np.all(np.isfinite(res.log_excess))
+    sigmas = np.linspace(0.0, 700.0, 80)
+    gp = Gprime(2.0, sigmas)
+    scalar = np.array([Gprime(2.0, float(s)) for s in sigmas])
+    assert np.array_equal(np.isfinite(gp), np.isfinite(scalar))
+    assert 0 < np.count_nonzero(np.isfinite(scalar)) < len(scalar)
+
+
+def test_alpha_one_array_takes_no_quadrature(monkeypatch):
+    calls = _count_quadratures(monkeypatch)
+    res = dilation_energy(1.0, np.array([0.5, 1.0, 2.0, 1e300]))
+    assert not calls
+    assert np.all(res.xi == 0.0) and np.all(res.value == 8.0 * math.pi)
+
+
+def test_arrays_match_high_precision_quadrature():
+    # G - 1 and G' at three points each, against 50-digit mpmath.quad,
+    # every point taken inside a longer array
+    mp = pytest.importorskip("mpmath")
+    cosh, sinh = mp.cosh, mp.sinh
+    with mp.workdps(50):
+        for a, tau in ((1.05, 3.0), (1.5, 0.7), (2.0, 15.0)):
+            a_, b_ = mp.mpf(a), mp.mpf(a) - 1
+            ref = mp.quad(lambda t: cosh(t) ** a_ * cosh(b_ * t) - cosh(t), [0, tau]) / sinh(tau)
+            taus = np.concatenate((np.linspace(0.0, 20.0 / (a - 1.0), 50), [tau]))
+            res = dilation_energy(a, np.exp(taus))
+            assert abs(math.exp(res.log_excess[-1]) - ref) <= 1e-11 * ref
+        for a, s in ((1.05, 0.15), (1.5, 0.35), (2.0, 15.0)):
+            a_, b_ = mp.mpf(a), mp.mpf(a) - 1
+            x = mp.mpf(s) / b_
+            ref = cosh(x) / (b_ * sinh(x) ** 2) * mp.quad(
+                lambda u: sinh(u / b_) * cosh(u / b_) ** (b_ - 1) * sinh(a_ * u / b_), [0, s])
+            gp = Gprime(a, np.concatenate((np.linspace(0.0, 20.0, 50), [s])))
+            assert abs(gp[-1] - ref) <= 1e-11 * ref
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+def test_arrays_with_one_bad_entry_raise(bad):
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        dilation_energy(1.5, np.array([2.0, bad, 3.0]))
+    if bad != 0.0:
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            Gprime(1.5, np.array([0.5, bad, 1.0]))
+
+
 # ------------------------------------------------------- explicit bounds
 
 def test_xi_bound_sigma_large_example():
     lam = math.exp(8.0)  # sigma = 4 at alpha = 1.5
-    checks = {c.name: c for c in check_xi_lower_bounds(1.5, lam)}
+    checks = {c.name: c for c in check_xi_lower_bounds(dilation_energy(1.5, lam))}
     c = checks["xi_sigma_large"]
     assert c.passed
     assert c.rhs == pytest.approx(energy_floor(1.5) * XI_SIGMA_LARGE_CONSTANT
@@ -253,7 +364,7 @@ def test_xi_bound_sigma_large_example():
 
 def test_xi_bound_small_example():
     lam = math.exp(0.5)
-    checks = {c.name: c for c in check_xi_lower_bounds(1.5, lam)}
+    checks = {c.name: c for c in check_xi_lower_bounds(dilation_energy(1.5, lam))}
     c = checks["xi_sigma_small"]
     assert c.passed
     assert c.rhs == pytest.approx(energy_floor(1.5) * 0.5 * 0.25
@@ -261,17 +372,17 @@ def test_xi_bound_small_example():
 
 
 def test_xi_bounds_zero_margin_at_lam1():
-    for c in check_xi_lower_bounds(1.01, 1.0):
+    for c in check_xi_lower_bounds(dilation_energy(1.01, 1.0)):
         assert c.passed
         assert c.lhs == 0.0 and c.rhs == 0.0
 
 
 def test_xi_bounds_regime_selection():
-    names = {c.name for c in check_xi_lower_bounds(1.5, math.exp(0.5))}
+    names = {c.name for c in check_xi_lower_bounds(dilation_energy(1.5, math.exp(0.5)))}
     assert names == {"xi_sigma_small"}
-    names = {c.name for c in check_xi_lower_bounds(1.5, math.exp(3.0))}
+    names = {c.name for c in check_xi_lower_bounds(dilation_energy(1.5, math.exp(3.0)))}
     assert names == {"xi_sigma_mid_composed"}
-    names = {c.name for c in check_xi_lower_bounds(1.5, math.exp(8.0))}
+    names = {c.name for c in check_xi_lower_bounds(dilation_energy(1.5, math.exp(8.0)))}
     assert names == {"xi_sigma_large"}
 
 
@@ -281,28 +392,33 @@ def test_xi_bounds_read_dilation_energy():
     for alpha, lam in ((1.5, math.exp(0.5)), (1.5, math.exp(3.0)), (1.3, math.exp(9.0)),
                        (1.05, 1.0), (1.5, 1e308)):
         xi = dilation_energy(alpha, lam).xi
-        for c in check_xi_lower_bounds(alpha, lam):
+        for c in check_xi_lower_bounds(dilation_energy(alpha, lam)):
             assert c.lhs == xi
     res = dilation_energy(1.5, 1e308)
     assert res.xi == math.inf and res.log_excess == pytest.approx(math.log(res.G - 1.0))
-    [c] = check_xi_lower_bounds(1.5, 1e308)
+    [c] = check_xi_lower_bounds(res)
     assert c.name == "xi_sigma_large" and c.passed
 
 
 def test_xi_bounds_validate_regime():
     with pytest.raises(RegimeError):
-        check_xi_lower_bounds(1.0, 2.0)
+        check_xi_lower_bounds(dilation_energy(1.0, 2.0))
     with pytest.raises(RegimeError):
-        check_xi_lower_bounds(1.5, 0.5)
+        check_xi_lower_bounds(dilation_energy(1.5, 0.5))
+
+
+def _growth(alpha, lam):
+    """check_growth with G' at sigma = (alpha - 1) log lam."""
+    return check_growth(alpha, lam, Gprime(alpha, (alpha - 1.0) * math.log(lam)))
 
 
 def test_growth_check_zero_at_lam1():
-    c = check_growth(1.4, 1.0)
+    c = _growth(1.4, 1.0)
     assert c.passed and c.lhs == 0.0 and c.rhs == 0.0
 
 
 def test_growth_check_small_sigma_example():
-    c = check_growth(1.3, math.exp(0.5))  # sigma = 0.15 <= beta = 0.3
+    c = _growth(1.3, math.exp(0.5))  # sigma = 0.15 <= beta = 0.3
     assert c.passed
     assert c.regime == "sigma_small"
     expected = (0.3 * energy_floor(1.3)
@@ -312,14 +428,14 @@ def test_growth_check_small_sigma_example():
 
 def test_growth_check_regime_error():
     with pytest.raises(RegimeError):
-        check_growth(1.5, math.exp(10.0))  # sigma = 5 > 2
+        _growth(1.5, math.exp(10.0))  # sigma = 5 > 2
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, math.nan])
 def test_growth_check_rejects_lam_below_one(lam):
     # checked before log(lam), which raises a math domain error for lam <= 0
     with pytest.raises(RegimeError, match="lam >= 1"):
-        check_growth(1.5, lam)
+        check_growth(1.5, lam, 1.0)
 
 
 def test_growth_theta_constant_is_the_closed_form_maximum():
@@ -428,7 +544,7 @@ def _guarded_calls():
         "shoot_radial:slope0": lambda x: shoot_radial(1.4, 1, x),
         "norm_grad_log_chi_L2": norm_grad_log_chi_L2,
         "grad_log_chi_l2_bound": grad_log_chi_l2_bound,
-        "check_xi_lower_bounds:lam": lambda x: check_xi_lower_bounds(1.5, x),
+        "check_xi_lower_bounds:lam": lambda x: check_xi_lower_bounds(dilation_energy(1.5, x)),
         "dilation_energy:alpha": lambda x: dilation_energy(x, 2.0),
         "dilation_energy:lam": lambda x: dilation_energy(1.5, x),
         "MobiusElement.dilation": MobiusElement.dilation,
