@@ -139,32 +139,20 @@ def _log_cosh(t: np.ndarray) -> np.ndarray:
     return np.where(big, t - _LOG2 + np.log1p(np.exp(-2.0 * t)), small_val)
 
 
-def _log_cosh_scalar(t: float) -> float:
-    t = abs(t)
-    if t > 20.0:
-        return t - _LOG2 + math.log1p(math.exp(-2.0 * t))
-    return math.log1p(2.0 * math.sinh(0.5 * t) ** 2)
+def _log_sinh(t: np.ndarray) -> np.ndarray:
+    return t - _LOG2 + np.log(-np.expm1(-2.0 * t))
 
 
-def _log_sinh_scalar(t: float) -> float:
-    return t - _LOG2 + math.log(-math.expm1(-2.0 * t))
-
-
-def _each(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every element of x, by libm as in a scalar call (numpy's differs)."""
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
-def _scaled_integral(log_f, end_terms, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    """offset + log of int_0^b exp(log_f) at every element of the positive 1-d
-    array b, with (log_f(b), offset) = end_terms(b) by libm, for an integrand
-    positive and increasing on [0, max b], by one prefix pass of the
-    quadrature.  Far past double range it stops converging, so where the
-    integral's lower bound (b/2) f(b/2) already puts the result past _LOG_MAX,
-    that bound is returned instead: either exponentiates to inf."""
+def _scaled_integral(log_f, log_prefactor, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """log_prefactor(b) + log of int_0^b exp(log_f) at every element of the
+    positive 1-d array b, for an integrand positive and increasing on
+    [0, max b], by one prefix pass of the quadrature.  Far past double range
+    it stops converging, so where the integral's lower bound (b/2) f(b/2)
+    already puts the result past _LOG_MAX, that bound is returned instead:
+    either exponentiates to inf."""
     order = np.argsort(b)
     ends = b[order]
-    log_end, offset = np.array([end_terms(x) for x in ends.tolist()]).reshape(-1, 2).T
+    log_end, offset = log_f(ends), log_prefactor(ends)
     res = offset + log_end + np.log(ends)
     far = res > _LOG_MAX
     if far.any():
@@ -173,7 +161,7 @@ def _scaled_integral(log_f, end_terms, b: np.ndarray, rel_tol: float) -> np.ndar
     if not far.all():
         scaled = adaptive_gauss_legendre(log_f, 0.0, ends[~far], rel_tol=rel_tol,
                                          log_scale=log_end[~far])
-        res[~far] = offset[~far] + (log_end[~far] + _each(math.log, scaled))
+        res[~far] = offset[~far] + (log_end[~far] + np.log(scaled))
     return res[np.argsort(order)]
 
 
@@ -190,7 +178,7 @@ def _log_excess_ratio(alpha: float, tau: np.ndarray) -> np.ndarray:
         return out
     # quadratic limit, from the integrand's curvature at 0: G - 1 = alpha beta tau^2 / 6 + O(tau^4)
     small, big = (0.0 < tau) & (tau < 1e-6), tau >= 1e-6
-    out[small] = _each(lambda t: math.log(alpha * beta / 6.0) + 2.0 * math.log(t), tau[small])
+    out[small] = math.log(alpha * beta / 6.0) + 2.0 * np.log(tau[small])
 
     # log of cosh(t) expm1(g) with g = beta log cosh t + log cosh(beta t),
     # using log expm1(g) = g + log(-expm1(-g))
@@ -199,12 +187,7 @@ def _log_excess_ratio(alpha: float, tau: np.ndarray) -> np.ndarray:
         g = beta * lc + _log_cosh(beta * t)
         return lc + g + np.log(-np.expm1(-g))
 
-    def end_terms(t: float) -> tuple[float, float]:   # log phi(t), -log sinh(t)
-        lc = _log_cosh_scalar(t)
-        g = beta * lc + _log_cosh_scalar(beta * t)
-        return lc + g + math.log(-math.expm1(-g)), -_log_sinh_scalar(t)
-
-    out[big] = _scaled_integral(log_phi, end_terms, tau[big], _XI_REL_TOL)
+    out[big] = _scaled_integral(log_phi, lambda t: -_log_sinh(t), tau[big], _XI_REL_TOL)
     return out
 
 
@@ -222,15 +205,16 @@ def dilation_energy(alpha: float, lam) -> DilationEnergyResult:
     lams = np.array(lam, dtype=float, ndmin=1)   # a copy, kept by the result
     if not ((0.0 < lams) & (lams < math.inf)).all():
         raise ValueError("lam must be finite and positive")
-    tau, beta, base = _each(math.log, lams), alpha - 1.0, energy_floor(alpha)
+    tau, beta, base = np.log(lams), alpha - 1.0, energy_floor(alpha)
     log_excess = _log_excess_ratio(alpha, np.abs(tau))
-    ratio = _each(_exp_or_inf, log_excess)
+    ratio = np.exp(log_excess)
     xi = base * ratio
     res = DilationEnergyResult(alpha=alpha, lam=lams, tau=tau, sigma=beta * tau, beta=beta,
                                value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
     return res if np.ndim(lam) else res[0]
 
 
+@np.errstate(over="ignore")   # inf is G' past double range
 def Gprime(alpha: float, sigma):
     """G'(sigma), the derivative of the normalised dilation-energy profile
     G = dilation_energy(alpha, e^(sigma/beta)).G, by its own integral: a
@@ -245,20 +229,16 @@ def Gprime(alpha: float, sigma):
     if not ((0.0 <= sig) & (sig < math.inf)).all():
         raise ValueError("sigma must be finite and >= 0")
 
-    # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1)
-    # sinh(alpha s/beta), with log sinh y = y - log 2 + log(-expm1(-2y))
+    # log of the increasing integrand sinh(s/beta) cosh(s/beta)^(beta-1) sinh(alpha s/beta)
     def log_k(s: np.ndarray) -> np.ndarray:
         sb = s / beta
-        return (sb + alpha * sb - 2.0 * _LOG2 + (beta - 1.0) * _log_cosh(sb)
-                + np.log(-np.expm1(-2.0 * sb)) + np.log(-np.expm1(-2.0 * alpha * sb)))
+        return _log_sinh(sb) + (beta - 1.0) * _log_cosh(sb) + _log_sinh(alpha * sb)
 
-    def end_terms(s: float) -> tuple[float, float]:   # log k(s), the prefactor's log
-        x = s / beta
-        ls, lc = _log_sinh_scalar(x), _log_cosh_scalar(x)
-        return ls + (beta - 1.0) * lc + _log_sinh_scalar(alpha * x), lc - math.log(beta) - 2.0 * ls
+    def log_prefactor(s: np.ndarray) -> np.ndarray:   # of cosh(s/beta) / (beta sinh^2(s/beta))
+        return _log_cosh(s / beta) - math.log(beta) - 2.0 * _log_sinh(s / beta)
 
     out, pos = np.zeros(sig.shape), sig > 0.0
-    out[pos] = _each(_exp_or_inf, _scaled_integral(log_k, end_terms, sig[pos], _GPRIME_REL_TOL))
+    out[pos] = np.exp(_scaled_integral(log_k, log_prefactor, sig[pos], _GPRIME_REL_TOL))
     return float(out) if np.ndim(sigma) == 0 else out
 
 

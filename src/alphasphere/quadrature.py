@@ -3,14 +3,16 @@
 :func:`adaptive_gauss_legendre` integrates a vectorised callable from ``a``
 to ``b``, or to every end of a sorted array ``b`` in one pass.  Each panel's
 error estimate compares the ``ORDER``-point rule against the
-``2 * ORDER``-point rule on it.  Refinement goes level by level until every
-prefix meets the relative tolerance: a panel is halved when its error
-exceeds its share, in proportion to its width, of the tightest tolerance of
-the unconverged prefixes that contain it, and the nodes of all new panels
-are evaluated in one integrand call.  Panels are kept in interval order and
-each segment between two ends is summed with :func:`math.fsum`, so a fixed
-refinement history gives bit-identical results, and a one-element ``b``
-those of the scalar call.
+``2 * ORDER``-point rule on it.  Refinement goes level by level until each
+segment between two ends meets the relative tolerance of its own value: a
+panel of an unconverged segment is halved when its error exceeds its share,
+in proportion to its width, of that segment's tolerance, and the nodes of all
+new panels are evaluated in one integrand call.  For an integrand of one sign
+this bounds every prefix as well; one that falls across its ends pays extra
+refinement for segments that vanish inside their prefixes.  Panels are kept
+in interval order and each segment is summed with :func:`math.fsum`, so a
+fixed refinement history gives bit-identical results, and a one-element
+``b`` those of the scalar call.
 """
 
 from __future__ import annotations
@@ -53,36 +55,31 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarra
     return fine, np.abs(fine - coarse)
 
 
-def _prefixes(sums: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """Prefix sums of the segment ``sums``, each in its own segment's units."""
-    acc = 0.0
-    return np.array([acc := acc * r + s for s, r in zip(sums.tolist(), ratio.tolist())])
-
-
 def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b, *,
                             rel_tol: float, log_scale=None):
     """Integrate the vectorised callable ``f`` over ``[a, b]``, or over
     ``[a, b_i]`` for every end of a sorted array ``b`` (then returns an array).
 
-    Stops once each prefix's summed panel error estimates drop below ``rel_tol``
-    times its absolute value; raises :class:`QuadratureConvergenceError` if
-    that takes more than ``MAX_PANELS`` panels, plus one for each further
-    segment between ends that it starts with, and ``ValueError`` unless
-    ``a <= b_0 <= b_1 ...`` are finite.  With ``log_scale``, ``f`` returns the
-    log of a positive integrand whose log at ``b_i`` is ``log_scale[i]``, and
-    segment [b_(i-1), b_i] and prefix i are integrated and returned divided by
-    ``exp(log_scale[i])``: nothing leaves double range where the integrand
-    stays below its value at each segment's end.
+    Stops once the summed panel error estimates of each segment [b_(i-1), b_i]
+    (b_(-1) = a) drop below ``rel_tol`` times its absolute value, which holds
+    every prefix to ``rel_tol`` too where ``f`` keeps one sign; raises
+    :class:`QuadratureConvergenceError` if that takes more than ``MAX_PANELS``
+    panels, plus one for each further segment that it starts with, and
+    ``ValueError`` unless ``a <= b_0 <= b_1 ...`` are finite.  With
+    ``log_scale``, ``f`` returns the log of a positive integrand whose log at
+    ``b_i`` is ``log_scale[i]``, and segment i and prefix i are integrated and
+    returned divided by ``exp(log_scale[i])``: nothing leaves double range
+    where the integrand stays below its value at each segment's end.
     """
     ends = np.atleast_1d(np.asarray(b, dtype=float))
     starts = np.concatenate(([a], ends[:-1]))
     if not (ends.size and np.isfinite([a, ends[-1]]).all() and (ends >= starts).all()):
         raise ValueError("right ends must be finite and sorted, none below a")
     logs = np.zeros(ends.size) if log_scale is None else np.atleast_1d(log_scale)
-    ratio = np.exp(np.concatenate(([0.0], logs[:-1] - logs[1:])))   # prefix i-1 in units of i
     seg = np.flatnonzero(ends > starts)   # panel -> segment; equal ends add no panel
     budget = MAX_PANELS + max(seg.size - 1, 0)   # refinement adds at most MAX_PANELS - 1
     edges = np.concatenate(([a], ends[seg]))
+    width = ends - starts
     val, err, fresh = np.zeros(seg.size), np.zeros(seg.size), np.ones(seg.size, dtype=bool)
     seg_val, seg_err = np.zeros(ends.size), np.zeros(ends.size)
     while True:
@@ -92,25 +89,23 @@ def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b, 
         for j in set(seg[fresh].tolist()):   # re-sum only the refined segments
             seg_val[j] = math.fsum(val[first[j]:first[j + 1]])
             seg_err[j] = math.fsum(err[first[j]:first[j + 1]])
-        total, total_err = _prefixes(seg_val, ratio), _prefixes(seg_err, ratio)
-        tol = rel_tol * np.abs(total)
-        done = (total_err <= tol) | (total_err == 0.0)
+        tol = rel_tol * np.abs(seg_val)
+        done = (seg_err <= tol) | (seg_err == 0.0)
         if done.all():
             break
-        # each panel's error share, in its segment's units: the least over
-        # the unconverged prefixes that contain it of tol / (b_i - a)
-        with np.errstate(divide="ignore", over="ignore"):
-            key = np.where(done, np.inf, np.log(tol) + logs - np.log(ends - a))
-            share = np.exp(np.minimum.accumulate(key[::-1])[::-1] - logs)[seg]
-        split = err > share * np.diff(edges)
+        split = ~done[seg] & (err > tol[seg] * (np.diff(edges) / width[seg]))
         if not split.any():
-            split[np.argmax(np.where(share < np.inf, err, -1.0))] = True
+            split[np.argmax(np.where(done[seg], -1.0, err))] = True
         if len(val) + np.count_nonzero(split) > budget:
             i = int(np.argmin(done))
             raise QuadratureConvergenceError(
-                f"no convergence to rel_tol={rel_tol:g} within {budget} panels (estimated "
-                f"error {total_err[i]:.3e} on value {total[i]:.6e} up to {ends[i]:g})")
+                f"no convergence to rel_tol={rel_tol:g} within {budget} panels (estimated error "
+                f"{seg_err[i]:.3e} on value {seg_val[i]:.6e} over [{starts[i]:g}, {ends[i]:g}])")
         idx = np.flatnonzero(split)
         edges = np.insert(edges, idx + 1, 0.5 * (edges[idx] + edges[idx + 1]))
         seg, val, err, fresh = (np.repeat(x, split + 1) for x in (seg, val, err, split))
+    # prefix i = prefix i-1 in units of exp(log_scale[i]), plus segment i
+    ratio = np.exp(np.concatenate(([0.0], logs[:-1] - logs[1:])))
+    acc = 0.0
+    total = np.array([acc := acc * r + s for s, r in zip(seg_val.tolist(), ratio.tolist())])
     return float(total[0]) if np.ndim(b) == 0 else total

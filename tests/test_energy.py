@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,19 +300,22 @@ def test_reciprocal_dilations_are_bit_equal_in_one_array():
 
 
 def test_arrays_past_double_range_follow_the_scalar_calls():
-    lams = np.geomspace(1.0001, 1e300, 80)
-    res = dilation_energy(2.0, lams)
-    xi = np.array([dilation_energy(2.0, float(lam)).xi for lam in lams])
-    assert np.array_equal(np.isfinite(res.xi), np.isfinite(xi))
-    assert 0 < np.count_nonzero(np.isfinite(xi)) < len(xi)
-    ok = np.isfinite(xi)
-    assert np.all(np.abs(res.xi[ok] - xi[ok]) <= 1e-12 * xi[ok])
-    assert np.all(np.isfinite(res.log_excess))
-    sigmas = np.linspace(0.0, 700.0, 80)
-    gp = Gprime(2.0, sigmas)
-    scalar = np.array([Gprime(2.0, float(s)) for s in sigmas])
-    assert np.array_equal(np.isfinite(gp), np.isfinite(scalar))
-    assert 0 < np.count_nonzero(np.isfinite(scalar)) < len(scalar)
+    with warnings.catch_warnings():   # overflow to inf stays silent
+        warnings.simplefilter("error")
+        lams = np.geomspace(1.0001, 1e300, 80)
+        res = dilation_energy(2.0, lams)
+        xi = np.array([dilation_energy(2.0, float(lam)).xi for lam in lams])
+        assert np.array_equal(np.isfinite(res.xi), np.isfinite(xi))
+        assert 0 < np.count_nonzero(np.isfinite(xi)) < len(xi)
+        ok = np.isfinite(xi)
+        assert np.all(np.abs(res.xi[ok] - xi[ok]) <= 1e-12 * xi[ok])
+        assert np.all(np.isfinite(res.log_excess))
+        assert np.array_equal(np.isinf(res.G - 1.0), res.log_excess > _LOG_MAX)
+        sigmas = np.linspace(0.0, 700.0, 80)
+        gp = Gprime(2.0, sigmas)
+        scalar = np.array([Gprime(2.0, float(s)) for s in sigmas])
+        assert np.array_equal(np.isfinite(gp), np.isfinite(scalar))
+        assert 0 < np.count_nonzero(np.isfinite(scalar)) < len(scalar)
 
 
 def test_alpha_one_array_takes_no_quadrature(monkeypatch):

@@ -37,18 +37,32 @@ def _exp400(t):
     return np.exp(t - 400.0)
 
 
-def test_prefixes_meet_their_own_relative_tolerance():
-    # the prefixes of e^(t - 400) (1.5 + sin 20t) from 0 span 1e-170 to 1;
-    # each segment holds some 25 periods, so the early ones need refining
-    # for their own prefix though they add nothing to the last
-    ends = np.linspace(9.0, 400.0, 50)
-    vals = adaptive_gauss_legendre(lambda t: _exp400(t) * (1.5 + np.sin(20.0 * t)), 0.0, ends,
-                                   rel_tol=1e-12)
-    exact = np.array([math.exp(-400.0) * (1.5 * math.expm1(b) + (
+def _exact_increasing(b):
+    # int_0^b e^(t - 400) (1.5 + sin 20t) dt
+    return math.exp(-400.0) * (1.5 * math.expm1(b) + (
         math.exp(b) * (math.sin(20.0 * b) - 20.0 * math.cos(20.0 * b)) + 20.0) / 401.0)
-        for b in ends])
-    assert vals.shape == ends.shape and 1e-171 < exact[0] < 1e-169
-    assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
+
+
+def _exact_decreasing(b):
+    # int_0^b e^(-t) (1.5 + sin 20t) dt
+    return 1.5 * -math.expm1(-b) + (
+        20.0 - math.exp(-b) * (math.sin(20.0 * b) + 20.0 * math.cos(20.0 * b))) / 401.0
+
+
+@pytest.mark.parametrize("f, exact, first", [
+    (lambda t: _exp400(t) * (1.5 + np.sin(20.0 * t)), _exact_increasing, (1e-171, 1e-169)),
+    (lambda t: np.exp(-t) * (1.5 + np.sin(20.0 * t)), _exact_decreasing, (1.5, 1.6))],
+    ids=["increasing", "decreasing"])
+def test_prefixes_meet_their_own_relative_tolerance(f, exact, first):
+    # each segment holds some 25 periods.  The increasing prefixes span
+    # 1e-170 to 1, so the early segments need refining for their own prefix
+    # though they add nothing to the last; the decreasing ones end in
+    # segments that vanish inside their prefixes
+    ends = np.linspace(9.0, 400.0, 50)
+    vals = adaptive_gauss_legendre(f, 0.0, ends, rel_tol=1e-12)
+    ref = np.array([exact(b) for b in ends])
+    assert vals.shape == ends.shape and first[0] < ref[0] < first[1]
+    assert np.all(np.abs(vals - ref) <= 1e-12 * ref)
 
 
 def test_one_element_array_gives_the_scalar_bits():

@@ -13,10 +13,10 @@ that differs: a verify cell as ``criterion/check column: old -> new``, a
 check name that repeats within a criterion told apart by ``#k``, its k-th
 repeat; a README cell as ``command row k column: old -> new``.  Then
 prints one line per criterion or command with differing cells: how many,
-and the largest relative change among its numeric cells.  Exits 1
-when the verify reports differ in their set of rows or in their ``passed``
-column, a README report in its header or its number of rows, or any run in
-its exit status, which is printed then; else 0.
+and the largest relative and the largest absolute change among its numeric
+cells.  Exits 1 when the verify reports differ in their set of rows or in
+their ``passed`` column, a README report in its header or its number of
+rows, or any run in its exit status, which is printed then; else 0.
 """
 
 from __future__ import annotations
@@ -78,25 +78,25 @@ def by_check(rows: list[dict[str, str]]) -> dict[str, dict[str, str]]:
     return keyed
 
 
-def relative_change(old: str, new: str) -> float | None:
-    """|new - old| / |old| of two numeric cells (inf when old is 0 or not
-    finite), or None when either cell is not a number."""
+def change(old: str, new: str) -> tuple[float, float] | None:
+    """|new - old| / |old| (inf when old is 0 or not finite) and |new - old|
+    of two numeric cells, or None when either cell is not a number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
         return None
-    return abs(b - a) / abs(a) if math.isfinite(a) and a != 0.0 else math.inf
+    return abs(b - a) / abs(a) if math.isfinite(a) and a != 0.0 else math.inf, abs(b - a)
 
 
 def diff_cells(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]],
-               prefix: str = "") -> list[tuple[str, float | None]]:
+               prefix: str = "") -> list[tuple[str, tuple[float, float] | None]]:
     """Print each cell of a row in both reports that differs; returns, per
-    such cell, its row key and its relative change."""
+    such cell, its row key and its relative and absolute change."""
     changes = []
     for key in (key for key in old if key in new):
         for column, value in old[key].items():
             if new[key].get(column) != value:
-                changes.append((key, relative_change(value, new[key].get(column))))
+                changes.append((key, change(value, new[key].get(column))))
                 print(f"{prefix}{key} {column}: {value} -> {new[key].get(column)}")
     return changes
 
@@ -127,9 +127,9 @@ def main(argv=None) -> int:
 
     old, new = by_check(olds[0][2]), by_check(news[0][2])
     changes = diff_cells(old, new)
-    groups: dict[str, list[float | None]] = {}
-    for key, change in changes:
-        groups.setdefault(key.split("/", 1)[0], []).append(change)
+    groups: dict[str, list[tuple[float, float] | None]] = {}
+    for key, cell in changes:
+        groups.setdefault(key.split("/", 1)[0], []).append(cell)
     for key in sorted(old.keys() - new.keys()):
         print(f"{key}: only in {args.parent}")
     for key in sorted(new.keys() - old.keys()):
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         name = shlex.join(command)
         changes = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
         if changes:
-            groups[name] = [change for _, change in changes]
+            groups[name] = [cell for _, cell in changes]
         header_differs = old_h != new_h
         count_differs = len(old_t) != len(new_t)
         print(f"{name}: {side} {len(old_t)} rows, working tree {len(new_t)} rows, "
@@ -157,7 +157,9 @@ def main(argv=None) -> int:
     for group, group_changes in groups.items():
         numeric = [c for c in group_changes if c is not None]
         print(f"{group}: {len(group_changes)} cells differ, "
-              + (f"largest relative change {max(numeric):.3g}" if numeric else "none numeric"))
+              + (f"largest relative change {max(r for r, _ in numeric):.3g}, largest "
+                 f"absolute change {max(d for _, d in numeric):.3g}" if numeric
+                 else "none numeric"))
     return 1 if failed else 0
 
 
