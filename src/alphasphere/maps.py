@@ -75,12 +75,10 @@ class MobiusMap(MapEvaluator):
         self.m = m
 
     def position(self, z):
-        m = self.m
-        return _sphere_xyz(*_image_pair(m.a, m.b, m.c, m.d, _lift(z)))
+        return _sphere_xyz(*_image_pair(self.m, _lift(z)))
 
     def density(self, z):
-        m = self.m
-        return _form_density(m.a, m.b, m.c, m.d, _lift(z))
+        return _form_density(self.m, _lift(z))
 
     def jacobian(self, z):
         return self.density(z)
@@ -126,8 +124,8 @@ class PullbackMap(MapEvaluator):
         self.m = m
 
     def _factor_and_image(self, z):
-        pts, m = _lift(z), self.m
-        return _form_density(m.a, m.b, m.c, m.d, pts), mobius_apply(m, pts)
+        pts = _lift(z)
+        return _form_density(self.m, pts), mobius_apply(self.m, pts)
 
     def position(self, z):
         return self.u.position(mobius_apply(self.m, z))

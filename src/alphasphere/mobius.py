@@ -4,13 +4,14 @@ conformal factor of dilations.
 The unit sphere is identified with the extended complex plane by projecting
 from the north pole: a chart point is a complex number, zeta = 0 is the
 south pole (0, 0, -1) and zeta = inf the north pole (0, 0, 1).  A
-unit-determinant complex 2x2 matrix M = (a, b; c, d) acts by the fractional
-linear map zeta -> (a zeta + b)/(c zeta + d), which :func:`mobius_apply`
-evaluates vectorised over complex scalars or arrays.  Its singular value
-decomposition U diag(sqrt(lam), 1/sqrt(lam)) V*, with U, V special unitary,
-splits the action into a rotation, the dilation zeta -> lam * zeta and
-another rotation, so every energy computation that only sees
-rotation-invariant quantities can be reduced to dilations.
+unit-determinant complex 2x2 matrix M = (a, b; c, d), or a batch of them
+(a :class:`MobiusElement` with array entries), acts by the fractional linear
+map zeta -> (a zeta + b)/(c zeta + d), which :func:`mobius_apply` evaluates
+vectorised over complex scalars or arrays.  Its singular value decomposition
+U diag(sqrt(lam), 1/sqrt(lam)) V*, with U, V special unitary, splits the
+action into a rotation, the dilation zeta -> lam * zeta and another
+rotation, so every energy computation that only sees rotation-invariant
+quantities reduces to dilations.
 
 Chart points are lifted once to projective pairs (p, q), zeta = p/q, with
 max(|p|, |q|) = 1.  M maps a pair to the image pair (P, Q) = M (p, q), and
@@ -69,24 +70,25 @@ class SpherePoint:
 
 @dataclass(frozen=True)
 class MobiusElement:
-    """Unit-determinant 2x2 complex matrix acting on the Riemann sphere.
+    """Unit-determinant 2x2 complex matrix acting on the Riemann sphere, or a
+    batch of them whose entries broadcast: operations act element by element,
+    and :meth:`matrix` stacks a batch to shape (..., 2, 2).
 
     Construction checks ``a d - b c`` against 1 with a loose gate (1e-8);
     :meth:`normalized` rescales an arbitrary invertible matrix so the
     determinant is 1 to machine precision.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    a: complex | np.ndarray
+    b: complex | np.ndarray
+    c: complex | np.ndarray
+    d: complex | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        det = self.a * self.d - self.b * self.c
-        if not abs(det - 1.0) <= 1e-8:   # NaN entries fail too
-            raise DegenerateMatrixError(f"determinant {det} is not 1")
+            # [()] leaves a 0-d entry a numpy scalar, hashable like a complex
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex)[()])
+        _check_unit(self.det())
 
     @classmethod
     def normalized(cls, a: complex, b: complex, c: complex, d: complex) -> "MobiusElement":
@@ -101,16 +103,19 @@ class MobiusElement:
         return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
-    def dilation(cls, lam: float) -> "MobiusElement":
-        if not 0.0 < lam < math.inf:
+    def dilation(cls, lam) -> "MobiusElement":
+        """diag(sqrt(lam), 1/sqrt(lam)); a batch for an array of lam."""
+        lam = np.asarray(lam, dtype=float)
+        if not np.all((0.0 < lam) & (lam < math.inf)):
             raise ValueError("dilation factor must be finite and positive")
-        s = math.sqrt(lam)
+        s = np.sqrt(lam)
         return cls(s, 0.0, 0.0, 1.0 / s)
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        entries = np.broadcast_arrays(self.a, self.b, self.c, self.d)
+        return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
-    def det(self) -> complex:
+    def det(self) -> complex | np.ndarray:
         return self.a * self.d - self.b * self.c
 
     def compose(self, other: "MobiusElement") -> "MobiusElement":
@@ -127,18 +132,24 @@ class MobiusElement:
         return MobiusElement(self.d, -self.b, -self.c, self.a)
 
 
+def _check_unit(det) -> None:
+    ok = np.abs(det - 1.0) <= 1e-8   # NaN entries fail too
+    if not ok.all():
+        raise DegenerateMatrixError(f"determinant {np.asarray(det)[~ok][0]} is not 1")
+
+
 @dataclass(frozen=True)
 class MobiusSVD:
     """Decomposition M = U diag(sqrt(lam), 1/sqrt(lam)) V* with special
-    unitary factors and lam >= 1 (the larger eigenvalue of M M*)."""
+    unitary factors and lam >= 1 (the larger eigenvalue of M M*); for a
+    batch M, a batch of decompositions."""
 
     U: MobiusElement
     V: MobiusElement
-    lam: float
+    lam: float | np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        D = np.diag([math.sqrt(self.lam), 1.0 / math.sqrt(self.lam)])
-        return self.U.matrix() @ D @ self.V.matrix().conj().T
+        return (self.U @ MobiusElement.dilation(self.lam) @ self.V.inverse()).matrix()
 
 
 def _abs2(z):
@@ -186,60 +197,65 @@ def _sphere_xyz(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([w.real, w.imag, (pp - qq) / n])
 
 
-def _form_density(a, b, c, d, pts: _Lifted) -> np.ndarray:
-    """Conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 of (a, b; c, d)
-    at lifted points, broadcast over arrays of entries and of points.  The
-    form is evaluated as the completed square
+def _form_density(m: MobiusElement, pts: _Lifted) -> np.ndarray:
+    """Conformal factor ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2 of ``m`` at
+    lifted points, broadcast over a batch and over the points.  The form is
+    evaluated as the completed square
     h11 |p + (h12/h11) q|^2 + |det M|^2 |q|^2 / h11: two nonnegative terms,
     whose relative error grows like the singular value ratio of M, where
     the expanded form loses the square of it to cancellation."""
-    h11 = _abs2(a) + _abs2(c)
-    h12 = np.conj(a) * b + np.conj(c) * d
-    form = h11 * _abs2(pts.p + (h12 / h11) * pts.q) + _abs2(a * d - b * c) * pts.qq / h11
+    h11 = _abs2(m.a) + _abs2(m.c)
+    h12 = np.conj(m.a) * m.b + np.conj(m.c) * m.d
+    form = h11 * _abs2(pts.p + (h12 / h11) * pts.q) + _abs2(m.det()) * pts.qq / h11
     return ((pts.pp + pts.qq) / form) ** 2
 
 
-def _image_pair(a, b, c, d, pts: _Lifted) -> tuple[np.ndarray, np.ndarray]:
+def _image_pair(m: MobiusElement, pts: _Lifted) -> tuple[np.ndarray, np.ndarray]:
     """Image pair (P, Q) = (a p + b q, c p + d q) of lifted points, broadcast
     as in :func:`_form_density`."""
-    return a * pts.p + b * pts.q, c * pts.p + d * pts.q
+    return m.a * pts.p + m.b * pts.q, m.c * pts.p + m.d * pts.q
 
 
 def mobius_apply(m: MobiusElement, z) -> np.ndarray:
     """Fractional linear action zeta -> (a zeta + b)/(c zeta + d) at complex
     chart points (or at points lifted once): the image pair's P/Q, inf
-    where Q = 0.  A scalar point gives a 0-d array."""
-    P, Q = _image_pair(m.a, m.b, m.c, m.d, _lift(z))
+    where Q = 0.  A scalar point gives a 0-d array; a batch ``m`` acts
+    element by element, broadcast against the points."""
+    P, Q = _image_pair(m, _lift(z))
     return np.divide(P, Q, out=np.full(np.shape(P), complex(math.inf, 0.0)), where=Q != 0)
 
 
 def _su2_from_column(col: np.ndarray) -> MobiusElement:
-    # [[p, -conj(q)], [q, conj(p)]] is special unitary for any unit column
-    nrm = math.sqrt(abs(col[0]) ** 2 + abs(col[1]) ** 2)
-    p, q = complex(col[0] / nrm), complex(col[1] / nrm)
-    return MobiusElement(p, -q.conjugate(), q, p.conjugate())
+    # [[p, -conj(q)], [q, conj(p)]] is special unitary for any unit column (..., 2)
+    p, q = np.moveaxis(col / np.linalg.norm(col, axis=-1, keepdims=True), -1, 0)
+    return MobiusElement(p, -np.conj(q), q, np.conj(p))
+
+
+def _where(mask, x: MobiusElement, y: MobiusElement) -> MobiusElement:
+    """x where ``mask`` holds and y elsewhere; a 0-d mask returns x or y."""
+    if np.ndim(mask) == 0:
+        return x if mask else y
+    return MobiusElement(*(np.where(mask, getattr(x, k), getattr(y, k)) for k in "abcd"))
 
 
 def mobius_svd(m: MobiusElement) -> MobiusSVD:
-    """Singular value decomposition with special unitary factors.
+    """Singular value decomposition with special unitary factors, of one
+    element or, by one stacked eigensolve, of each element of a batch.
 
-    ``lam`` is the larger eigenvalue of M M*.  When M M* = I (up to 1e-12)
+    ``lam`` is the larger eigenvalue of M M*.  Where M M* = I (up to 1e-12)
     the decomposition is the degenerate one U = M, V = I, lam = 1.
     """
-    det = m.det()
-    if abs(det - 1.0) > 1e-8:
-        raise DegenerateMatrixError(f"determinant {det} is not 1")
+    _check_unit(m.det())
     A = m.matrix()
-    H = A @ A.conj().T
-    evals, evecs = np.linalg.eigh(H)
-    lam = float(max(evals[1], 1.0))
-    if abs(lam - 1.0) <= 1e-12:
-        return MobiusSVD(U=m, V=MobiusElement.identity(), lam=1.0)
-    u1 = evecs[:, 1]  # eigenvector of the larger eigenvalue
-    U = _su2_from_column(u1)
-    v1 = (A.conj().T @ u1) / math.sqrt(lam)
-    V = _su2_from_column(v1)
-    return MobiusSVD(U=U, V=V, lam=lam)
+    Ah = np.conj(np.swapaxes(A, -1, -2))
+    evals, evecs = np.linalg.eigh(A @ Ah)
+    lam = np.maximum(evals[..., 1], 1.0)
+    u1 = evecs[..., 1]  # eigenvector of the larger eigenvalue
+    v1 = (Ah @ u1[..., None])[..., 0] / np.sqrt(lam)[..., None]
+    rot = np.abs(lam - 1.0) <= 1e-12
+    return MobiusSVD(U=_where(rot, m, _su2_from_column(u1)),
+                     V=_where(rot, MobiusElement.identity(), _su2_from_column(v1)),
+                     lam=np.where(rot, 1.0, lam)[()])
 
 
 def chi_values(lam, zs) -> np.ndarray:
@@ -257,10 +273,7 @@ def grad_log_chi(lam: float, r):
     """Radial derivative (d/dr) log chi_lam = 4 r (lam^2-1) /
     ((1+r^2)(1+lam^2 r^2)); vectorised over r >= 0."""
     r = np.asarray(r, dtype=float)
-    val = 4.0 * r * (lam * lam - 1.0) / ((1.0 + r * r) * (1.0 + lam * lam * r * r))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return (4.0 * r * (lam * lam - 1.0) / ((1.0 + r * r) * (1.0 + lam * lam * r * r)))[()]
 
 
 def norm_grad_log_chi_L2(lam: float) -> float:

@@ -114,7 +114,7 @@ class RadialProfile:
         # nodes land on t = 0 (or t = 1 at pi) and return fs exactly
         u = np.where(np.abs(u - k) <= 4.0 * _EPS * k, k, u)
         c = np.clip(np.floor(u), 0, self.N - 1).astype(np.intp)
-        fe = _reflect(self.fs, self.n, 1)
+        fe = _reflect(self.fs, self.n)
         f, fp = _cubic(fe[c], fe[c + 1], fe[c + 2], fe[c + 3], u - c)
         return f, fp / self.h
 
@@ -212,7 +212,7 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     fs, h = profile.fs, profile.h
-    e = _reflect(fs, profile.n, 1)   # e[k:k + N - 1] is f_{k-1} .. f_{k+N-3}
+    e = _reflect(fs, profile.n)   # e[k:k + N - 1] is f_{k-1} .. f_{k+N-3}
     fp = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
     fpp = (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
     s, c = _geometry(profile.N)[8:]
@@ -222,10 +222,10 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     return fpp + (c / s) * fp - sf * cf / (s * s) + (alpha - 1.0) * fp * Wp / (2.0 + W)
 
 
-def _reflect(fs: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Nodal values extended by k ghost nodes per side through the odd
+def _reflect(fs: np.ndarray, n: int) -> np.ndarray:
+    """Nodal values extended by one ghost node per side through the odd
     reflections f(-r) = -f(r) and f(pi + s) = 2 n pi - f(pi - s)."""
-    return np.concatenate((-fs[k:0:-1], fs, 2.0 * n * _PI - fs[-2:-k - 2:-1]))
+    return np.concatenate((-fs[1:2], fs, 2.0 * n * _PI - fs[-2:-1]))
 
 
 def _cubic(f0, f1, f2, f3, t):
@@ -308,7 +308,7 @@ class _DiscreteEnergy:
             return fields
         self._key = None
         fc, tmp = self._work[5:7]
-        fe = _reflect(fs, self.n, 1)
+        fe = _reflect(fs, self.n)
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
         window = np.lib.stride_tricks.sliding_window_view
         np.matmul(self.B.T, window(fe, 4).T, out=fc)

@@ -77,14 +77,11 @@ class _Context:
         return np.random.default_rng([self.settings.seed, idx])
 
 
-def _random_su2(rng) -> mb.MobiusElement:
-    v = rng.normal(size=4)
-    return mb._su2_from_column((complex(v[0], v[1]), complex(v[2], v[3])))
-
-
-def _random_element(rng, lam_max: float = 8.0) -> mb.MobiusElement:
-    lam = math.exp(rng.uniform(0.0, math.log(lam_max)))
-    return _random_su2(rng) @ mb.MobiusElement.dilation(lam) @ _random_su2(rng)
+def _random_element(rng, lam_max: float = 8.0, size: tuple = ()) -> mb.MobiusElement:
+    """U diag(sqrt(lam), 1/sqrt(lam)) V, log lam uniform, U and V special unitary."""
+    lam = np.exp(rng.uniform(0.0, math.log(lam_max), size=size))
+    u, v = (mb._su2_from_column(rng.normal(size=size + (4,)).view(complex)) for _ in range(2))
+    return u @ mb.MobiusElement.dilation(lam) @ v
 
 
 def _at_most(check: str, value: float, bound: float, note: str = "") -> tuple:
@@ -269,23 +266,15 @@ def c08_degree_floor_pullback(ctx: _Context) -> list[tuple]:
             worst_inv = max(worst_inv, abs(raw - d0))
     rows.append(_at_most("degree_invariance", worst_inv, 0.01))
 
-    # e(u o m)(zeta) chi_lam(V* zeta) = e(u)(m zeta) for m = U D V*: both
-    # sides in one batch, with chi from the SVD and not from the density
+    # e(u o m)(zeta) chi_lam(V* zeta) = e(u)(m zeta) for m = U D V*, for a
+    # batch of samples, with chi from the SVD and not from the density
     n_pts = 200 if quick else 1000
-    els, pts, lams, vzs = [], [], [], []
-    for _ in range(n_pts):
-        m = _random_element(rng)
-        sv = mb.mobius_svd(m)
-        u = mp.MobiusMap(_random_element(rng))
-        z = complex(rng.normal(), rng.normal())
-        v = sv.V.inverse()  # V is special unitary, so V^-1 = V*
-        els += [mp.pullback(u, m).m, u.m]
-        pts += [z, (m.a * z + m.b) / (m.c * z + m.d)]
-        lams.append(sv.lam)
-        vzs.append((v.a * z + v.b) / (v.c * z + v.d))
-    a, b, c, d = (np.array([getattr(e, k) for e in els]) for k in "abcd")
-    dens = mb._form_density(a, b, c, d, mb._lift(np.array(pts)))
-    lhs, rhs = dens[0::2] * mb.chi_values(np.array(lams), np.array(vzs)), dens[1::2]
+    m, u = (_random_element(rng, size=(n_pts,)) for _ in range(2))
+    z = rng.normal(size=(n_pts, 2)).view(complex)[:, 0]
+    sv = mb.mobius_svd(m)
+    vz = mb.mobius_apply(sv.V.inverse(), z)  # V is special unitary, so V^-1 = V*
+    lhs = mp.MobiusMap(u @ m).density(z) * mb.chi_values(sv.lam, vz)
+    rhs = mp.MobiusMap(u).density(mb.mobius_apply(m, z))
     rows.append(_at_most("pullback_identity", float(np.max(np.abs(lhs - rhs) / rhs)),
                          1e-10, note=f"{n_pts} random (zeta, M)"))
     return rows

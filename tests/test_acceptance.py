@@ -128,3 +128,31 @@ def test_quick_battery_quadrature_call_ceiling(monkeypatch):
     rows = run_criteria(VerifySettings(seed=2024, level="quick"))
     assert all(r.passed for r in rows)
     assert len(calls) <= QUICK_QUADRATURE_CALLS
+
+
+# mobius_svd calls and MobiusElement constructions of the quick battery at
+# seed 2024: measured 3 calls (one batched SVD in c08 and one in each of
+# c12's two c08 reruns) and 489 constructions, plus margins of 2 and 61.
+# An SVD per c08 sample makes 600 calls and 8838 constructions.
+QUICK_SVD_CALLS = 3 + 2
+QUICK_MOBIUS_CONSTRUCTIONS = 489 + 61
+
+
+def test_quick_battery_mobius_ceiling(monkeypatch):
+    counts = {"svd": 0, "init": 0}
+    svd, init = mobius.mobius_svd, mobius.MobiusElement.__post_init__
+
+    def counting_svd(m):
+        counts["svd"] += 1
+        return svd(m)
+
+    def counting_init(self):
+        counts["init"] += 1
+        init(self)
+
+    monkeypatch.setattr(mobius, "mobius_svd", counting_svd)
+    monkeypatch.setattr(mobius.MobiusElement, "__post_init__", counting_init)
+    rows = run_criteria(VerifySettings(seed=2024, level="quick"))
+    assert all(r.passed for r in rows)
+    assert counts["svd"] <= QUICK_SVD_CALLS
+    assert counts["init"] <= QUICK_MOBIUS_CONSTRUCTIONS

@@ -233,9 +233,9 @@ def test_form_density_against_pair_path_and_closed_form(ratio):
         P, Q = m.a * pts.p + m.b * pts.q, m.c * pts.p + m.d * pts.q
         pair = ((pts.pp + pts.qq) / (np.abs(P) ** 2 + np.abs(Q) ** 2)) ** 2
         closed = np.array([_closed_form_density(m, z) for z in zs])
-        # one matrix, and the same matrix broadcast as arrays of entries
-        for dens in (_form_density(m.a, m.b, m.c, m.d, pts),
-                     _form_density(*(np.full(zs.shape, getattr(m, k)) for k in "abcd"), pts)):
+        # one matrix, and the same matrix as a batch broadcast over the points
+        batch = MobiusElement(*(np.full(zs.shape, getattr(m, k)) for k in "abcd"))
+        for dens in (_form_density(m, pts), _form_density(batch, pts)):
             assert np.all(np.isfinite(dens))
             assert np.max(np.abs(dens - pair) / pair) <= 1e-11
             assert np.max(np.abs(dens - closed) / closed) <= 1e-11

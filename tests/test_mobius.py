@@ -164,6 +164,55 @@ def test_svd_rejects_degenerate():
         MobiusElement.normalized(math.nan, 0.0, 0.0, 1.0)
 
 
+def _stack(elements):
+    return MobiusElement(*(np.array([getattr(e, k) for e in elements]) for k in "abcd"))
+
+
+def _entries(m):
+    return np.array(np.broadcast_arrays(m.a, m.b, m.c, m.d))
+
+
+def test_batch_equals_its_elements():
+    rng = np.random.default_rng(23)
+    els = [random_element(rng) for _ in range(60)]
+    els += [su2(complex(0.6, 0.3), complex(-0.2, 0.9)), MobiusElement.identity()]
+    others = [random_element(rng) for _ in els]
+    m, other = _stack(els), _stack(others)
+    z = rng.normal(size=len(els)) + 1j * rng.normal(size=len(els))
+    z[0], z[1] = INF, 0j
+    sv, image = mobius_svd(m), mobius_apply(m, z)
+    assert np.array_equal(sv.lam[-2:], [1.0, 1.0])
+    product = (m @ other).matrix()
+    for k, (e, o) in enumerate(zip(els, others)):
+        one = mobius_svd(e)
+        assert sv.lam[k] == one.lam
+        for batch, single in ((sv.U, one.U), (sv.V, one.V), (m.inverse(), e.inverse())):
+            assert np.array_equal(_entries(batch)[:, k], _entries(single))
+        assert image[k] == mobius_apply(e, z[k])
+        # numpy may fuse the multiply and add of a complex product over an
+        # array (it does with AVX-512) but not over two scalars, so @ agrees
+        # to the rounding of its products, a few ulps of their magnitudes
+        bound = 4.0 * np.finfo(float).eps * (np.abs(e.matrix()) @ np.abs(o.matrix()))
+        assert np.all(np.abs(product[k] - (e @ o).matrix()) <= bound)
+
+
+def test_batch_validation():
+    ones = np.ones(3)
+    for bad in (2.0, math.nan):
+        with pytest.raises(DegenerateMatrixError):
+            MobiusElement(np.array([1.0, bad, 1.0]), 0.0, 0.0, ones)
+    for bad in (2.0, math.nan):
+        m = MobiusElement(ones, 0.0, 0.0, ones)
+        object.__setattr__(m, "a", np.array([1.0, 1.0, bad], dtype=complex))
+        with pytest.raises(DegenerateMatrixError):
+            mobius_svd(m)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MobiusElement.dilation(np.array([2.0, bad, 0.5]))
+    # a scalar element keeps scalar, hashable entries
+    assert hash(MobiusElement.dilation(2.0)) == hash(MobiusElement.dilation(2.0))
+
+
 def test_normalized_hits_unit_determinant():
     m = MobiusElement.normalized(3.0 + 1j, 2.0, -1j, 0.5)
     assert abs(m.det() - 1.0) < 1e-12
