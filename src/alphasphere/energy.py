@@ -173,12 +173,9 @@ def _log_excess_ratio(alpha: float, tau: np.ndarray) -> np.ndarray:
     """log(G(sigma) - 1) at every tau = |log lam| of an array, without
     cancellation; finite for finite tau > 0, and a lower bound past _LOG_MAX."""
     beta = alpha - 1.0
-    out = np.full(tau.shape, -math.inf)
+    out, pos = np.full(tau.shape, -math.inf), tau > 0.0
     if beta == 0.0:
         return out
-    # quadratic limit, from the integrand's curvature at 0: G - 1 = alpha beta tau^2 / 6 + O(tau^4)
-    small, big = (0.0 < tau) & (tau < 1e-6), tau >= 1e-6
-    out[small] = math.log(alpha * beta / 6.0) + 2.0 * np.log(tau[small])
 
     # log of cosh(t) expm1(g) with g = beta log cosh t + log cosh(beta t),
     # using log expm1(g) = g + log(-expm1(-g))
@@ -187,7 +184,7 @@ def _log_excess_ratio(alpha: float, tau: np.ndarray) -> np.ndarray:
         g = beta * lc + _log_cosh(beta * t)
         return lc + g + np.log(-np.expm1(-g))
 
-    out[big] = _scaled_integral(log_phi, lambda t: -_log_sinh(t), tau[big], _XI_REL_TOL)
+    out[pos] = _scaled_integral(log_phi, lambda t: -_log_sinh(t), tau[pos], _XI_REL_TOL)
     return out
 
 
@@ -262,7 +259,7 @@ def energy_report(u: MapEvaluator, alpha: float,
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    dens = u.density(grid.lifted)
+    dens = u.density(grid)
     e1 = grid.integrate(1.0 + dens)
     ea = _deformed_energy(1.0, dens, alpha, grid)
     raw, nearest = degree(u, grid)
@@ -277,7 +274,7 @@ def alpha_energy(u: MapEvaluator, alpha: float, grid: QuadratureGrid) -> float:
     """E_alpha(u) = 2^(alpha-1) int (1 + e(u))^alpha dA by grid quadrature."""
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    return _deformed_energy(1.0, u.density(grid.lifted), alpha, grid)
+    return _deformed_energy(1.0, u.density(grid), alpha, grid)
 
 
 def e_alpha_lambda(u: MapEvaluator, alpha: float, lam: float,
@@ -285,7 +282,7 @@ def e_alpha_lambda(u: MapEvaluator, alpha: float, lam: float,
     """Deformed energy E_(alpha,lam)(u); at lam = 1 this is alpha_energy."""
     if not (1.0 <= alpha < math.inf and 1.0 <= lam < math.inf):
         raise ValueError("needs alpha >= 1 and lam >= 1")
-    return _deformed_energy(chi_values(lam, grid.lifted), u.density(grid.lifted), alpha, grid)
+    return _deformed_energy(chi_values(lam, grid), u.density(grid), alpha, grid)
 
 
 @np.errstate(over="ignore")   # inf is the energy reported past double range
@@ -304,11 +301,10 @@ def d_energy_d_loglambda(u: MapEvaluator, alpha: float, lam: float,
     (lam^2 |p|^2 - |q|^2)/(lam^2 |p|^2 + |q|^2) on the lifted pair."""
     if not (1.0 <= alpha < math.inf and 1.0 <= lam < math.inf):
         raise ValueError("needs alpha >= 1 and lam >= 1")
-    pts = grid.lifted
-    ch = chi_values(lam, pts)
-    W = 2.0 * u.density(pts)
-    t = lam * lam * pts.pp
-    height = (t - pts.qq) / (t + pts.qq)
+    ch = chi_values(lam, grid)
+    W = 2.0 * u.density(grid)
+    t = lam * lam * grid.pp
+    height = (t - grid.qq) / (t + grid.qq)
     vals = (2.0 + ch * W) ** (alpha - 1.0) * ((alpha - 1.0) * W - 2.0 / ch) * height
     return grid.integrate(vals)
 
@@ -365,8 +361,6 @@ def check_growth(alpha: float, lam: float, gprime: float) -> BoundCheck:
     if not 0.0 <= sigma <= 2.0:
         raise RegimeError("growth bound needs 0 <= (alpha-1) log lam <= 2")
     base = energy_floor(alpha)
-    if sigma == 0.0:
-        return BoundCheck.compare("growth_dloglam", 0.0, 0.0, regime="sigma_small")
     lhs = beta * base * gprime
     if sigma <= beta:
         rhs = beta * base * sigma / (3.0 * beta * math.cosh(1.0) ** 2)
@@ -386,7 +380,7 @@ def eaclose_gap(u: MapEvaluator, alpha: float, lam: float,
     """
     if not (1.0 <= alpha <= 2.0 and 1.0 <= lam < math.inf):
         raise RegimeError("gap bound is stated for 1 <= alpha <= 2, lam >= 1")
-    ch, dens = chi_values(lam, grid.lifted), u.density(grid.lifted)
+    ch, dens = chi_values(lam, grid), u.density(grid)
     # the identity's density is exactly 1 on the lifted points
     lhs = _deformed_energy(ch, dens, alpha, grid) - _deformed_energy(ch, 1.0, alpha, grid)
     l1 = grid.integrate(np.abs(2.0 * dens - 2.0))

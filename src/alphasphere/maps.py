@@ -8,8 +8,8 @@ at conformal points, and (1/4 pi) times the integral of J is the degree.
 All maps in scope have closed-form pointwise data (fractional linear maps,
 rotationally symmetric maps, and compositions with fractional linear maps),
 so quadrature consumes evaluators directly and no interpolation enters the
-bound checks.  Evaluators take complex chart points, or the points a
-:class:`QuadratureGrid` lifted once to projective pairs (p, q), zeta = p/q
+bound checks.  Evaluators take complex chart points or a grid, whose nodes
+:class:`QuadratureGrid` lifts once to projective pairs (p, q), zeta = p/q
 and max(|p|, |q|) = 1, which keeps every density finite through the poles
 of the chart.  The map of M sends a pair to its image pair (P, Q) = M (p, q)
 (:mod:`alphasphere.mobius`); its density ((|p|^2 + |q|^2)/(|P|^2 + |Q|^2))^2
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class MapEvaluator(ABC):
     """Abstract pointwise description of a map from the sphere to itself.
 
     The methods accept complex chart coordinates (entries may be inf for
-    the pole) or a grid's lifted points, which read as their chart
-    coordinates wherever an array is expected.
+    the pole) or a grid, which reads as its chart coordinates wherever an
+    array is expected.
     """
 
     @abstractmethod
@@ -103,8 +103,7 @@ class ConstantMap(MapEvaluator):
         self.q = q
 
     def position(self, z):
-        n = np.asarray(z).shape[0]
-        return np.tile(self.q.as_array()[:, None], (1, n))
+        return np.tile([[self.q.x], [self.q.y], [self.q.z]], (1, np.asarray(z).shape[0]))
 
     def density(self, z):
         return np.zeros(np.asarray(z).shape)
@@ -192,27 +191,18 @@ def pullback(u: MapEvaluator, m: MobiusElement) -> MapEvaluator:
     return PullbackMap(u, m)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+@dataclass(frozen=True, eq=False)
+class QuadratureGrid(_Lifted):
     """Product quadrature on the sphere in stereographic polar coordinates:
     Gauss-Legendre in the polar angle against sin(theta) d theta, uniform
     (trapezoidal on the circle) in the chart argument.  Weights sum to
-    4 pi; node summation is pairwise, hence deterministic.  The nodes are
-    lifted once, and evaluators take ``lifted`` in place of ``zs``."""
+    4 pi; node summation is pairwise, hence deterministic.  A grid is its
+    nodes lifted once, so evaluators take the grid itself."""
 
-    zs: np.ndarray
     weights: np.ndarray
-    lifted: _Lifted = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lifted", _lift(self.zs))
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def make_grid(n_radial: int, n_angular: int) -> QuadratureGrid:
@@ -226,13 +216,13 @@ def make_grid(n_radial: int, n_angular: int) -> QuadratureGrid:
     zs = np.outer(r, np.exp(1j * phi)).ravel()
     weights = np.outer(w_theta * (2.0 * math.pi / n_angular),
                        np.ones(n_angular)).ravel()
-    return QuadratureGrid(zs=zs, weights=weights)
+    return QuadratureGrid(**vars(_lift(zs)), weights=weights)
 
 
 def degree(u: MapEvaluator, grid: QuadratureGrid) -> tuple[float, int]:
     """(1/4 pi) times the Jacobian integral, raw and rounded; warns when
     the raw value sits further than 0.01 from the nearest integer."""
-    raw = grid.integrate(u.jacobian(grid.lifted)) / (4.0 * math.pi)
+    raw = grid.integrate(u.jacobian(grid)) / (4.0 * math.pi)
     nearest = int(round(raw))
     if abs(raw - nearest) > 0.01:
         warnings.warn(f"degree quadrature {raw:.6f} is {abs(raw - nearest):.3g} "

@@ -64,9 +64,6 @@ class SpherePoint:
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"point is off the unit sphere: |p|^2 - 1 = {nrm - 1.0:.3e}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class MobiusElement:
@@ -147,9 +144,6 @@ class MobiusSVD:
     U: MobiusElement
     V: MobiusElement
     lam: float | np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U @ MobiusElement.dilation(self.lam) @ self.V.inverse()).matrix()
 
 
 def _abs2(z):
@@ -277,18 +271,15 @@ def grad_log_chi(lam: float, r):
 
 
 def norm_grad_log_chi_L2(lam: float) -> float:
-    """L2 norm over the sphere of grad log chi_lam.
-
-    The square is the radial integral
-    8 pi * int_0^inf (d/dr log chi_lam)^2 r (1+r^2)^(-2) dr, computed after
-    the compactifying substitution r = tan(theta/2) as
-    2 pi * int_0^pi (d/dr log chi_lam)^2 sin(theta) dtheta by adaptive
-    Gauss-Legendre panels.
+    """L2 norm of the chart derivative d/dr log chi_lam against spherical
+    area: its square is 8 pi int_0^inf (d/dr log chi_lam)^2 r (1+r^2)^(-2) dr,
+    computed with r = tan(theta/2) as 2 pi int_0^pi (...)^2 sin(theta) dtheta
+    by adaptive Gauss-Legendre panels.  The conformally invariant Dirichlet
+    norm, 2 pi int (...)^2 r dr, is smaller (11.6 against 20.0 at lam = 10);
+    :func:`grad_log_chi_l2_bound` lies above both on verify's c07 lam grid.
     """
     if not 1.0 <= lam < math.inf:
         raise ValueError("norm_grad_log_chi_L2 expects lam >= 1")
-    if lam == 1.0:
-        return 0.0
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         g = grad_log_chi(lam, np.tan(0.5 * theta))

@@ -35,8 +35,10 @@ class QuadratureConvergenceError(RuntimeError):
 
 @functools.cache
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared by every caller."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only by every caller."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,

@@ -338,16 +338,17 @@ def c11_gap_bound_random(ctx: _Context) -> list[tuple]:
 
 
 def c12_determinism(ctx: _Context) -> list[tuple]:
-    """The battery's randomised criteria serialise identically when rerun
-    with the same seed.  The reruns go through ``_checked``, not through
-    ``CRITERIA``, whose entries a caller may have wrapped."""
+    """c05 and c08, which exercise the seeded generator and ``_random_element``,
+    serialise identically when rerun with the same seed.  c11 is left out: each
+    rerun would repeat its radial solve (about 10 ms at quick level), and its 35
+    Moebius constructions per rerun would exceed ``test_quick_battery_mobius_ceiling``.
+    The reruns go through ``_checked``, not ``CRITERIA``, whose entries may be wrapped."""
     sub = VerifySettings(seed=ctx.settings.seed, level="quick")
     blobs = []
     for _ in range(2):
         ctx2 = _Context(settings=sub)
         rows = []
-        for fn in (c02_alpha1_conformal, c05_derivative_consistency,
-                   c08_degree_floor_pullback):
+        for fn in (c05_derivative_consistency, c08_degree_floor_pullback):
             rows.extend(_checked(fn)(ctx2))
         blobs.append(rows_to_csv(rows).encode())
     same = blobs[0] == blobs[1]

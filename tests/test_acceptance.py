@@ -110,10 +110,10 @@ def test_c12_verify_determinism(ctx):
 
 
 # adaptive_gauss_legendre calls of the quick battery at seed 2024: measured
-# 124 (c01 6, c05 30, c06 16, c07 9, c12 60, and c04 3, one prefix pass per
-# exponent), plus a margin of 6.  Evaluating c04's tau grid point by point
+# 125 (c01 6, c05 30, c06 16, c07 10, c12 60, and c04 3, one prefix pass per
+# exponent), plus a margin of 5.  Evaluating c04's tau grid point by point
 # takes 195 calls in c04 alone.
-QUICK_QUADRATURE_CALLS = 124 + 6
+QUICK_QUADRATURE_CALLS = 125 + 5
 
 
 def test_quick_battery_quadrature_call_ceiling(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alphasphere import (
+    BoundCheck,
     GROWTH_THETA_CONSTANT,
     Gprime,
     MobiusElement,
@@ -112,6 +113,16 @@ def test_dilation_energy_at_lam1():
 def test_dilation_energy_alpha1_exact():
     for lam in (2.0, 10.0, 100.0, 1e4):
         assert dilation_energy(1.0, lam).value == 8.0 * math.pi
+
+
+@pytest.mark.parametrize("alpha", [1.05, 2.0, 50.0])
+@pytest.mark.parametrize("lam", [1.0 + 2.0 ** -52, 1.0 + 1e-12, 1.0 + 1e-9])
+def test_tiny_tau_takes_the_quadrature_to_the_quadratic_limit(alpha, lam):
+    # G - 1 = alpha beta tau^2 / 6 + O(tau^4): at tau <= 1e-9 the O(tau^2)
+    # relative correction is below 1e-14 even at alpha = 50
+    res = dilation_energy(alpha, lam)
+    limit = math.log(alpha * (alpha - 1.0) / 6.0) + 2.0 * math.log(res.tau)
+    assert res.tau > 0.0 and abs(res.log_excess - limit) <= 1e-13
 
 
 def test_dilation_energy_regression():
@@ -254,7 +265,7 @@ def test_Gprime_finite_for_large_exponent():
 
 @pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
 def test_dilation_energy_array_matches_scalar_calls(monkeypatch, alpha):
-    # verify's c04 grid, plus tau = 0 and the quadratic branch tau < 1e-6
+    # verify's c04 grid, plus tau = 0 and two tau below 1e-6
     taus = np.concatenate(([0.0, 3e-7, 8e-7], np.linspace(0.0, 20.0 / (alpha - 1.0), 200)))
     lams = np.exp(taus)
     scalar = [dilation_energy(alpha, float(lam)) for lam in lams]
@@ -419,6 +430,12 @@ def _growth(alpha, lam):
 def test_growth_check_zero_at_lam1():
     c = _growth(1.4, 1.0)
     assert c.passed and c.lhs == 0.0 and c.rhs == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.4, 2.0])
+def test_growth_check_at_lam1_is_the_small_sigma_row_of_a_zero_slope(alpha):
+    assert check_growth(alpha, 1.0, 0.0) == BoundCheck(
+        "growth_dloglam", 0.0, 0.0, 0.0, True, regime="sigma_small")
 
 
 def test_growth_check_small_sigma_example():

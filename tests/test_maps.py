@@ -37,7 +37,7 @@ def grid():
 # ------------------------------------------------------------------ grid
 
 def test_grid_total_weight(grid):
-    assert abs(grid.total_weight - 4.0 * math.pi) < 1e-9
+    assert abs(grid.integrate(1.0) - 4.0 * math.pi) < 1e-9
 
 
 def test_grid_rejects_small():
@@ -65,9 +65,9 @@ def test_grid_convergence_smooth_map():
 
 def test_grid_nodes_and_weights():
     g = make_grid(8, 8)
-    assert g.zs.shape == g.weights.shape == (64,) and g.lifted.size == 64
+    assert g.zs.shape == g.weights.shape == (64,) and g.size == 64
     assert np.all(g.weights > 0.0)
-    assert abs(math.fsum(g.weights) - g.total_weight) < 1e-12
+    assert abs(math.fsum(g.weights) - g.integrate(1.0)) < 1e-12
 
 
 # ------------------------------------------------------------ evaluators
@@ -244,14 +244,14 @@ def test_form_density_against_pair_path_and_closed_form(ratio):
 def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
     from alphasphere import chi_values
     rng = np.random.default_rng(5)
-    assert grid.lifted.size == grid.zs.size
+    assert grid.size == grid.zs.size
     for lam in (1.0, 3.7, 250.0):
-        assert np.array_equal(chi_values(lam, grid.lifted), chi_values(lam, grid.zs))
+        assert np.array_equal(chi_values(lam, grid), chi_values(lam, grid.zs))
     profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
     for u in (MobiusMap(random_element(rng)), ConjugationMap(), RadialMap(profile),
               pullback(RadialMap(profile), random_element(rng))):
         for method in ("position", "density", "jacobian"):
-            assert np.array_equal(getattr(u, method)(grid.lifted),
+            assert np.array_equal(getattr(u, method)(grid),
                                   getattr(u, method)(grid.zs))
 
 

@@ -136,8 +136,8 @@ def test_svd_reconstruction_and_eigen_oracle():
                                      complex(vals[6], vals[7]))
         sv = mobius_svd(m)
         A = m.matrix()
-        err = min(np.max(np.abs(sv.reconstruct() - A)),
-                  np.max(np.abs(sv.reconstruct() + A)))
+        B = (sv.U @ MobiusElement.dilation(sv.lam) @ sv.V.inverse()).matrix()
+        err = min(np.max(np.abs(B - A)), np.max(np.abs(B + A)))
         assert err < 1e-10
         # oracle: larger eigenvalue of M M* from an independent routine
         lam_oracle = float(np.max(np.linalg.eigvalsh(A @ A.conj().T)))
@@ -268,6 +268,31 @@ def test_norm_grad_log_chi_bound_at_e():
            * ((math.e - 1.0) / math.e) * math.sqrt(11.0 / 8.0))
     assert v <= cap
     assert abs(grad_log_chi_l2_bound(math.e) - cap) < 1e-12
+
+
+def _radial_quad(lam, weight):
+    """2 pi int_0^inf (d/dr log chi_lam)^2 weight(r) dr by scipy's quad, split
+    where the integrand turns: at 1/lam and 1."""
+    from scipy.integrate import quad
+    ends = (0.0, 1.0 / lam, 1.0, math.inf)
+    return 2.0 * math.pi * sum(
+        quad(lambda r: grad_log_chi(lam, r) ** 2 * weight(r), lo, hi,
+             epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 10.0, 100.0, 1e3, 1e4])
+def test_norm_grad_log_chi_is_the_spherical_area_norm(lam):
+    # the library integrates against spherical area, 8 pi int g^2 r (1+r^2)^-2
+    # dr; the conformally invariant Dirichlet norm 2 pi int g^2 r dr is
+    # smaller, its square 16 pi ((mu + 1) log mu - 2 (mu - 1)) / (mu - 1) with
+    # mu = lam^2 (a closed form that cancels near lam = 1: 3e-9 at 1.0001)
+    mu = lam * lam
+    invariant2 = 16.0 * math.pi * ((mu + 1.0) * math.log(mu) - 2.0 * (mu - 1.0)) / (mu - 1.0)
+    assert abs(_radial_quad(lam, lambda r: r) - invariant2) <= 1e-12 * invariant2
+    area2 = _radial_quad(lam, lambda r: 4.0 * r / (1.0 + r * r) ** 2)
+    norm = norm_grad_log_chi_L2(lam)
+    assert abs(norm * norm - area2) <= 1e-8 * area2
+    assert math.sqrt(invariant2) < norm <= grad_log_chi_l2_bound(lam)
 
 
 def test_norm_grad_log_chi_two_regime_envelope():

@@ -110,3 +110,11 @@ def test_many_ends_get_the_refinement_budget_of_one_call():
     ends = np.concatenate((np.linspace(1e-3, 1.0, 10_000), [40.0]))
     vals = adaptive_gauss_legendre(np.exp, 0.0, ends, rel_tol=1e-12)
     assert abs(vals[-1] - math.expm1(40.0)) <= 1e-12 * math.expm1(40.0)
+
+
+def test_rule_arrays_are_read_only():
+    # one cached pair per order is shared by every caller
+    from alphasphere.quadrature import _rule
+    for a in _rule(12):
+        with pytest.raises(ValueError):
+            a[0] = 0.0

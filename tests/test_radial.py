@@ -491,6 +491,29 @@ def test_minimize_reports_max_iters():
     assert res.iterations == 2
 
 
+def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
+    # every evaluation after a discretisation's first reports that first
+    # energy plus one, so no Armijo trial lowers it
+    from alphasphere.cli import main
+    plain = _DiscreteEnergy.value_and_grad
+
+    def rising(self, fs):
+        val, grad = plain(self, fs)
+        if not hasattr(self, "first_energy"):
+            self.first_energy = val
+            return val, grad
+        return self.first_energy + 1.0, grad
+
+    monkeypatch.setattr(_DiscreteEnergy, "value_and_grad", rising)
+    res = minimize_radial(1.2, 3, 400)
+    assert res.stop_reason == "line_search"
+    assert not res.converged
+    assert res.iterations == 1 and len(res.history) == 1
+    assert np.array_equal(res.profile.fs, RadialProfile.linear(3, 400).fs)
+    assert main(["radial-solve", "--alpha", "1.2", "--n", "3", "--N", "400"]) == 1
+    assert capsys.readouterr().out.endswith(",1,false,line_search\n")
+
+
 # ------------------------------------------------------- discrete Hessian
 
 def _dense(ab):
@@ -772,6 +795,24 @@ def test_newton_direction_descends_on_indefinite_hessian():
         except LinAlgError:
             shift *= 2.0
     assert np.array_equal(d, ref)
+
+
+def test_newton_direction_falls_back_to_steepest_descent(monkeypatch):
+    # a band that no Levenberg shift makes factorable leaves -g
+    import scipy.linalg
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", failing)
+    N = 200
+    disc = _DiscreteEnergy(1.2, 3, N)
+    fs = RadialProfile.linear(3, N).fs
+    g = disc.value_and_grad(fs)[1][1:-1]
+    assert np.array_equal(_newton_direction(disc, fs, g), -g)
+    assert len(calls) == 40
 
 
 # -------------------------------------------------------------- shooting
