@@ -62,7 +62,7 @@ _LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)   # exp overflows exactly above this
 _XI_REL_TOL = 1e-12       # quadrature tolerance of the excess xi
 _GPRIME_REL_TOL = 1e-11   # quadrature tolerance of G'
-_FLOOR_TOL = 1e-8         # quadrature slack of energy_report's degree-one floor check
+_FLOOR_TOL = 1e-10        # relative quadrature slack of energy_report's degree-one floor check
 
 
 class RegimeError(ValueError):
@@ -255,8 +255,8 @@ class EnergyReport:
 def energy_report(u: MapEvaluator, alpha: float,
                   grid: QuadratureGrid) -> EnergyReport:
     """Report e_alpha, the Dirichlet-plus-area integral of (1 + e), the
-    degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi.
-    """
+    degree, and whether a degree-1 map clears the floor 2^(2 alpha + 1) pi
+    up to a relative slack of 1e-10."""
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     dens = u.density(grid)
@@ -264,7 +264,7 @@ def energy_report(u: MapEvaluator, alpha: float,
     ea = _deformed_energy(1.0, dens, alpha, grid)
     raw, nearest = degree(u, grid)
     floor = energy_floor(alpha)
-    passes = (nearest != 1) or (ea >= floor - _FLOOR_TOL)
+    passes = (nearest != 1) or (ea >= floor * (1.0 - _FLOOR_TOL))
     return EnergyReport(alpha=alpha, e_alpha=ea, e_dirichlet_plus_area=e1,
                         degree=raw, degree_int=nearest,
                         floor_2_2a1_pi=floor, passes_floor=passes)

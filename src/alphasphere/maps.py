@@ -103,7 +103,7 @@ class ConstantMap(MapEvaluator):
         self.q = q
 
     def position(self, z):
-        return np.tile([[self.q.x], [self.q.y], [self.q.z]], (1, np.asarray(z).shape[0]))
+        return np.multiply.outer([self.q.x, self.q.y, self.q.z], np.ones(np.shape(z)))
 
     def density(self, z):
         return np.zeros(np.asarray(z).shape)

@@ -161,10 +161,6 @@ class _Lifted:
     pp: np.ndarray
     qq: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.zs.size
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.zs, dtype=dtype, copy=copy)
 

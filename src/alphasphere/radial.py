@@ -22,7 +22,8 @@ regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
 it.  This one per-cell integrator serves the minimiser's objective, the
 reported energy, the degree and the window energies; only a cell that a
 window's end cuts is integrated point by point through the reconstruction,
-which the k pi crossings and the 2-d map read as well.
+which the 2-d map reads as well.  Each k pi crossing is found by bisection
+on the cubic of the one cell that brackets it.
 
 The module provides the energy and the energies of the windows between the
 k pi crossings, a finite-difference residual for the above equation and a
@@ -215,7 +216,7 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     e = _reflect(fs, profile.n)   # e[k:k + N - 1] is f_{k-1} .. f_{k+N-3}
     fp = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
     fpp = (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
-    s, c = _geometry(profile.N)[8:]
+    s, c = _sincos(profile.rs[1:-1])
     sf, cf = _sincos(fs[1:-1])
     W = fp * fp + (sf / s) ** 2
     Wp = 2.0 * fp * fpp + 2.0 * sf * cf * fp / (s * s) - 2.0 * sf * sf * c / (s ** 3)
@@ -243,8 +244,8 @@ def _cubic(f0, f1, f2, f3, t):
 
 @functools.lru_cache(maxsize=16)
 def _geometry(N: int) -> tuple:
-    """The read-only grid data of the discretisation on N cells: t, w, B, Bp,
-    Dp, table, inv_sin2 and wgt, then sin r and cos r at the interior nodes."""
+    """The read-only grid data that _DiscreteEnergy reads on N cells: t, w,
+    B, Bp, Dp, table, inv_sin2 and wgt."""
     h = _PI / N
     x, w = _rule(_GL_ORDER)
     t, w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
@@ -258,10 +259,8 @@ def _geometry(N: int) -> tuple:
     # hessian_band's basis products at a block's entries k <= l
     Bq, (k, l) = Bp / h, np.triu_indices(4)
     table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
-    rs = np.linspace(0.0, _PI, N + 1)
-    sin_xg = _sincos(rs[:-1] + h * t[:, None])[0]
-    out = (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg), _PI * h * w[:, None] * sin_xg,
-           *_sincos(rs[1:-1]))
+    sin_xg = _sincos(np.linspace(0.0, _PI, N + 1)[:-1] + h * t[:, None])[0]
+    out = (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg), _PI * h * w[:, None] * sin_xg)
     for a in out:
         a.flags.writeable = False
     return out
@@ -297,7 +296,7 @@ class _DiscreteEnergy:
     def __init__(self, alpha: float, n: int, N: int):
         self.alpha, self.n, self.N, self.h = alpha, n, N, _PI / N
         (self.t, self.w, self.B, self.Bp, self.Dp, self.table,
-         self.inv_sin2, self.wgt) = _geometry(N)[:8]
+         self.inv_sin2, self.wgt) = _geometry(N)
         self._work = np.empty((12, len(self.t), N))
         self._key = None
 
@@ -521,31 +520,20 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
 def _crossings(profile: RadialProfile) -> tuple[float, ...]:
     """The r where the reconstruction first climbs through pi, 2 pi, ...,
     (n - 1) pi.  As fs[0] = 0 and fs[N] = n pi, level k pi is first crossed
-    in the cell that ends at the first node at or above it.  The
-    reconstruction returns the nodal values exactly, so that cell brackets a
-    root of its cubic: Newton steps from the chord's root, each replaced by
-    bisection when it leaves the shrinking bracket (a right node on the
-    level is the chord's root, and exact)."""
-    out = []
+    in the cell i that ends at the first node at or above it.  The cubic of
+    that cell returns its nodal values exactly, so it brackets a root:
+    bisection on it halves the cell until its ends are adjacent floats and
+    returns the right end (a right node on the level, exactly)."""
+    fe, rs, h, out = _reflect(profile.fs, profile.n), profile.rs, profile.h, []
     for k in range(1, profile.n):
         level = k * _PI
-        gs = profile.fs - level
-        i = int(np.argmax(gs >= 0.0)) - 1
-        a, b = float(profile.rs[i]), float(profile.rs[i + 1])
-        r = a + (b - a) * float(gs[i] / (gs[i] - gs[i + 1]))
-        for _ in range(64):   # bisection alone narrows a cell to two floats in 64
-            f, fp = profile.value_and_slope(r)
-            g = float(f) - level
-            if g == 0.0:
-                break
-            a, b = (r, b) if g < 0.0 else (a, r)
-            step = r - g / float(fp) if fp else math.nan
-            if not a < step < b and step != r:
-                step = 0.5 * (a + b)
-            if not a < step < b:
-                break   # Newton stands still, or the bracket is two adjacent floats
-            r = step
-        out.append(r)
+        i = int(np.argmax(profile.fs >= level)) - 1
+        nodes, (a, b) = fe[i:i + 4].tolist(), rs[i:i + 2].tolist()
+        left, m = a, (b if nodes[2] == level else 0.5 * (a + b))
+        while a < m < b:
+            a, b = (m, b) if _cubic(*nodes, (m - left) / h)[0] < level else (a, m)
+            m = 0.5 * (a + b)
+        out.append(b)
     return tuple(out)
 
 

@@ -2,9 +2,11 @@
 tolerance, full problem sizes.  One pass/fail line is printed per
 criterion (run pytest with -s to see them as they complete)."""
 
+import math
+
 import pytest
 
-from alphasphere import energy, mobius, quadrature
+from alphasphere import energy, maps, mobius, quadrature
 from alphasphere.verification import CRITERIA, VerifySettings, _Context, run_criteria
 
 
@@ -91,6 +93,14 @@ def test_c08_pullback_identity_detects_a_1e9_relative_error(monkeypatch):
     monkeypatch.setattr(mobius, "chi_values", lambda *args: exact(*args) * (1.0 + 1e-9))
     row = pullback_row()
     assert not row.passed and row.value > 5e-10
+
+
+def test_c08_degree_one_fails_on_a_wrong_integer_degree(monkeypatch):
+    exact = maps.degree
+    monkeypatch.setattr(maps, "degree", lambda u, grid: (exact(u, grid)[0], 2))
+    rows = CRITERIA["c08"](_Context(settings=VerifySettings(seed=2024, level="quick")))
+    row = next(r for r in rows if r.check == "degree_one")
+    assert not row.passed and row.value == math.inf
 
 
 def test_c09_radial_rotation_recovery(ctx):

@@ -85,6 +85,24 @@ def test_energy_conjugation_map(capsys):
     assert row["passes_floor"] == "true"  # floor only binds degree one
 
 
+def test_energy_constant_map(capsys):
+    code, out, _ = run_cli(capsys, "energy", "--map", "constant", "--alpha", "1.2")
+    assert code == 0
+    assert parse_csv(out)[0]["degree_int"] == "0"
+
+
+@pytest.mark.parametrize("alpha", ["15", "20", "30"])
+@pytest.mark.parametrize("spec", ["identity", "mobius:0.6,-0.8,0.8,0.6"])
+def test_floor_verdict_is_relative_to_the_floor(capsys, spec, alpha):
+    # isometries attain the floor 2^(2 alpha + 1) pi; the 32-node rule's
+    # weights sum just below 4 pi, so E lies a relative 1e-15 below it, which
+    # is about 1e-5 in absolute terms at alpha = 15
+    code, out, _ = run_cli(capsys, "energy", "--map", spec, "--alpha", alpha,
+                           "--grid", "32,8")
+    row = parse_csv(out)[0]
+    assert code == 0 and row["degree_int"] == "1" and row["passes_floor"] == "true"
+
+
 def test_radial_solve_and_profile_roundtrip(capsys, tmp_path):
     prof = tmp_path / "prof.txt"
     code, out, _ = run_cli(capsys, "radial-solve", "--alpha", "1.4", "--n", "1",
@@ -264,6 +282,13 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("radial-solve", "--alpha", "1.3", "--n", "3,4", "--N", "300", "--init", "init.txt"),
     ("radial-solve", "--alpha", "1.3", "--n", "1,3", "--N", "300", "--profile-out", "p.txt"),
     ("verify", "--seed", "-1", "--criteria", "c02"),
+    # malformed option values and config files, and a missing --alpha
+    ("radial-solve", "--alpha", "1.2", "--n", "1,x", "--N", "300"),
+    ("energy", "--map", "identity", "--alpha", "1.5", "--grid", "300"),
+    ("verify", "--seed", "x", "--criteria", "c02"),
+    ("energy", "--config", "missing.cfg"),
+    ("energy", "--config", "init.txt"),   # a profile file: no line holds '='
+    ("energy", "--map", "identity"),
 ])
 def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

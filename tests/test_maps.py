@@ -65,7 +65,7 @@ def test_grid_convergence_smooth_map():
 
 def test_grid_nodes_and_weights():
     g = make_grid(8, 8)
-    assert g.zs.shape == g.weights.shape == (64,) and g.size == 64
+    assert g.zs.shape == g.weights.shape == (64,) and np.size(g) == 64
     assert np.all(g.weights > 0.0)
     assert abs(math.fsum(g.weights) - g.integrate(1.0)) < 1e-12
 
@@ -244,7 +244,7 @@ def test_form_density_against_pair_path_and_closed_form(ratio):
 def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
     from alphasphere import chi_values
     rng = np.random.default_rng(5)
-    assert grid.size == grid.zs.size
+    assert np.size(grid) == grid.zs.size
     for lam in (1.0, 3.7, 250.0):
         assert np.array_equal(chi_values(lam, grid), chi_values(lam, grid.zs))
     profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
@@ -253,6 +253,21 @@ def test_evaluators_read_the_same_from_a_grid_as_from_raw_points(grid):
         for method in ("position", "density", "jacobian"):
             assert np.array_equal(getattr(u, method)(grid),
                                   getattr(u, method)(grid.zs))
+
+
+def test_every_position_answers_in_the_shape_of_its_points(grid):
+    rng = np.random.default_rng(11)
+    profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
+    evaluators = (identity_map(), MobiusMap(random_element(rng)), ConjugationMap(),
+                  ConstantMap(SpherePoint(0.6, 0.0, 0.8)), RadialMap(profile),
+                  pullback(RadialMap(profile), random_element(rng)))
+    points = (0.3 - 0.4j, np.array([0.5, 2j]),
+              np.array([[0.0, 0.5, 3.0], [1j, -2.0, 0.1 + 0.1j]]), grid)
+    for u in evaluators:
+        for z in points:
+            xyz = u.position(z)
+            assert xyz.shape == (3, *np.shape(z)), (type(u).__name__, np.shape(z))
+            assert np.allclose(np.sum(xyz * xyz, axis=0), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_nan_chart_points_stay_nan():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from alphasphere import (
     save_profile,
     window_energies,
 )
-from alphasphere.radial import _crossings, _DiscreteEnergy, _geometry, _newton_direction, _sincos
+from alphasphere.radial import (_crossings, _cubic, _DiscreteEnergy, _geometry, _newton_direction,
+                                _sincos)
 
 import shooting
 from shooting import ShootFailedError, shoot_radial
@@ -49,6 +51,10 @@ def test_profile_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             RadialProfile.from_function(3, 200, lambda r: 3 * r + np.where(r > 1, bad, 0))
+    with pytest.raises(ValueError, match="1-d"):
+        RadialProfile(2, np.stack((p.fs, p.fs)))
+    with pytest.raises(ValueError, match="a <= b"):
+        window_energies(p, 1.2, (0.0, 2.0, 1.0, math.pi))
 
 
 def test_profile_resample_preserves_endpoints():
@@ -213,9 +219,9 @@ def test_energy_is_the_minimised_discrete_objective():
 
 
 def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
-    # the solver and the window energies read the per-cell fields; only the
-    # cells cut at the crossings (4 Gauss points each) and the crossings'
-    # root finding may go through value_and_slope
+    # the solver and the window energies read the per-cell fields, and the
+    # crossings their cells' cubics; only the cells that the window energies
+    # cut at the crossings (4 Gauss points each) go through value_and_slope
     sizes = []
     value_and_slope = RadialProfile.value_and_slope
 
@@ -227,7 +233,7 @@ def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
     for n in (3, 5):
         sizes.clear()
         res = minimize_radial(1.2, n, 1000)
-        assert sizes and max(sizes) <= 8
+        assert not sizes
         sizes.clear()
         window_energies(res.profile, 1.2, (0.0, *res.crossings, math.pi))
         assert sizes and max(sizes) <= 8
@@ -369,6 +375,30 @@ def test_windows_between_crossings(n):
         # measured, not implied: the hemispheres of n = 2 lie below the floor
         if n >= 3:
             assert part >= energy_floor(alpha) - 1e-9
+
+
+@pytest.mark.parametrize("N", [100, 4000, 64000])
+def test_crossings_bisect_their_cells_cubic(monkeypatch, N):
+    # each crossing reads the cubic of its own cell, once per halving, and
+    # never the global evaluator
+    p = RadialProfile.from_function(5, N, lambda r: 5 * r + 0.3 * np.sin(2 * r))
+    calls = Counter()
+
+    def counted(f0, f1, f2, f3, t):
+        calls[f0, f1, f2, f3] += 1
+        return _cubic(f0, f1, f2, f3, t)
+
+    def refused(self, r):
+        raise AssertionError("the crossings called value_and_slope")
+
+    monkeypatch.setattr("alphasphere.radial._cubic", counted)
+    monkeypatch.setattr(RadialProfile, "value_and_slope", refused)
+    rs = _crossings(p)
+    assert len(rs) == len(calls) == 4
+    assert max(calls.values()) <= 64
+    monkeypatch.undo()
+    for k, r in enumerate(rs, 1):
+        assert abs(float(p.value(r)) - k * math.pi) <= 1e-12
 
 
 def test_crossing_after_skips_earlier_climbs():

@@ -21,6 +21,9 @@ any checkout):
 - sine and cosine: ``_sincos`` of the minimiser's values at the (G, N)
   Gauss points into given arrays, as ``_DiscreteEnergy`` calls it, next to
   ``np.sin`` plus ``np.cos`` (libm) of the same points into the same arrays;
+- crossings and residual: ``_crossings`` and ``radial_residual`` of the
+  minimiser, which ``minimize_radial`` calls once per solve after its last
+  step;
 - instance set-up: ``_DiscreteEnergy(alpha, n, N)``, once with the grid
   geometry's cache cleared before each call (a first solve on N cells) and
   once with it warm (every later solve on N cells).
@@ -49,7 +52,8 @@ import timeit
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from alphasphere.radial import RadialProfile, _DiscreteEnergy, minimize_radial
+from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, minimize_radial,
+                                radial_residual)
 
 try:   # checkouts before the shared geometry have neither
     from alphasphere.radial import _geometry, _sincos
@@ -127,6 +131,8 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     if _sincos is not None:
         parts["sine and cosine, _sincos"] = measure(
             lambda: _sincos(points, out=(sin, cos, scratch)))
+    parts["crossings"] = measure(lambda: _crossings(res.profile))
+    parts["residual"] = measure(lambda: radial_residual(res.profile, ALPHA))
     if _geometry is None:
         parts["instance set-up, cold"] = measure(make)
     else:
