@@ -222,9 +222,7 @@ def _su2_from_column(col: np.ndarray) -> MobiusElement:
 
 
 def _where(mask, x: MobiusElement, y: MobiusElement) -> MobiusElement:
-    """x where ``mask`` holds and y elsewhere; a 0-d mask returns x or y."""
-    if np.ndim(mask) == 0:
-        return x if mask else y
+    """x where ``mask`` holds and y elsewhere, for one element or a batch."""
     return MobiusElement(*(np.where(mask, getattr(x, k), getattr(y, k)) for k in "abcd"))
 
 

@@ -20,10 +20,10 @@ reconstruction is the local cubic through the four nodes around each cell,
 with nodes beyond the endpoints supplied by the odd reflections that every
 regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
 it.  This one per-cell integrator serves the minimiser's objective, the
-reported energy, the degree and the window energies; only a cell that a
-window's end cuts is integrated point by point through the reconstruction,
-which the 2-d map reads as well.  Each k pi crossing is found by bisection
-on the cubic of the one cell that brackets it.
+reported energy and the window energies, differences of one cumulative
+energy whose panel past the last node goes point by point through the
+reconstruction, which the 2-d map reads as well.  The degree is
+(1 - cos n pi) / 2, and each k pi crossing is bisected on its cell's cubic.
 
 The module provides the energy and the energies of the windows between the
 k pi crossings, a finite-difference residual for the above equation and a
@@ -147,9 +147,9 @@ class SolveResult:
     discrete objective the iteration minimised, evaluated at the final
     profile; ``history`` holds it for the initial and every accepted
     iterate, and ``iterations`` counts the steps, both on the final grid
-    alone (not a cold start's coarser levels).  ``crossings`` holds the
-    first upward crossings of pi, 2 pi, ..., (n - 1) pi, which every
-    finite profile has.
+    alone (not a cold start's coarser levels).  ``degree`` is n mod 2, the
+    exact (1 - cos n pi) / 2.  ``crossings`` holds the first upward
+    crossings of pi, 2 pi, ..., (n - 1) pi, which every finite profile has.
     """
 
     profile: RadialProfile
@@ -167,29 +167,27 @@ class SolveResult:
 
 
 def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
-    """Energies of the windows between consecutive ``edges``: the cell
-    energies of the cells a window holds whole, plus 4-point Gauss-Legendre
-    through the local cubic on the panels its ends cut from at most two
-    cells, so that adjacent windows add up to the total up to the
-    quadrature error of those panels."""
+    """Energies of the windows between consecutive ``edges``, the
+    differences of F(x), the energy from 0 to x: the cell energies before
+    the node at or before x, plus 4-point Gauss-Legendre through the local
+    cubic from that node to x.  Adjacent windows add up to the total up to
+    the quadrature error of those panels."""
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    disc = _DiscreteEnergy(alpha, profile.n, profile.N)
-    cells = disc.cell_energies(profile.fs)
-    rs, out = profile.rs, []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if not 0.0 <= a <= b <= _PI:
-            raise ValueError("window must satisfy 0 <= a <= b <= pi")
-        i = int(np.searchsorted(rs, a, "left"))        # first node >= a
-        j = int(np.searchsorted(rs, b, "right")) - 1   # last node <= b
-        cuts = np.array([(a, b)] if i > j else [(a, rs[i]), (rs[j], b)])
-        lo, hi = cuts[cuts[:, 1] > cuts[:, 0]].T[:, :, None]   # (panels, 1) each
-        xg = lo + (hi - lo) * disc.t
-        f, fp = profile.value_and_slope(xg)
-        s = _sincos(xg)[0]
-        dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
-        out.append(float(np.sum(cells[i:j]) + _PI * np.sum(disc.w * dens * (hi - lo))))
-    return out
+    x = np.asarray(edges, dtype=float)
+    if not (np.all((0.0 <= x) & (x <= _PI)) and np.all(np.diff(x) >= 0.0)):   # NaN fails
+        raise ValueError("window must satisfy 0 <= a <= b <= pi")
+    disc, rs = _DiscreteEnergy(alpha, profile.n, profile.N), profile.rs
+    c = np.searchsorted(rs, x, "right") - 1   # the node at or before x, in [0, N]
+    F = np.concatenate(([0.0], np.cumsum(disc.cell_energies(profile.fs))))[c]
+    cut = x > rs[c]   # an edge on a node has no panel (at r = 0 its density is 0/0)
+    span = (x - rs[c])[cut, None]
+    xg = rs[c[cut], None] + span * disc.t
+    f, fp = profile.value_and_slope(xg)
+    s = _sincos(xg)[0]
+    dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
+    F[cut] += _PI * (dens * span) @ disc.w
+    return np.diff(F).tolist()
 
 
 def radial_energy(profile: RadialProfile, alpha: float) -> float:
@@ -288,8 +286,8 @@ class _DiscreteEnergy:
     instance serves one solve, with its own workspace of (G, N) planes, G
     Gauss points by N cells, that every evaluation writes in place: five
     hold the last profile's fields, kept under a copy of its values (arrays
-    change in place) so that an accepted iterate's Hessian and degree reuse
-    its line search's, and seven are scratch.  The fields are views, valid
+    change in place) so that an accepted iterate's Hessian reuses its line
+    search's, and seven are scratch.  The fields are views, valid
     until another profile is evaluated; what the methods return is fresh.
     """
 
@@ -327,11 +325,6 @@ class _DiscreteEnergy:
         """The energy of each cell, shape (N,); they sum to the value."""
         _, _, _, W, core = self._fields(fs)
         return np.sum(self.wgt * core * (2.0 + W), axis=0)
-
-    def degree(self, fs: np.ndarray) -> float:
-        """Degree of the map, the integral of sin(f) f' / 2 over [0, pi]."""
-        fp, sf, _, _, _ = self._fields(fs)
-        return 0.5 * self.h * float(np.sum(self.w @ (sf * fp)))
 
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
         N = self.N
@@ -500,15 +493,14 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
-    deg = disc.degree(fs)
     return SolveResult(
         profile=final,
         alpha=alpha,
         energy=val,
         residual_sup=residual_sup,
         grad_norm=float(np.max(np.abs(g))),
-        degree=deg,
-        degree_int=int(round(deg)),
+        degree=float(n % 2),
+        degree_int=n % 2,
         crossings=_crossings(final),
         iterations=it,
         converged=converged,

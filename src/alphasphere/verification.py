@@ -297,14 +297,16 @@ def c10_radial_n3(ctx: _Context) -> list[tuple]:
     res = ctx.solve_n3(1000 if ctx.settings.quick else 4000)
     floor_n3 = 2.0 ** (3.0 * 1.2 + 1.0) * math.pi  # threefold-winding floor
     grid = mp.make_grid(300 if ctx.settings.quick else 600, 8)
-    crit = en.d_energy_d_loglambda(mp.RadialMap(res.profile), 1.2, 1.0, grid)
+    u = mp.RadialMap(res.profile)
+    crit = en.d_energy_d_loglambda(u, 1.2, 1.0, grid)
+    deg = mp.degree(u, grid)[1]   # from the 2-d map's Jacobian, not from the solve
     r1, r2 = res.crossings
     disc_e, ann_e, cap_e = rd.window_energies(res.profile, 1.2, (0.0, r1, r2, math.pi))
     err = max(abs(float(res.profile.value(r)) - k * math.pi) for k, r in ((1, r1), (2, r2)))
     return [
         ("converged", float(res.converged), 1.0, res.converged,
          f"{res.iterations} iterations"),
-        ("degree_int", float(res.degree_int), 1.0, res.degree_int == 1, ""),
+        ("degree_int", float(deg), 1.0, deg == 1, ""),
         ("energy_above_floor", res.energy, floor_n3, res.energy > floor_n3, ""),
         _at_most("residual_sup", res.residual_sup, 1e-4),
         _at_most("criticality_dloglam", abs(crit), 1e-5 * res.energy),

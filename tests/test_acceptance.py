@@ -111,6 +111,15 @@ def test_c10_radial_threefold_construction(ctx):
     _run(ctx, "c10")
 
 
+def test_c10_degree_int_fails_on_a_wrong_jacobian_degree(monkeypatch):
+    # the row reads the 2-d map's Jacobian, not the solve's exact n mod 2
+    exact = maps.degree
+    monkeypatch.setattr(maps, "degree", lambda u, grid: (exact(u, grid)[0], 2))
+    rows = CRITERIA["c10"](_Context(settings=VerifySettings(seed=2024, level="quick")))
+    row = next(r for r in rows if r.check == "degree_int")
+    assert not row.passed and row.value == 2.0
+
+
 def test_c11_deformed_energy_gap(ctx):
     _run(ctx, "c11")
 

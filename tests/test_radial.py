@@ -53,8 +53,10 @@ def test_profile_validation():
             RadialProfile.from_function(3, 200, lambda r: 3 * r + np.where(r > 1, bad, 0))
     with pytest.raises(ValueError, match="1-d"):
         RadialProfile(2, np.stack((p.fs, p.fs)))
-    with pytest.raises(ValueError, match="a <= b"):
-        window_energies(p, 1.2, (0.0, 2.0, 1.0, math.pi))
+    for edges in ((0.0, 2.0, 1.0, math.pi), (0.0, math.nan, math.pi), (math.nan,),
+                  (-1e-12, 1.0), (1.0, math.pi + 1e-12)):   # unsorted, NaN, out of [0, pi]
+        with pytest.raises(ValueError, match="0 <= a <= b <= pi"):
+            window_energies(p, 1.2, edges)
 
 
 def test_profile_resample_preserves_endpoints():
@@ -192,8 +194,9 @@ def _pointwise_energy(p, alpha):
     lambda rs: (0.0, rs[300], 2.2, math.pi),      # a cut on a node
     lambda rs: (0.0, 1.0001, 1.0002, math.pi),    # a and b inside one cell
     lambda rs: (0.0, 1.5, 1.5, math.pi),          # an empty window
+    lambda rs: (0.0, 2.0, math.pi, math.pi),      # an empty window at pi
     lambda rs: (0.0, math.pi),
-], ids=["cells", "node", "one-cell", "empty", "whole"])
+], ids=["cells", "node", "one-cell", "empty", "empty-at-pi", "whole"])
 def test_energy_window_additivity(n3_solve, edges):
     p = n3_solve.profile
     cuts = edges(p.rs)
@@ -204,6 +207,11 @@ def test_energy_window_additivity(n3_solve, edges):
         assert part > 0.0 if a < b else part == 0.0
     if len(parts) == 1:
         assert parts[0] == pytest.approx(total, rel=1e-14)
+
+
+@pytest.mark.parametrize("edges", [(), (1.0,), (math.pi,)])
+def test_fewer_than_two_edges_make_no_window(n3_solve, edges):
+    assert window_energies(n3_solve.profile, 1.2, edges) == []
 
 
 def test_energy_is_the_minimised_discrete_objective():
@@ -219,9 +227,9 @@ def test_energy_is_the_minimised_discrete_objective():
 
 
 def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
-    # the solver and the window energies read the per-cell fields, and the
-    # crossings their cells' cubics; only the cells that the window energies
-    # cut at the crossings (4 Gauss points each) go through value_and_slope
+    # the solver reads the per-cell fields and the crossings their cells'
+    # cubics; the window energies make one value_and_slope call for the
+    # panels from the last node to each edge (4 Gauss points each)
     sizes = []
     value_and_slope = RadialProfile.value_and_slope
 
@@ -234,9 +242,9 @@ def test_pointwise_evaluation_is_confined_to_cut_cells(monkeypatch):
         sizes.clear()
         res = minimize_radial(1.2, n, 1000)
         assert not sizes
-        sizes.clear()
-        window_energies(res.profile, 1.2, (0.0, *res.crossings, math.pi))
-        assert sizes and max(sizes) <= 8
+        edges = (0.0, *res.crossings, math.pi)
+        window_energies(res.profile, 1.2, edges)
+        assert len(sizes) == 1 and sizes[0] <= 4 * len(edges)
 
 
 # -------------------------------------------------------------- residual
@@ -427,6 +435,17 @@ def test_minimize_n2_has_degree_zero():
     assert abs(res.degree) < 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_degree_is_the_winding_count_mod_2(n):
+    # (1 - cos n pi) / 2 exactly, as the integral of sin f f' / 2 is for any
+    # profile; the 2-d map's Jacobian, which does not read it, agrees
+    res = minimize_radial(1.2, n, 200, max_iters=2)
+    assert res.degree == float(n % 2) and res.degree_int == n % 2
+    assert type(res.degree) is float and type(res.degree_int) is int
+    maps = alphasphere.maps
+    assert maps.degree(maps.RadialMap(res.profile), maps.make_grid(300, 8))[1] == n % 2
+
+
 def test_minimize_reflection_symmetry(n3_solve):
     p = n3_solve.profile
     dev = np.max(np.abs(np.asarray(p.value(math.pi - p.rs)) - (3 * math.pi - p.fs)))
@@ -460,10 +479,9 @@ def test_minimize_cold_large_grid_stops():
 
 def test_slope_roundoff_stays_at_eps_on_fine_grids():
     # f' formed from absolute nodal values up to n pi over h carried
-    # roundoff of eps |f| / h: 2.7e-13 in the degree at N = 32000, and an
-    # energy 5.8e-13 away from the N = 4000 solve
+    # roundoff of eps |f| / h: an energy at N = 32000 5.8e-13 away from the
+    # N = 4000 solve
     fine, coarse = minimize_radial(1.2, 3, 32000), minimize_radial(1.2, 3, 4000)
-    assert abs(fine.degree - 1.0) <= 1e-14
     assert abs(fine.energy - coarse.energy) <= 1e-14 * coarse.energy
 
 
@@ -586,7 +604,7 @@ def test_banded_hessian_matches_gradient_differences(n, N):
 
 
 def test_fields_of_an_earlier_profile_are_never_reused():
-    # the solver's Hessian and degree reuse the fields of the last value
+    # the solver's Hessian reuses the fields of the last value
     # and gradient; any other profile, also the same array changed in
     # place since, must give what a fresh instance gives, bit for bit
     N = 300
@@ -594,16 +612,17 @@ def test_fields_of_an_earlier_profile_are_never_reused():
     b = RadialProfile.from_function(3, N, lambda r: 3 * r - 0.1 * np.sin(4 * r)).fs
 
     def fresh(fs):
-        return _DiscreteEnergy(1.2, 3, N).hessian_band(fs), _DiscreteEnergy(1.2, 3, N).degree(fs)
+        return (_DiscreteEnergy(1.2, 3, N).hessian_band(fs),
+                _DiscreteEnergy(1.2, 3, N).cell_energies(fs))
 
     disc = _DiscreteEnergy(1.2, 3, N)
     disc.value_and_grad(a)
-    band, deg = disc.hessian_band(b), disc.degree(b)
-    assert np.array_equal(band, fresh(b)[0]) and deg == fresh(b)[1]
+    band, cells = disc.hessian_band(b), disc.cell_energies(b)
+    assert np.array_equal(band, fresh(b)[0]) and np.array_equal(cells, fresh(b)[1])
     disc.value_and_grad(a)
     a[1:-1] += 0.05 * np.sin(np.arange(1, N))   # in place: a is now another profile
-    band, deg = disc.hessian_band(a), disc.degree(a)
-    assert np.array_equal(band, fresh(a)[0]) and deg == fresh(a)[1]
+    band, cells = disc.hessian_band(a), disc.cell_energies(a)
+    assert np.array_equal(band, fresh(a)[0]) and np.array_equal(cells, fresh(a)[1])
     # and the reuse itself, as the solver meets it, changes no bit
     disc.value_and_grad(b)
     assert np.array_equal(disc.hessian_band(b.copy()), fresh(b)[0])
@@ -711,7 +730,7 @@ def test_returned_gradient_and_band_outlive_later_evaluations():
     c = a.copy()
     c[1:-1] += 0.01 * np.sin(np.arange(1, N))
     for fs in (b, c, b):
-        for evaluate in (disc.value_and_grad, disc.hessian_band, disc.cell_energies, disc.degree):
+        for evaluate in (disc.value_and_grad, disc.hessian_band, disc.cell_energies):
             evaluate(fs)
     for got, want in zip((grad, band, cells), kept):
         assert np.array_equal(got, want)

@@ -28,9 +28,6 @@ any checkout):
   geometry's cache cleared before each call (a first solve on N cells) and
   once with it warm (every later solve on N cells).
 
-A checkout without ``_sincos`` and the geometry cache prints the libm sine
-and cosine alone and times its set-up as cold.
-
 Prints, for each piece, the median over ``REPEATS`` calls in ms and the
 minor page faults per call (``resource.getrusage().ru_minflt`` read around
 each call); for the whole solve from the linear start f = 3 r, its median
@@ -52,13 +49,8 @@ import timeit
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, minimize_radial,
-                                radial_residual)
-
-try:   # checkouts before the shared geometry have neither
-    from alphasphere.radial import _geometry, _sincos
-except ImportError:
-    _geometry = _sincos = None
+from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, _geometry, _sincos,
+                                minimize_radial, radial_residual)
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 
@@ -126,18 +118,13 @@ def split(N: int) -> dict[str, tuple[float, float]]:
             lambda: solveh_banded(spent, -g, overwrite_ab=True, check_finite=False),
             setup=lambda: np.copyto(spent, ab)),
         "line search": measure(trial),
+        "sine and cosine, libm": measure(libm),
+        "sine and cosine, _sincos": measure(lambda: _sincos(points, out=(sin, cos, scratch))),
+        "crossings": measure(lambda: _crossings(res.profile)),
+        "residual": measure(lambda: radial_residual(res.profile, ALPHA)),
+        "instance set-up, cold": measure(make, setup=_geometry.cache_clear),
+        "instance set-up, warm": measure(make),
     }
-    parts["sine and cosine, libm"] = measure(libm)
-    if _sincos is not None:
-        parts["sine and cosine, _sincos"] = measure(
-            lambda: _sincos(points, out=(sin, cos, scratch)))
-    parts["crossings"] = measure(lambda: _crossings(res.profile))
-    parts["residual"] = measure(lambda: radial_residual(res.profile, ALPHA))
-    if _geometry is None:
-        parts["instance set-up, cold"] = measure(make)
-    else:
-        parts["instance set-up, cold"] = measure(make, setup=_geometry.cache_clear)
-        parts["instance set-up, warm"] = measure(make)
     solve_ms, solve_faults = measure(solve, repeats=5)
     parts["whole solve, per iteration"] = (solve_ms / res.iterations, solve_faults)
     parts["cold solve, total"] = measure(cold_solve, repeats=5)
