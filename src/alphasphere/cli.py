@@ -324,7 +324,7 @@ def run(cfg: dict) -> int:
     except ValueError as exc:   # an argument check, the library's or this module's
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, RuntimeError) as exc:   # an overflow, a defect, a failed quadrature
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_render(columns, rows, cfg["format"]), cfg["out"])

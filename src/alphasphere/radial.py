@@ -31,8 +31,8 @@ direct minimiser over nodal values (damped Newton with a banded Cholesky
 solve, Armijo backtracking and analytic discrete derivatives).  A grid's
 geometry is built once per N and shared read-only, a solve writes its own
 workspace, and every sine comes from the half-angle tangent.  Importing it
-loads numpy alone: scipy.linalg, its only scipy module, loads on the first
-Newton step.
+loads numpy alone: the first Newton step loads LAPACK's dpbsv from scipy's
+compiled module, without importing scipy.linalg.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
 
@@ -179,7 +180,8 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
         raise ValueError("window must satisfy 0 <= a <= b <= pi")
     disc, rs = _DiscreteEnergy(alpha, profile.n, profile.N), profile.rs
     c = np.searchsorted(rs, x, "right") - 1   # the node at or before x, in [0, N]
-    F = np.concatenate(([0.0], np.cumsum(disc.cell_energies(profile.fs))))[c]
+    cells = disc.cell_energies(profile.fs)
+    F = np.array([np.sum(cells[:j]) for j in c])   # pairwise, as the solve sums
     cut = x > rs[c]   # an edge on a node has no panel (at r = 0 its density is 0/0)
     span = (x - rs[c])[cut, None]
     xg = rs[c[cut], None] + span * disc.t
@@ -394,26 +396,45 @@ class _DiscreteEnergy:
         return ab[:, 2:N + 1]
 
 
+@functools.cache
+def _dpbsv():
+    """LAPACK's dpbsv, loaded by path from scipy's compiled module so that
+    scipy.linalg's package init (0.25 s) never runs; where none loads, scipy.linalg's."""
+    stem = util.find_spec("scipy").submodule_search_locations[0] + "/linalg/_flapack"
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        spec = util.spec_from_file_location("scipy.linalg._flapack", stem + suffix)
+        try:
+            module = util.module_from_spec(spec)
+        except ImportError:   # no such file, or it does not load
+            continue
+        spec.loader.exec_module(module)
+        return module.dpbsv
+    from scipy.linalg.lapack import dpbsv
+    return dpbsv
+
+
 def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
     """Newton direction on the interior nodes by one in-place banded
-    Cholesky solve (LAPACK pbsv); a Levenberg shift of the diagonal,
-    doubling from 1e-12 of its largest entry, guards an indefinite Hessian,
-    and -g is the last resort.  A failed factorisation overwrites its band,
-    so each retry forms the band again from the memoised fields."""
-    from scipy.linalg import LinAlgError, solveh_banded
+    Cholesky solve (LAPACK dpbsv, called as solveh_banded calls it); a
+    Levenberg shift of the diagonal, doubling from 1e-12 of its largest
+    entry, guards an indefinite Hessian (info > 0), and -g is the last
+    resort.  A failed factorisation overwrites its band, so each retry forms
+    the band again.  An illegal argument (info < 0) raises RuntimeError."""
     ab = disc.hessian_band(fs)
     if not np.all(np.isfinite(ab)):   # it overflows first, before the energy
         raise OverflowError(f"the radial Hessian at alpha = {disc.alpha} overflows double range")
     base = float(np.max(np.abs(ab[3])))
     shift = 0.0
     for _ in range(40):
-        try:
-            return solveh_banded(ab, -g, overwrite_ab=True, check_finite=False)
-        except LinAlgError:
-            shift = max(2.0 * shift, 1e-12 * base)
-            ab = disc.hessian_band(fs)
-            ab[3] += shift
+        _, x, info = _dpbsv()(ab, -g, lower=0, overwrite_ab=1)
+        if info == 0:
+            return x
+        if info < 0:
+            raise RuntimeError(f"illegal value in argument {-info} of LAPACK dpbsv")
+        shift = max(2.0 * shift, 1e-12 * base)
+        ab = disc.hessian_band(fs)
+        ab[3] += shift
     return -g
 
 

@@ -505,6 +505,15 @@ def test_radial_overflow_is_one_error_line():
     assert line.startswith("error: ") and "overflows" in line
 
 
+def test_illegal_lapack_argument_is_an_error_not_a_config_error(capsys, monkeypatch):
+    # info < 0 from dpbsv is a defect in the call, so it exits 1 with error:
+    from alphasphere import radial
+    monkeypatch.setattr(radial, "_dpbsv", lambda: lambda ab, b, **flags: (ab, b, -1))
+    code, out, err = run_cli(capsys, "radial-solve", "--alpha", "1.2", "--n", "3", "--N", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "dpbsv" in err
+
+
 def test_bad_config_file_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

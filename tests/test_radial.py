@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solveh_banded
 
 import alphasphere
 from alphasphere import (
@@ -25,6 +25,7 @@ from alphasphere import (
     save_profile,
     window_energies,
 )
+from alphasphere import radial
 from alphasphere.radial import (_crossings, _cubic, _DiscreteEnergy, _geometry, _newton_direction,
                                 _sincos)
 
@@ -118,8 +119,8 @@ def test_value_and_slope_reproduces_cubics():
     assert np.max(np.abs(fp - dg(r))) < 1e-12
 
 
-_LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize",
-               "scipy.interpolate")
+_LAZY_SCIPY = ("scipy.linalg", "scipy._lib", "scipy.special", "scipy.integrate",
+               "scipy.optimize", "scipy.interpolate")
 
 
 def _fresh_python(code):
@@ -137,7 +138,8 @@ def test_import_leaves_scipy_interpolate_out():
 
 def test_library_imports_scipy_linalg_alone():
     # the shooting oracle, the one user of scipy.integrate and
-    # scipy.optimize, lives with the tests
+    # scipy.optimize, lives with the tests; the Newton step loads dpbsv by
+    # its file's path and imports scipy.linalg.lapack only where that fails
     found = set()
     for path in Path(alphasphere.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -145,7 +147,37 @@ def test_library_imports_scipy_linalg_alone():
                 found.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
                 found.add(node.module)
-    assert found == {"scipy.linalg"}
+    assert found == {"scipy.linalg.lapack"}
+
+
+def test_solves_leave_scipy_linalg_out():
+    # a solve, in the library or through the CLI, loads scipy's compiled
+    # LAPACK module alone: scipy.linalg's package init never runs
+    solves = ("alphasphere.minimize_radial(1.2, 3, 1000)",
+              "alphasphere.cli.main(['radial-solve', '--alpha', '1.2', '--n', '3', '--N', '1000'])")
+    for solve in solves:
+        code = ("import contextlib, io, sys, alphasphere.cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    {solve}\n"
+                f"print(sorted(set({_LAZY_SCIPY!r}) & set(sys.modules)),"
+                " 'scipy.linalg._flapack' in sys.modules)")
+        assert _fresh_python(code).strip() == "[] True", solve
+
+
+def test_newton_direction_falls_back_to_scipy_linalg_lapack():
+    # scipy's module path is private: where no file of that name loads, the
+    # routine comes from scipy.linalg.lapack, with the same bits
+    code = ("import sys, numpy as np\n"
+            "from importlib import machinery\n"
+            "from alphasphere.radial import RadialProfile, _DiscreteEnergy, _dpbsv, _newton_direction\n"
+            "disc = _DiscreteEnergy(1.2, 3, 200)\n"
+            "fs = RadialProfile.from_function(3, 200, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs\n"
+            "g = disc.value_and_grad(fs)[1][1:-1]\n"
+            "loaded, before = _newton_direction(disc, fs, g), 'scipy.linalg' in sys.modules\n"
+            "machinery.EXTENSION_SUFFIXES = ['.missing' + s for s in machinery.EXTENSION_SUFFIXES]\n"
+            "_dpbsv.cache_clear()\n"
+            "fallback = _newton_direction(disc, fs, g)\n"
+            "print(before, 'scipy.linalg' in sys.modules, np.array_equal(loaded, fallback))")
+    assert _fresh_python(code).split() == ["False", "True", "True"]
 
 
 def test_dilation_table_loads_no_scipy():
@@ -207,6 +239,15 @@ def test_energy_window_additivity(n3_solve, edges):
         assert part > 0.0 if a < b else part == 0.0
     if len(parts) == 1:
         assert parts[0] == pytest.approx(total, rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [16000, 32000])
+def test_windows_sum_cells_as_the_solve_does(N):
+    # F sums the cells before each edge pairwise, as the solve sums its
+    # energy, so neither the whole nor the split drifts from it with N
+    res = minimize_radial(1.2, 3, N)
+    assert radial_energy(res.profile, 1.2) == res.energy
+    assert sum(annulus_split(res)) == res.energy
 
 
 @pytest.mark.parametrize("edges", [(), (1.0,), (math.pi,)])
@@ -776,7 +817,7 @@ def test_newton_direction_solves_its_band_in_place():
     disc = _DiscreteEnergy(1.2, 3, N)
     fs = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
     g = disc.value_and_grad(fs)[1][1:-1]
-    _newton_direction(disc, fs, g)   # warm-up: loads scipy.linalg
+    _newton_direction(disc, fs, g)   # warm-up: loads LAPACK's dpbsv
     tracemalloc.start()
     try:
         _newton_direction(disc, fs, g)
@@ -785,6 +826,17 @@ def test_newton_direction_solves_its_band_in_place():
         tracemalloc.stop()
     band = 4 * (N + 3) * 8
     assert peak < 2 * band, peak / band
+
+
+@pytest.mark.parametrize("N", [200, 32000])
+def test_newton_direction_is_solveh_bandeds_bit_for_bit(N):
+    # _newton_direction calls LAPACK's dpbsv with solveh_banded's flags on
+    # the same Fortran-ordered band, so a converging band gives its bits
+    disc = _DiscreteEnergy(1.2, 3, N)
+    fs = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    g = disc.value_and_grad(fs)[1][1:-1]
+    cholesky_banded(disc.hessian_band(fs))   # positive definite: no shift
+    assert np.array_equal(_newton_direction(disc, fs, g), solveh_banded(disc.hessian_band(fs), -g))
 
 
 def _identity_spectrum(alpha, N):
@@ -844,18 +896,18 @@ def test_newton_direction_descends_on_indefinite_hessian():
         except LinAlgError:
             shift *= 2.0
     assert np.array_equal(d, ref)
+    assert np.array_equal(d, solveh_banded(shifted, -g))
 
 
 def test_newton_direction_falls_back_to_steepest_descent(monkeypatch):
     # a band that no Levenberg shift makes factorable leaves -g
-    import scipy.linalg
     calls = []
 
-    def failing(*args, **kwargs):
-        calls.append(args)
-        raise LinAlgError("not positive definite")
+    def failing(ab, b, **flags):
+        calls.append(flags)
+        return ab, b, 1   # info > 0: a leading minor is not positive definite
 
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", failing)
+    monkeypatch.setattr(radial, "_dpbsv", lambda: failing)
     N = 200
     disc = _DiscreteEnergy(1.2, 3, N)
     fs = RadialProfile.linear(3, N).fs

@@ -13,9 +13,9 @@ any checkout):
   seen, as each line-search trial is;
 - band assembly: ``hessian_band`` of the profile whose value and gradient
   were formed last, as the solver calls it after accepting a step;
-- Cholesky solve: one ``solveh_banded`` call (LAPACK pbsv) that factors
-  and solves a fresh copy of the band in place, as ``_newton_direction``
-  calls it (the copy is made outside the timed call);
+- Cholesky solve: one call of the LAPACK dpbsv that ``_newton_direction``
+  loads, with its flags, which factors and solves a fresh copy of the band
+  in place (the copy is made outside the timed call);
 - line search: one trial step as the solver makes it (copy, step, value
   and gradient of the new profile, Armijo test);
 - sine and cosine: ``_sincos`` of the minimiser's values at the (G, N)
@@ -47,10 +47,9 @@ import statistics
 import timeit
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, _geometry, _sincos,
-                                minimize_radial, radial_residual)
+from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, _dpbsv, _geometry,
+                                _newton_direction, _sincos, minimize_radial, radial_residual)
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 
@@ -76,7 +75,7 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     val, grad = disc.value_and_grad(fs)
     g = grad[1:-1]
     ab = disc.hessian_band(fs)
-    d = solveh_banded(ab, -g)
+    d = _newton_direction(disc, fs, g)
     spent = np.empty_like(ab)   # the band that each timed solve overwrites
     gd = float(np.dot(g, d))
     profiles = [fs, other]
@@ -115,7 +114,7 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "band assembly": measure(lambda: disc.hessian_band(fs),
                                  setup=lambda: disc.value_and_grad(fs)),
         "Cholesky solve": measure(
-            lambda: solveh_banded(spent, -g, overwrite_ab=True, check_finite=False),
+            lambda: _dpbsv()(spent, -g, lower=0, overwrite_ab=1),
             setup=lambda: np.copyto(spent, ab)),
         "line search": measure(trial),
         "sine and cosine, libm": measure(libm),
