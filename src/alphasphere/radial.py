@@ -65,6 +65,7 @@ _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _COARSEN, _COARSEST = 4, 500   # a cold start's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
+_PAIRS = [(k, l) for k in range(4) for l in range(k, 4)]   # a cell's nodes k <= l
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,10 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
     return fpp + (c / s) * fp - sf * cf / (s * s) + (alpha - 1.0) * fp * Wp / (2.0 + W)
 
 
-def _reflect(fs: np.ndarray, n: int) -> np.ndarray:
+def _reflect(fs: np.ndarray, n: int, out=None) -> np.ndarray:
     """Nodal values extended by one ghost node per side through the odd
     reflections f(-r) = -f(r) and f(pi + s) = 2 n pi - f(pi - s)."""
-    return np.concatenate((-fs[1:2], fs, 2.0 * n * _PI - fs[-2:-1]))
+    return np.concatenate((-fs[1:2], fs, 2.0 * n * _PI - fs[-2:-1]), out=out)
 
 
 def _cubic(f0, f1, f2, f3, t):
@@ -257,7 +258,7 @@ def _geometry(N: int) -> tuple:
     # slope's roundoff at eps |f'| rather than eps |f| / h
     Dp = np.cumsum(Bp[::-1], axis=0)[-2::-1]
     # hessian_band's basis products at a block's entries k <= l
-    Bq, (k, l) = Bp / h, np.triu_indices(4)
+    Bq, (k, l) = Bp / h, np.transpose(_PAIRS)
     table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
     sin_xg = _sincos(np.linspace(0.0, _PI, N + 1)[:-1] + h * t[:, None])[0]
     out = (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg), _PI * h * w[:, None] * sin_xg)
@@ -287,10 +288,11 @@ class _DiscreteEnergy:
     Every instance on N cells reads one read-only geometry (_geometry); one
     instance serves one solve, with its own workspace of (G, N) planes, G
     Gauss points by N cells, that every evaluation writes in place: five
-    hold the last profile's fields, kept under a copy of its values (arrays
-    change in place) so that an accepted iterate's Hessian reuses its line
-    search's, and seven are scratch.  The fields are views, valid
-    until another profile is evaluated; what the methods return is fresh.
+    hold the last profile's fields, kept under a copy of its values, the
+    extended nodes that cell windows made once read (arrays change in
+    place), so that an accepted iterate's Hessian reuses its line search's,
+    and seven are scratch.  The fields are views, valid until another
+    profile is evaluated; what the methods return is fresh.
     """
 
     def __init__(self, alpha: float, n: int, N: int):
@@ -298,42 +300,45 @@ class _DiscreteEnergy:
         (self.t, self.w, self.B, self.Bp, self.Dp, self.table,
          self.inv_sin2, self.wgt) = _geometry(N)
         self._work = np.empty((12, len(self.t), N))
+        # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
+        self._fe, self._dfe = np.empty(N + 3), np.empty(N + 2)
+        self._windows = [np.lib.stride_tricks.as_strided(v, (m, N), 2 * v.strides, writeable=False)
+                         for v, m in ((self._fe, 4), (self._dfe, 3))]
         self._key = None
 
     def _fields(self, fs: np.ndarray):
-        """f', sin f, dW/df = sin 2f / sin^2 r, W and (2 + W)^(alpha - 1)."""
-        fields = fp, sf, dW_df, W, core = self._work[:5]
+        """f', sin f, dW/df = sin 2f / sin^2 r, S = 2 + W and S^(alpha - 1)."""
+        fields = fp, sf, dW_df, S, core = self._work[:5]
         if self._key is not None and np.array_equal(self._key, fs):
             return fields
-        self._key = None
+        self._key, fe = None, self._fe
         fc, tmp = self._work[5:7]
-        fe = _reflect(fs, self.n)
-        # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
-        window = np.lib.stride_tricks.sliding_window_view
-        np.matmul(self.B.T, window(fe, 4).T, out=fc)
-        np.matmul(self.Dp.T, window(np.diff(fe), 3).T, out=fp)
+        _reflect(fs, self.n, out=fe)
+        np.subtract(fe[1:], fe[:-1], out=self._dfe)
+        np.matmul(self.B.T, self._windows[0], out=fc)
+        np.matmul(self.Dp.T, self._windows[1], out=fp)
         fp /= self.h
         _, cf = _sincos(fc, out=(sf, tmp, fc))
         np.multiply(np.multiply(sf, 2.0, out=dW_df), cf, out=dW_df)
         dW_df *= self.inv_sin2
-        np.multiply(fp, fp, out=W)
-        W += np.multiply(np.multiply(sf, sf, out=tmp), self.inv_sin2, out=tmp)
-        np.add(W, 2.0, out=core)
-        core **= self.alpha - 1.0
-        self._key = fs.copy()
+        np.multiply(fp, fp, out=S)
+        S += np.multiply(np.multiply(sf, sf, out=tmp), self.inv_sin2, out=tmp)
+        S += 2.0
+        np.power(S, self.alpha - 1.0, out=core)
+        self._key = fe[1:-1]
         return fields
 
     def cell_energies(self, fs: np.ndarray) -> np.ndarray:
         """The energy of each cell, shape (N,); they sum to the value."""
-        _, _, _, W, core = self._fields(fs)
-        return np.sum(self.wgt * core * (2.0 + W), axis=0)
+        _, _, _, S, core = self._fields(fs)
+        return np.sum(self.wgt * core * S, axis=0)
 
     def value_and_grad(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
         N = self.N
-        fp, _, dW_df, W, core = self._fields(fs)
+        fp, _, dW_df, S, core = self._fields(fs)
         t, u, A, cell_grad, other = self._work[5:10]
         np.multiply(self.wgt, core, out=t)
-        val = float(np.sum(np.multiply(t, np.add(W, 2.0, out=u), out=t)))
+        val = float(np.sum(np.multiply(t, S, out=t)))
         np.multiply(core, self.alpha, out=A)   # alpha core wgt, in this order
         A *= self.wgt
         # per cell, dval/d(node at slot k) sums A dW_k (hessian_band): (4, N),
@@ -351,10 +356,10 @@ class _DiscreteEnergy:
         return val, grad
 
     def hessian_band(self, fs: np.ndarray) -> np.ndarray:
-        """Hessian over the interior unknowns fs[1:-1] in LAPACK upper
-        banded form, shape (4, N-1): row 3 - j holds the j-th upper
-        diagonal, right-aligned.  Ghost nodes fold onto nodes 1 and N-1
-        with a sign flip; the endpoint nodes drop out.
+        """Hessian A over the interior unknowns fs[1:-1] in LAPACK lower
+        banded form, shape (4, N-1): row d, ab[d, j] = A[j + d, j], is the
+        d-th lower diagonal, left-aligned (LAPACK reads no entry past its
+        end).  Ghost nodes fold onto nodes 1 and N-1 with a sign flip.
 
         At a Gauss point, wgt (2 + W)^alpha has the second derivative
         p2 dW_k dW_l + p1 d2W_kl in the cell's nodes k, l, where
@@ -366,10 +371,10 @@ class _DiscreteEnergy:
         product of these (3G, N) coefficients with the table.
         """
         N = self.N
-        fp, sf, b, W, core = self._fields(fs)
+        fp, sf, b, S, core = self._fields(fs)
         coef, (p1, p2, a, t) = self._work[5:8], self._work[8:12]
         np.multiply(np.multiply(self.wgt, self.alpha, out=p1), core, out=p1)
-        np.divide(np.multiply(p1, self.alpha - 1.0, out=p2), np.add(W, 2.0, out=t), out=p2)
+        np.divide(np.multiply(p1, self.alpha - 1.0, out=p2), S, out=p2)
         np.multiply(fp, 2.0, out=a)   # without its 1/h, which the table carries
         np.multiply(np.multiply(p2, a, out=t), a, out=coef[0])
         np.multiply(t, b, out=coef[1])
@@ -383,16 +388,16 @@ class _DiscreteEnergy:
         prod = np.matmul(self.table, coef.reshape(-1, N),
                          out=self._work[8:].reshape(-1)[:10 * N].reshape(10, N))
         # band over the extended nodes 0 .. N+2 (f_{-1} .. f_{N+1}): entry
-        # (e - j, e) sits at ab[3 - j, e]; cell c covers nodes c .. c+3
+        # (e + d, e) sits at ab[d, e]; cell c covers nodes c .. c+3
         ab = np.zeros((4, N + 3), order="F")   # so that LAPACK solves it in place
-        for row, k, l in zip(prod, *np.triu_indices(4)):
-            ab[3 - (l - k), l:l + N] += row
+        for row, (k, l) in zip(prod, _PAIRS):
+            ab[l - k, k:k + N] += row
         # fold f_{-1} = -f_1 (extended node 0 onto 2) and
         # f_{N+1} = 2 n pi - f_{N-1} (extended node N+2 onto N)
-        ab[3, 2] += ab[3, 0] - 2.0 * ab[1, 2]
-        ab[2, 3] -= ab[0, 3]
-        ab[3, N] += ab[3, N + 2] - 2.0 * ab[1, N + 2]
-        ab[2, N] -= ab[0, N + 2]
+        ab[0, 2] += ab[0, 0] - 2.0 * ab[2, 0]
+        ab[1, 2] -= ab[3, 0]
+        ab[0, N] += ab[0, N + 2] - 2.0 * ab[2, N]
+        ab[1, N - 1] -= ab[3, N - 1]
         return ab[:, 2:N + 1]
 
 
@@ -416,25 +421,27 @@ def _dpbsv():
 def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
     """Newton direction on the interior nodes by one in-place banded
-    Cholesky solve (LAPACK dpbsv, called as solveh_banded calls it); a
-    Levenberg shift of the diagonal, doubling from 1e-12 of its largest
-    entry, guards an indefinite Hessian (info > 0), and -g is the last
-    resort.  A failed factorisation overwrites its band, so each retry forms
-    the band again.  An illegal argument (info < 0) raises RuntimeError."""
+    Cholesky solve (LAPACK dpbsv, called as solveh_banded(..., lower=True)
+    calls it); a Levenberg shift of the diagonal, doubling from 1e-12 of its
+    largest entry, guards an indefinite Hessian (info > 0), and -g is the
+    last resort.  A failed factorisation overwrites its band, so each retry
+    forms the band again.  An illegal argument (info < 0) raises
+    RuntimeError.  The band is the lower form, whose columns dpbsv's
+    factorisation updates at unit stride: half the upper form's time."""
     ab = disc.hessian_band(fs)
     if not np.all(np.isfinite(ab)):   # it overflows first, before the energy
         raise OverflowError(f"the radial Hessian at alpha = {disc.alpha} overflows double range")
-    base = float(np.max(np.abs(ab[3])))
+    base = float(np.max(np.abs(ab[0])))
     shift = 0.0
     for _ in range(40):
-        _, x, info = _dpbsv()(ab, -g, lower=0, overwrite_ab=1)
+        _, x, info = _dpbsv()(ab, -g, lower=1, overwrite_ab=1)
         if info == 0:
             return x
         if info < 0:
             raise RuntimeError(f"illegal value in argument {-info} of LAPACK dpbsv")
         shift = max(2.0 * shift, 1e-12 * base)
         ab = disc.hessian_band(fs)
-        ab[3] += shift
+        ab[0] += shift
     return -g
 
 

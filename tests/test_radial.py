@@ -606,11 +606,20 @@ def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
 # ------------------------------------------------------- discrete Hessian
 
 def _dense(ab):
-    """Symmetric matrix from its LAPACK upper banded form."""
-    H = np.diag(ab[-1])
+    """Symmetric matrix from its LAPACK lower banded form."""
+    H = np.diag(ab[0])
     for j in range(1, ab.shape[0]):
-        H += np.diag(ab[-1 - j, j:], j) + np.diag(ab[-1 - j, j:], -j)
+        H += np.diag(ab[j, :-j], j) + np.diag(ab[j, :-j], -j)
     return H
+
+
+def _upper(ab):
+    """The LAPACK upper banded form of the matrix whose lower form is ab,
+    moved entry for entry."""
+    up, m = np.zeros_like(ab), ab.shape[1]
+    for j in range(ab.shape[0]):
+        up[-1 - j, j:] = ab[j, :m - j]
+    return up
 
 
 @pytest.mark.parametrize("n, N", [(1, 100), (3, 150), (3, 200)])
@@ -667,6 +676,33 @@ def test_fields_of_an_earlier_profile_are_never_reused():
     # and the reuse itself, as the solver meets it, changes no bit
     disc.value_and_grad(b)
     assert np.array_equal(disc.hessian_band(b.copy()), fresh(b)[0])
+
+
+def test_cell_windows_are_refilled_for_each_profile():
+    # an instance reads its nodes through windows made once; evaluated on
+    # a, b, a, with another instance on the same N evaluating, in between,
+    # the profile it evaluates next, it returns what fresh instances
+    # returned, bit for bit (nodes shared between instances would pass
+    # the other's profile off as its own last one)
+    N = 300
+    a = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
+    b = RadialProfile.from_function(3, N, lambda r: 3 * r - 0.1 * np.sin(4 * r)).fs
+
+    def evaluate(disc, fs):
+        val, grad = disc.value_and_grad(fs)
+        return val, grad, disc.hessian_band(fs), disc.cell_energies(fs)
+
+    want = {id(fs): evaluate(_DiscreteEnergy(1.2, 3, N), fs) for fs in (a, b)}
+    disc, other = _DiscreteEnergy(1.2, 3, N), _DiscreteEnergy(1.2, 3, N)
+    for fs, after in ((a, b), (b, a), (a, b)):
+        got = evaluate(disc, fs)
+        evaluate(other, after)
+        assert got[0] == want[id(fs)][0]
+        assert all(np.array_equal(x, y) for x, y in zip(got[1:], want[id(fs)][1:]))
+    for window in disc._windows:
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[...] = 0.0
 
 
 def test_sincos_matches_libm():
@@ -732,13 +768,13 @@ def _plain_evaluation(disc, fs):
     a = 2.0 * fp
     coef = np.stack((p2 * a * a + 2.0 * p1, p2 * a * b,
                      p2 * b * b + 2.0 * disc.inv_sin2 * (1.0 - 2.0 * sf * sf) * p1))
-    ab = np.zeros((4, N + 3))
+    ab = np.zeros((4, N + 3))   # lower banded: ab[d, e] = A[e + d, e]
     for row, k, l in zip(disc.table @ coef.reshape(-1, N), *np.triu_indices(4)):
-        ab[3 - (l - k), l:l + N] += row
-    ab[3, 2] += ab[3, 0] - 2.0 * ab[1, 2]
-    ab[2, 3] -= ab[0, 3]
-    ab[3, N] += ab[3, N + 2] - 2.0 * ab[1, N + 2]
-    ab[2, N] -= ab[0, N + 2]
+        ab[l - k, k:k + N] += row
+    ab[0, 2] += ab[0, 0] - 2.0 * ab[2, 0]
+    ab[1, 2] -= ab[3, 0]
+    ab[0, N] += ab[0, N + 2] - 2.0 * ab[2, N]
+    ab[1, N - 1] -= ab[3, N - 1]
     return val, grad, ab[:, 2:N + 1]
 
 
@@ -831,22 +867,25 @@ def test_newton_direction_solves_its_band_in_place():
 @pytest.mark.parametrize("N", [200, 32000])
 def test_newton_direction_is_solveh_bandeds_bit_for_bit(N):
     # _newton_direction calls LAPACK's dpbsv with solveh_banded's flags on
-    # the same Fortran-ordered band, so a converging band gives its bits
+    # the same Fortran-ordered lower band, so a converging band gives its bits
     disc = _DiscreteEnergy(1.2, 3, N)
     fs = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.2 * np.sin(2 * r)).fs
     g = disc.value_and_grad(fs)[1][1:-1]
-    cholesky_banded(disc.hessian_band(fs))   # positive definite: no shift
-    assert np.array_equal(_newton_direction(disc, fs, g), solveh_banded(disc.hessian_band(fs), -g))
+    cholesky_banded(disc.hessian_band(fs), lower=True)   # positive definite: no shift
+    assert np.array_equal(_newton_direction(disc, fs, g),
+                          solveh_banded(disc.hessian_band(fs), -g, lower=True))
 
 
 def _identity_spectrum(alpha, N):
     """The six lowest eigenvalues of the band at the identity f = r, scaled
-    by the lumped mass h sin r of the interior nodes, and the band."""
+    by the lumped mass h sin r of the interior nodes, and the band.
+    eig_banded reads the upper form: with lower=True on the same band the
+    alpha = 1.01 error at N = 1600 is 3.7e-9 where the upper form's is 6.1e-10."""
     from scipy.linalg import eig_banded
     rs = np.linspace(0.0, math.pi, N + 1)
     ab = _DiscreteEnergy(alpha, 1, N).hessian_band(rs)
     s = 1.0 / np.sqrt(math.pi / N * np.sin(rs[1:-1]))
-    scaled = ab.copy()
+    scaled = _upper(ab)
     for j in range(1, 4):
         scaled[3 - j, j:] *= s[j:] * s[:-j]
     scaled[3] *= s * s
@@ -878,7 +917,7 @@ def test_newton_direction_descends_on_indefinite_hessian():
     disc = _DiscreteEnergy(1.3, 1, N)
     fs = RadialProfile.from_function(1, N, lambda r: np.full_like(r, math.pi / 2)).fs
     with pytest.raises(LinAlgError):
-        cholesky_banded(disc.hessian_band(fs))
+        cholesky_banded(disc.hessian_band(fs), lower=True)
     g = disc.value_and_grad(fs)[1][1:-1]
     d = _newton_direction(disc, fs, g)
     assert np.all(np.isfinite(d))
@@ -886,17 +925,17 @@ def test_newton_direction_descends_on_indefinite_hessian():
     # a failed factorisation overwrites its band: each retry must factor a
     # fresh band with the doubled shift, as a copy of the first would give
     ab = disc.hessian_band(fs)
-    shift = 1e-12 * float(np.max(np.abs(ab[3])))
+    shift = 1e-12 * float(np.max(np.abs(ab[0])))
     while True:
         shifted = ab.copy()
-        shifted[3] += shift
+        shifted[0] += shift
         try:
-            ref = cho_solve_banded((cholesky_banded(shifted), False), -g)
+            ref = cho_solve_banded((cholesky_banded(shifted, lower=True), True), -g)
             break
         except LinAlgError:
             shift *= 2.0
     assert np.array_equal(d, ref)
-    assert np.array_equal(d, solveh_banded(shifted, -g))
+    assert np.array_equal(d, solveh_banded(shifted, -g, lower=True))
 
 
 def test_newton_direction_falls_back_to_steepest_descent(monkeypatch):

@@ -14,8 +14,10 @@ any checkout):
 - band assembly: ``hessian_band`` of the profile whose value and gradient
   were formed last, as the solver calls it after accepting a step;
 - Cholesky solve: one call of the LAPACK dpbsv that ``_newton_direction``
-  loads, with its flags, which factors and solves a fresh copy of the band
-  in place (the copy is made outside the timed call);
+  loads, with its flags (the band is the lower one), which factors and
+  solves a fresh copy of the band in place (the copy is made outside the
+  timed call); before timing, its solution is checked to be
+  ``_newton_direction``'s, bit for bit;
 - line search: one trial step as the solver makes it (copy, step, value
   and gradient of the new profile, Armijo test);
 - sine and cosine: ``_sincos`` of the minimiser's values at the (G, N)
@@ -77,6 +79,12 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     ab = disc.hessian_band(fs)
     d = _newton_direction(disc, fs, g)
     spent = np.empty_like(ab)   # the band that each timed solve overwrites
+
+    def cholesky():
+        return _dpbsv()(spent, -g, lower=1, overwrite_ab=1)
+
+    np.copyto(spent, ab)
+    assert np.array_equal(cholesky()[1], d), "the timed solve is not the solver's"
     gd = float(np.dot(g, d))
     profiles = [fs, other]
 
@@ -113,9 +121,7 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "value and gradient": measure(fresh_value_and_grad),
         "band assembly": measure(lambda: disc.hessian_band(fs),
                                  setup=lambda: disc.value_and_grad(fs)),
-        "Cholesky solve": measure(
-            lambda: _dpbsv()(spent, -g, lower=0, overwrite_ab=1),
-            setup=lambda: np.copyto(spent, ab)),
+        "Cholesky solve": measure(cholesky, setup=lambda: np.copyto(spent, ab)),
         "line search": measure(trial),
         "sine and cosine, libm": measure(libm),
         "sine and cosine, _sincos": measure(lambda: _sincos(points, out=(sin, cos, scratch))),
