@@ -9,16 +9,15 @@ panel of an unconverged segment is halved when its error exceeds its share,
 in proportion to its width, of that segment's tolerance, and the nodes of all
 new panels are evaluated in one integrand call.  For an integrand of one sign
 this bounds every prefix as well; one that falls across its ends pays extra
-refinement for segments that vanish inside their prefixes.  Panels are kept
-in interval order and each segment is summed with :func:`math.fsum`, so a
-fixed refinement history gives bit-identical results, and a one-element
-``b`` those of the scalar call.
+refinement for segments that vanish inside their prefixes.  A level sums all
+segments with one :func:`numpy.bincount`, each in panel order, which is
+deterministic: a fixed refinement history gives identical bits, a one-element
+``b`` the scalar call's, and k panels of one sign a sum within (k - 1) eps.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable
 
 import numpy as np
@@ -83,14 +82,10 @@ def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b, 
     edges = np.concatenate(([a], ends[seg]))
     width = ends - starts
     val, err, fresh = np.zeros(seg.size), np.zeros(seg.size), np.ones(seg.size, dtype=bool)
-    seg_val, seg_err = np.zeros(ends.size), np.zeros(ends.size)
     while True:
         val[fresh], err[fresh] = _panels(f, edges[:-1][fresh], edges[1:][fresh],   # new panels
                                          None if log_scale is None else logs[seg[fresh]])
-        first = np.searchsorted(seg, np.arange(ends.size + 1))
-        for j in set(seg[fresh].tolist()):   # re-sum only the refined segments
-            seg_val[j] = math.fsum(val[first[j]:first[j + 1]])
-            seg_err[j] = math.fsum(err[first[j]:first[j + 1]])
+        seg_val, seg_err = np.bincount(seg, val, ends.size), np.bincount(seg, err, ends.size)
         tol = rel_tol * np.abs(seg_val)
         done = (seg_err <= tol) | (seg_err == 0.0)
         if done.all():

@@ -335,6 +335,35 @@ def test_energy_report_identity(grid):
     assert rep.passes_floor
 
 
+class _ShrunkIdentity(MapEvaluator):
+    """The identity's position and Jacobian, so degree one, with its density
+    scaled by 1 - 2 delta / alpha: E_alpha is about 2^(2 alpha + 1) pi (1 - delta).
+    J then exceeds e by that factor; energy_report does not check |J| <= e."""
+
+    def __init__(self, alpha, delta):
+        self.u, self.scale = identity_map(), 1.0 - 2.0 * delta / alpha
+
+    def position(self, z):
+        return self.u.position(z)
+
+    def density(self, z):
+        return self.scale * self.u.density(z)
+
+    def jacobian(self, z):
+        return self.u.jacobian(z)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
+def test_degree_one_map_below_the_floor_fails_it(alpha):
+    # the floor's relative slack is 1e-10: a map 1e-6 below the floor fails
+    # it, and one 1e-12 below passes
+    grid = make_grid(300, 64)
+    for delta, passes in ((1e-6, False), (1e-12, True)):
+        rep = energy_report(_ShrunkIdentity(alpha, delta), alpha, grid)
+        assert rep.degree_int == 1 and rep.passes_floor == passes
+        assert rep.e_alpha / rep.floor_2_2a1_pi - 1.0 == pytest.approx(-delta, rel=0.05)
+
+
 class _CountingMap(MapEvaluator):
     """An evaluator that counts its density evaluations."""
 

@@ -73,10 +73,20 @@ def test_one_element_array_gives_the_scalar_bits():
 
 
 def test_duplicate_ends_give_identical_values():
-    ends = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
-    vals = adaptive_gauss_legendre(np.exp, 0.0, ends, rel_tol=1e-12)
-    assert vals[0] == 0.0 and vals[1] == vals[2] and vals[3] == vals[4] == vals[5]
-    assert np.all(np.abs(vals - np.expm1(ends)) <= 1e-12 * np.expm1(ends))
+    # the second input has 200 ends, as many as c04 passes, so one level sums
+    # many segments at once, empty ones among them; the third is its log mode,
+    # whose prefixes in units of e^b are -expm1(-b)
+    rng = np.random.default_rng(34)
+    many = np.sort(np.concatenate((np.zeros(3), rng.integers(1, 601, 197) / 10.0)))
+    assert many.size == 200 and np.unique(many).size < 180
+    few = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
+    for ends, f, log_scale, exact in ((few, np.exp, None, np.expm1(few)),
+                                      (many, np.exp, None, np.expm1(many)),
+                                      (many, lambda t: t, many, -np.expm1(-many))):
+        vals = adaptive_gauss_legendre(f, 0.0, ends, rel_tol=1e-12, log_scale=log_scale)
+        repeat = np.flatnonzero(ends[1:] == ends[:-1])
+        assert np.all(vals[ends == 0.0] == 0.0) and np.all(vals[repeat] == vals[repeat + 1])
+        assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
 
 
 @pytest.mark.parametrize("ends", [[2.0, 1.0], [-1.0, 1.0], [1.0, math.nan],

@@ -80,10 +80,10 @@ def by_check(rows: list[dict[str, str]]) -> dict[str, dict[str, str]]:
 
 def change(old: str, new: str) -> tuple[float, float] | None:
     """|new - old| / |old| (inf when old is 0 or not finite) and |new - old|
-    of two numeric cells, or None when either cell is not a number."""
+    of two numeric cells, or None when either cell is missing or not a number."""
     try:
         a, b = float(old), float(new)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
     return abs(b - a) / abs(a) if math.isfinite(a) and a != 0.0 else math.inf, abs(b - a)
 
