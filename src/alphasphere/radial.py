@@ -63,7 +63,7 @@ _PI = math.pi
 _GL_ORDER = 4          # Gauss points per cell of the discrete energy
 _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
-_COARSEN, _COARSEST = 4, 500   # a cold start's coarse levels: N // 4 cells, at least 500
+_COARSEN, _COARSEST = 4, 500   # a solve's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
 _PAIRS = [(k, l) for k in range(4) for l in range(k, 4)]   # a cell's nodes k <= l
 
@@ -149,7 +149,8 @@ class SolveResult:
     discrete objective the iteration minimised, evaluated at the final
     profile; ``history`` holds it for the initial and every accepted
     iterate, and ``iterations`` counts the steps, both on the final grid
-    alone (not a cold start's coarser levels).  ``degree`` is n mod 2, the
+    alone (not the coarser levels that every start with n >= 2 and
+    N // 4 >= 500 descends through).  ``degree`` is n mod 2, the
     exact (1 - cos n pi) / 2.  ``crossings`` holds the first upward
     crossings of pi, 2 pi, ..., (n - 1) pi, which every finite profile has.
     """
@@ -445,45 +446,20 @@ def _newton_direction(disc: _DiscreteEnergy, fs: np.ndarray,
     return -g
 
 
-@np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
-def minimize_radial(alpha: float, n: int, N: int = 2000,
-                    init: RadialProfile | None = None, *,
-                    max_iters: int = 200) -> SolveResult:
-    """Minimise I over profiles with fixed endpoints f(0) = 0, f(pi) = n*pi.
-
-    Damped Newton on the interior nodal values of the discrete energy: the
-    Hessian is banded, so a direction costs O(N) through a banded Cholesky
-    solve, and an Armijo line search starting at the full step backtracks
-    along it.  A cold start (``init`` None) with n >= 2 and N // 4 >= 500
-    starts from this solve on N // 4 cells, which leaves one or two steps on
-    N cells; ``max_iters`` bounds each level.  Other cold starts take f = n r,
-    for n = 1 the minimiser.  The iteration stops on the first of:
-
-    - "gradient": the sup-norm of the analytic discrete gradient is at or
-      below ``1e-8 * h * max(1, I)``;
-    - "stagnation": the Newton decrement -g.d is at or below the roundoff
-      floor eps * |I| * N, where no line search can resolve a decrease; the
-      full step is kept if it lowers the gradient's sup-norm;
-    - "line_search": 60 halvings found no sufficient decrease;
-    - "max_iters": the iteration budget ran out.
-
-    ``converged`` means a gradient or stagnation stop that also leaves the
-    independent finite-difference residual at or below 1e-2.  The
-    construction needs alpha > 1: at alpha = 1 minimising sequences in the
-    nontrivial classes concentrate and no minimiser exists.  A Hessian that
-    leaves double range (alpha in the hundreds) raises OverflowError.
-    """
-    if not 1.0 < alpha < math.inf:
-        raise ValueError("minimize_radial requires alpha > 1")
-    if init is None:
-        init = (minimize_radial(alpha, n, N // _COARSEN, max_iters=max_iters).profile
-                if n >= 2 and N // _COARSEN >= _COARSEST else RadialProfile.linear(n, N))
-    if init.n != n:
-        raise ValueError("init profile has the wrong winding count")
-    init = init.resampled(N)
-
+def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
+                  max_iters: int) -> tuple:
+    """The Newton iteration of :func:`minimize_radial` on N cells, from
+    ``init`` (None: f = n r) resampled to N.  With n >= 2 and N // 4 >= 500
+    it first runs on N // 4 cells, recursively, from ``init`` resampled there
+    and starts from that level's nodes.  Returns the final nodal values,
+    energy, interior gradient, steps, stop reason and energy history."""
+    if n >= 2 and N // _COARSEN >= _COARSEST:
+        coarse = None if init is None else init.resampled(N // _COARSEN)
+        init = RadialProfile(n, _newton_solve(alpha, n, N // _COARSEN, coarse, max_iters)[0])
+    elif init is None:
+        init = RadialProfile.linear(n, N)
     disc = _DiscreteEnergy(alpha, n, N)
-    fs = init.fs.copy()
+    fs = init.resampled(N).fs.copy()
     val, grad = disc.value_and_grad(fs)
     g = grad[1:-1]
     history = [val]
@@ -516,7 +492,45 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         if stalled:
             stop_reason = "stagnation"
             break
+    return fs, val, g, it, stop_reason, history
 
+
+@np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
+def minimize_radial(alpha: float, n: int, N: int = 2000,
+                    init: RadialProfile | None = None, *,
+                    max_iters: int = 200) -> SolveResult:
+    """Minimise I over profiles with fixed endpoints f(0) = 0, f(pi) = n*pi.
+
+    Damped Newton on the interior nodal values of the discrete energy: the
+    Hessian is banded, so a direction costs O(N) through a banded Cholesky
+    solve, and an Armijo line search starting at the full step backtracks
+    along it.  Every start with n >= 2 and N // 4 >= 500, cold (``init``
+    None) or warm, first solves on N // 4 cells from the start resampled
+    there, recursively, and starts from that solve, which leaves one or two
+    steps on N cells; ``max_iters`` bounds each level, and ``iterations``
+    and ``history`` count the final grid's steps alone.  Other cold starts
+    take f = n r, for n = 1 the minimiser, and other warm ones ``init``
+    resampled to N.  The iteration stops on the first of:
+
+    - "gradient": the sup-norm of the analytic discrete gradient is at or
+      below ``1e-8 * h * max(1, I)``;
+    - "stagnation": the Newton decrement -g.d is at or below the roundoff
+      floor eps * |I| * N, where no line search can resolve a decrease; the
+      full step is kept if it lowers the gradient's sup-norm;
+    - "line_search": 60 halvings found no sufficient decrease;
+    - "max_iters": the iteration budget ran out.
+
+    ``converged`` means a gradient or stagnation stop that also leaves the
+    independent finite-difference residual at or below 1e-2.  The
+    construction needs alpha > 1: at alpha = 1 minimising sequences in the
+    nontrivial classes concentrate and no minimiser exists.  A Hessian that
+    leaves double range (alpha in the hundreds) raises OverflowError.
+    """
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("minimize_radial requires alpha > 1")
+    if init is not None and init.n != n:
+        raise ValueError("init profile has the wrong winding count")
+    fs, val, g, it, stop_reason, history = _newton_solve(alpha, n, N, init, max_iters)
     final = RadialProfile(n, fs)
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")

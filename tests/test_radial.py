@@ -526,14 +526,54 @@ def test_slope_roundoff_stays_at_eps_on_fine_grids():
     assert abs(fine.energy - coarse.energy) <= 1e-14 * coarse.energy
 
 
+def _single_level(monkeypatch, N):
+    """Make every solve on N cells or fewer run on its own grid alone."""
+    monkeypatch.setattr(radial, "_COARSEST", N + 1)
+
+
 @pytest.mark.parametrize("N", [2000, 8000])
 @pytest.mark.parametrize("alpha", [1.1, 1.5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_cold_start_from_coarse_solve_matches_linear_start(n, alpha, N):
+def test_cold_start_from_coarse_solve_matches_linear_start(monkeypatch, n, alpha, N):
     cold = minimize_radial(alpha, n, N)
-    linear = minimize_radial(alpha, n, N, RadialProfile.linear(n, N))
+    _single_level(monkeypatch, N)
+    linear = minimize_radial(alpha, n, N)
+    assert linear.iterations > cold.iterations
     assert cold.converged == linear.converged
     assert abs(cold.energy - linear.energy) <= 1e-12 * linear.energy
+
+
+@pytest.mark.parametrize("N", [2000, 8000])
+@pytest.mark.parametrize("alpha", [1.1, 1.5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_warm_start_from_coarse_solve_matches_single_level(monkeypatch, n, alpha, N):
+    init = minimize_radial(alpha + 0.2, n, N).profile
+    warm = minimize_radial(alpha, n, N, init)
+    _single_level(monkeypatch, N)
+    single = minimize_radial(alpha, n, N, init)
+    assert warm.converged == single.converged
+    assert abs(warm.energy - single.energy) <= 1e-12 * single.energy
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_warm_chain_to_small_exponents_matches_single_level(monkeypatch, n):
+    # the chain whose first unconverged exponents ROADMAP item 1 tabulates;
+    # some of its solves end unconverged, and those must stay so
+    alphas = (1.5, 1.3, 1.2, 1.1, 1.05, 1.03, 1.02, 1.01)
+
+    def chain():
+        init, out = None, []
+        for alpha in alphas:
+            res = minimize_radial(alpha, n, 4000, init)
+            out.append((res.converged, res.energy))
+            init = res.profile
+        return out
+
+    descent = chain()
+    _single_level(monkeypatch, 4000)
+    for (flag, energy), (single_flag, single_energy) in zip(descent, chain()):
+        assert flag == single_flag
+        assert abs(energy - single_energy) <= 1e-12 * single_energy
 
 
 def test_cold_start_leaves_few_fine_steps():
@@ -547,22 +587,68 @@ def test_cold_start_of_winding_one_stays_linear():
     assert (res.stop_reason, res.iterations) == ("gradient", 1)
 
 
+def _levels(monkeypatch):
+    """Record (n, N, the start's N or None, max_iters) of every level."""
+    calls, plain = [], radial._newton_solve
+
+    def spy(alpha, n, N, init, max_iters):
+        calls.append((n, N, None if init is None else init.N, max_iters))
+        return plain(alpha, n, N, init, max_iters)
+
+    # the recursion looks the level solver up as a module global
+    monkeypatch.setattr(radial, "_newton_solve", spy)
+    return calls
+
+
 def test_cold_start_descends_by_quarters_to_500_cells(monkeypatch):
-    calls = []
-
-    def spy(alpha, n, N, init=None, **kwargs):
-        calls.append((n, N, init is None, kwargs.get("max_iters")))
-        return minimize_radial(alpha, n, N, init, **kwargs)
-
-    # the recursion looks the solver up as a module global
-    monkeypatch.setattr("alphasphere.radial.minimize_radial", spy)
-    spy(1.2, 3, 32000, max_iters=7)
-    assert calls == [(3, 32000, True, 7), (3, 8000, True, 7), (3, 2000, True, 7),
-                     (3, 500, True, 7)]
+    calls = _levels(monkeypatch)
+    minimize_radial(1.2, 3, 32000, max_iters=7)
+    assert calls == [(3, 32000, None, 7), (3, 8000, None, 7), (3, 2000, None, 7),
+                     (3, 500, None, 7)]
     calls.clear()
-    spy(1.2, 3, 1999)   # N // 4 < 500: no coarse level
-    spy(1.2, 1, 8000)   # the linear start is the minimiser
+    minimize_radial(1.2, 3, 1999)   # N // 4 < 500: no coarse level
+    minimize_radial(1.2, 1, 8000)   # the linear start is the minimiser
     assert [N for _, N, _, _ in calls] == [1999, 8000]
+
+
+def test_warm_start_descends_by_quarters_to_500_cells(monkeypatch):
+    init = minimize_radial(1.3, 3, 8000).profile
+    calls = _levels(monkeypatch)
+    minimize_radial(1.2, 3, 8000, init)
+    # each level starts from the warm profile resampled to its own cells
+    assert calls == [(3, 8000, 8000, 200), (3, 2000, 2000, 200), (3, 500, 500, 200)]
+    calls.clear()
+    minimize_radial(1.2, 3, 1999, init)   # N // 4 < 500: no coarse level
+    minimize_radial(1.2, 1, 8000, RadialProfile.linear(1, 8000))   # n = 1 stays warm
+    assert calls == [(3, 1999, 8000, 200), (1, 8000, 8000, 200)]
+
+
+def test_coarse_levels_compute_no_residual_or_crossings(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(radial, name, spy)
+
+    counted("radial_residual", radial.radial_residual)
+    counted("_crossings", radial._crossings)
+    cold = minimize_radial(1.2, 3, 32000)   # four levels
+    assert counts == {"radial_residual": 1, "_crossings": 1}
+    minimize_radial(1.1, 3, 32000, cold.profile)
+    assert counts == {"radial_residual": 2, "_crossings": 2}
+
+
+def test_warm_steps_of_the_readme_chain_leave_few_fine_steps():
+    # radial-solve --alpha 1.5,1.3,1.2,1.1 --n 3 --N 4000: from the previous
+    # exponent's profile on 4000 cells alone these take 4, 4 and 5 steps
+    init = minimize_radial(1.5, 3, 4000).profile
+    for alpha in (1.3, 1.2, 1.1):
+        res = minimize_radial(alpha, 3, 4000, init)
+        assert res.converged
+        assert res.iterations <= 2
+        init = res.profile
 
 
 def test_cold_start_reaches_large_exponents():

@@ -32,11 +32,13 @@ any checkout):
 
 Prints, for each piece, the median over ``REPEATS`` calls in ms and the
 minor page faults per call (``resource.getrusage().ru_minflt`` read around
-each call); for the whole solve from the linear start f = 3 r, its median
-wall time divided by its iterations and its minor page faults per solve;
-and for the cold solve, which starts from the solves on the coarser grids
-N // 4, N // 16, ..., its median wall time and minor page faults per
-solve.  Faults count the fresh pages of large arrays that the allocator
+each call); for one level's Newton loop, ``_newton_solve`` from the linear
+start f = 3 r on N cells alone (its coarsest level moved above N), its
+median wall time divided by its steps and its minor page faults per solve;
+for the cold solve, which starts from the solves on the coarser grids
+N // 4, N // 16, ..., and for the warm solve from the alpha = 1.3
+minimiser, which descends through the same grids from that profile, the
+median wall time and minor page faults per solve.  Faults count the fresh pages of large arrays that the allocator
 handed back to the system and maps again; a piece repeated alone keeps its
 blocks, so they show most in the whole solve, which builds its instance
 and interleaves the pieces.
@@ -47,13 +49,17 @@ from __future__ import annotations
 import resource
 import statistics
 import timeit
+from unittest import mock
 
 import numpy as np
 
+from alphasphere import radial
 from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, _dpbsv, _geometry,
-                                _newton_direction, _sincos, minimize_radial, radial_residual)
+                                _newton_direction, _newton_solve, _sincos, minimize_radial,
+                                radial_residual)
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
+WARM_FROM, MAX_ITERS = 1.3, 200   # the warm solve's start; minimize_radial's default budget
 
 
 def measure(stmt, setup=lambda: None, repeats=REPEATS) -> tuple[float, float]:
@@ -69,7 +75,8 @@ def measure(stmt, setup=lambda: None, repeats=REPEATS) -> tuple[float, float]:
 
 def split(N: int) -> dict[str, tuple[float, float]]:
     linear = RadialProfile.linear(N_WIND, N)
-    res = minimize_radial(ALPHA, N_WIND, N, linear)
+    warm = minimize_radial(WARM_FROM, N_WIND, N).profile
+    res = minimize_radial(ALPHA, N_WIND, N)
     fs = res.profile.fs
     other = fs.copy()
     other[1:-1] += 1e-9 * np.sin(np.arange(1, N))
@@ -111,11 +118,14 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     def make():
         _DiscreteEnergy(ALPHA, N_WIND, N)
 
-    def solve():
-        minimize_radial(ALPHA, N_WIND, N, linear)
+    def level():
+        return _newton_solve(ALPHA, N_WIND, N, linear, MAX_ITERS)
 
     def cold_solve():
         minimize_radial(ALPHA, N_WIND, N)
+
+    def warm_solve():
+        minimize_radial(ALPHA, N_WIND, N, warm)
 
     parts = {
         "value and gradient": measure(fresh_value_and_grad),
@@ -130,9 +140,12 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "instance set-up, cold": measure(make, setup=_geometry.cache_clear),
         "instance set-up, warm": measure(make),
     }
-    solve_ms, solve_faults = measure(solve, repeats=5)
-    parts["whole solve, per iteration"] = (solve_ms / res.iterations, solve_faults)
+    with mock.patch.object(radial, "_COARSEST", N + 1):   # N cells alone
+        steps = level()[3]
+        level_ms, level_faults = measure(level, repeats=5)
+    parts["one level, per iteration"] = (level_ms / steps, level_faults)
     parts["cold solve, total"] = measure(cold_solve, repeats=5)
+    parts["warm solve, total"] = measure(warm_solve, repeats=5)
     return parts
 
 
