@@ -17,10 +17,13 @@ is a Hermitian form of M*M on the lifted points, and its position
 (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2) reads off the image pair.
 Pulling a fractional linear map back by another multiplies the matrices, so
 :class:`PullbackMap`, at ``mobius_apply``'s image points, serves the others.
+Evaluators are immutable, so :class:`MobiusMap`, :class:`PullbackMap` and
+:class:`RadialMap` keep their density on the last grid given, read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from abc import ABC, abstractmethod
@@ -65,6 +68,18 @@ class MapEvaluator(ABC):
         """Signed Jacobian density, |J| <= e pointwise."""
 
 
+def _per_grid(density):
+    """``density``, kept read-only for the last grid given (by identity), not for points."""
+    @functools.wraps(density)
+    def memoised(self, z):
+        grid = isinstance(z, QuadratureGrid)
+        if grid and getattr(self, "_memo", (None,))[0] is not z:
+            self._memo = (z, density(self, z))
+            self._memo[1].flags.writeable = False
+        return self._memo[1] if grid else density(self, z)
+    return memoised
+
+
 class MobiusMap(MapEvaluator):
     """The fractional linear map itself, viewed as a map of the sphere.
 
@@ -77,6 +92,7 @@ class MobiusMap(MapEvaluator):
     def position(self, z):
         return _sphere_xyz(*_image_pair(self.m, _lift(z)))
 
+    @_per_grid
     def density(self, z):
         return _form_density(self.m, _lift(z))
 
@@ -129,6 +145,7 @@ class PullbackMap(MapEvaluator):
     def position(self, z):
         return self.u.position(mobius_apply(self.m, z))
 
+    @_per_grid
     def density(self, z):
         factor, w = self._factor_and_image(z)
         return factor * self.u.density(w)
@@ -151,32 +168,27 @@ class RadialMap(MapEvaluator):
     def __init__(self, profile: RadialProfile):
         self.profile = profile
 
-    def _polar(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _fields(self, z):
+        """f, f' and sin f / sin r at the chart points' polar angles r."""
         # arctan(inf) = pi/2, so the pole lands exactly on r = 0
-        return math.pi - 2.0 * np.arctan(np.abs(z)), np.angle(z)
-
-    def _f_fp_ratio(self, r):
+        r = math.pi - 2.0 * np.arctan(np.abs(np.asarray(z, dtype=complex)))
         f, fp = self.profile.value_and_slope(r)
         s = np.sin(r)
         safe = s > 1e-7
-        ratio = np.where(safe, np.sin(f) / np.where(safe, s, 1.0), fp)
-        return f, fp, ratio
+        return f, fp, np.where(safe, np.sin(f) / np.where(safe, s, 1.0), fp)
 
     def position(self, z):
-        r, ang = self._polar(z)
-        f, _, _ = self._f_fp_ratio(r)
-        sf = np.sin(f)
+        f = self._fields(z)[0]
+        sf, ang = np.sin(f), np.angle(z)
         return np.stack([sf * np.cos(ang), sf * np.sin(ang), np.cos(f)])
 
+    @_per_grid
     def density(self, z):
-        r, _ = self._polar(z)
-        _, fp, ratio = self._f_fp_ratio(r)
+        _, fp, ratio = self._fields(z)
         return 0.5 * (fp * fp + ratio * ratio)
 
     def jacobian(self, z):
-        r, _ = self._polar(z)
-        _, fp, ratio = self._f_fp_ratio(r)
+        _, fp, ratio = self._fields(z)
         return fp * ratio
 
 

@@ -1,4 +1,5 @@
-"""Adaptive panel quadrature built on Gauss-Legendre rules.
+"""Adaptive panel quadrature built on Gauss-Legendre rules, which Newton's method
+on the three-term recurrence builds once per order, with no eigensolve.
 
 :func:`adaptive_gauss_legendre` integrates a vectorised callable from ``a``
 to ``b``, or to every end of a sorted array ``b`` in one pass.  Each panel's
@@ -33,9 +34,27 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 @functools.cache
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only by every caller."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], shared read-only
+    by every caller: Newton's method on P_n from Tricomi's estimates of the
+    nodes in [0, 1), reflected (Hale and Townsend, SIAM J. Sci. Comput. 2013)."""
+    theta = (4 * np.arange(1, (n + 1) // 2 + 1) - 1) * np.pi / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)) * np.cos(theta)
+    x[n // 2:] = 0.0   # an odd order's middle node, where P_n vanishes exactly
+    done = False
+    for _ in range(12):   # P_(k+1) = x P_k + k/(k+1) (x P_k - P_(k-1)), then P_n'
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            xp = x * p1
+            p0, p1 = p1, xp + k / (k + 1) * (xp - p0)
+        dp = n * (p0 - x * p1) / (1.0 - x * x)
+        if done:   # the sweep after a step of at most a few eps gives the weights
+            break
+        x -= (dx := p1 / dp)
+        done = np.max(np.abs(dx)) <= 4.0 * np.finfo(float).eps
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -45,8 +45,6 @@ from importlib import machinery, util
 
 import numpy as np
 
-from .quadrature import _rule
-
 __all__ = [
     "RadialProfile",
     "SolveResult",
@@ -60,7 +58,9 @@ __all__ = [
 ]
 
 _PI = math.pi
-_GL_ORDER = 4          # Gauss points per cell of the discrete energy
+# 4-point Gauss-Legendre per cell: leggauss(4)'s bits, to which every radial number is pinned
+_CELL_X = (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526)
+_CELL_W = (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357)
 _GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _COARSEN, _COARSEST = 4, 500   # a solve's coarse levels: N // 4 cells, at least 500
@@ -249,8 +249,7 @@ def _geometry(N: int) -> tuple:
     """The read-only grid data that _DiscreteEnergy reads on N cells: t, w,
     B, Bp, Dp, table, inv_sin2 and wgt."""
     h = _PI / N
-    x, w = _rule(_GL_ORDER)
-    t, w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
+    t, w = 0.5 * (np.array(_CELL_X) + 1.0), 0.5 * np.array(_CELL_W)   # the rule on [0, 1]
     # the local cubic's Lagrange basis: row k is the cubic through the
     # k-th unit vector of nodes, at the Gauss points; shape (4, G)
     B, Bp = _cubic(*np.eye(4)[:, :, None], t)

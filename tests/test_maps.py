@@ -426,3 +426,61 @@ def test_energy_report_pullback_floor(grid):
         lam = mobius_svd(m).lam
         assert rep.e_alpha == pytest.approx(dilation_energy(alpha, lam).value,
                                             rel=1e-7)
+
+
+# ----------------------------------------------------- one density per grid
+
+def _memo_maps():
+    """Builders, each of one map every time it is called."""
+    profile = RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r))
+    return [lambda: MobiusMap(random_element(np.random.default_rng(12))),
+            lambda: PullbackMap(ConjugationMap(), random_element(np.random.default_rng(13))),
+            lambda: RadialMap(profile)]
+
+
+@pytest.mark.parametrize("build", _memo_maps(), ids=["mobius", "pullback", "radial"])
+def test_density_is_kept_per_grid_as_a_read_only_array(build, grid):
+    u = build()
+    first = u.density(grid)
+    assert u.density(grid) is first and not first.flags.writeable
+    other = make_grid(240, 48)   # the fixture's nodes, in another grid
+    again = u.density(other)
+    assert again is not first and again.tobytes() == first.tobytes()
+    fresh = [u.density(grid.zs) for _ in range(2)]
+    assert fresh[0] is not fresh[1] and fresh[0].flags.writeable
+
+
+@pytest.mark.parametrize("build", _memo_maps(), ids=["mobius", "pullback", "radial"])
+def test_memoised_density_equals_a_fresh_evaluators(build, grid):
+    u = build()
+    kept = u.density(grid)
+    u.density(make_grid(16, 8))   # the memo moves to another grid and back
+    assert u.density(grid) is not kept
+    assert u.density(grid).tobytes() == kept.tobytes()
+    assert build().density(grid).tobytes() == kept.tobytes()
+    assert u.density(grid.zs).tobytes() == kept.tobytes()
+
+
+def test_mobius_jacobian_reads_the_kept_density(grid):
+    u = pullback(identity_map(), MobiusElement.dilation(3.0))
+    assert u.jacobian(grid) is u.density(grid)
+
+
+# _form_density calls of the quick battery at seed 2024: measured 90 (c01 9,
+# c03 1, c05 11, c08 14, c11 5 and c12 50); without the per-grid density, 258
+QUICK_FORM_DENSITY_CALLS = 90
+
+
+def test_quick_battery_form_density_ceiling(monkeypatch):
+    from alphasphere import maps
+    from alphasphere.verification import VerifySettings, run_criteria
+    calls = []
+
+    def counting(m, pts):
+        calls.append(m)
+        return _form_density(m, pts)
+
+    monkeypatch.setattr(maps, "_form_density", counting)
+    rows = run_criteria(VerifySettings(seed=2024, level="quick"))
+    assert all(r.passed for r in rows)
+    assert len(calls) <= QUICK_FORM_DENSITY_CALLS

@@ -6,6 +6,7 @@ cells) is checked without running git or the command line."""
 
 import importlib
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,14 @@ def test_diff_cells_lists_each_differing_cell_of_shared_rows(report_diff, capsys
     new = {"a": {"v": "1.5", "w": "y"}, "c": {"v": "3"}}
     assert report_diff.diff_cells(old, new) == [("a", (0.5, 0.5)), ("a", None), ("a", None)]
     assert capsys.readouterr().out == "a v: 1.0 -> 1.5\na w: x -> y\na z: 1 -> None\n"
+
+
+def test_idle_stall_times_one_fresh_battery(monkeypatch, capsys):
+    import alphasphere
+    monkeypatch.setenv("PYTHONPATH", str(Path(alphasphere.__file__).parents[1]))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    idle_stall = importlib.import_module("idle_stall")
+    assert idle_stall.main(["--processes", "1", "--sleep", "0"]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    c01, battery = (float(s) for s in re.findall(r"(\d+\.\d+) s", line))
+    assert line.startswith("process 1:") and 0.0 < c01 < battery
