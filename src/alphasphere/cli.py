@@ -198,9 +198,8 @@ def _cmd_energy(cfg: dict) -> tuple[list[str], list[dict], bool]:
     return _ENERGY_COLUMNS, rows, ok
 
 
-_RADIAL_COLUMNS = ["alpha", "n", "N", "energy", "residual_sup", "grad_norm",
-                   "degree", "degree_int", "r1", "r2", "iterations",
-                   "converged", "stop_reason"]
+_RADIAL_COLUMNS = ["alpha", "n", "N", "energy", "residual_sup", "grad_norm", "degree_int",
+                   "r1", "r2", "iterations", "converged", "stop_reason"]
 
 
 def _solve_row(res: rd.SolveResult, N: int) -> dict:

@@ -90,13 +90,12 @@ GROWTH_THETA_CONSTANT = (1.0 - math.sinh(1.0) ** (-2.0 / 3.0)) ** 1.5
 class DilationEnergyResult:
     """Dilation energy E_alpha(m_lam) together with its excess over the degree-one
     floor and the normalised profile G; for an array of lam, every field but
-    alpha and beta is an array, and ``res[i]`` is the scalar result at index i."""
+    alpha is an array, and ``res[i]`` is the scalar result at index i."""
 
     alpha: float
     lam: float
     tau: float
     sigma: float
-    beta: float
     value: float
     G: float
     xi: float
@@ -206,7 +205,7 @@ def dilation_energy(alpha: float, lam) -> DilationEnergyResult:
     log_excess = _log_excess_ratio(alpha, np.abs(tau))
     ratio = np.exp(log_excess)
     xi = base * ratio
-    res = DilationEnergyResult(alpha=alpha, lam=lams, tau=tau, sigma=beta * tau, beta=beta,
+    res = DilationEnergyResult(alpha=alpha, lam=lams, tau=tau, sigma=beta * tau,
                                value=base + xi, G=1.0 + ratio, xi=xi, log_excess=log_excess)
     return res if np.ndim(lam) else res[0]
 
@@ -327,7 +326,7 @@ def check_xi_lower_bounds(res: DilationEnergyResult) -> list[BoundCheck]:
         raise RegimeError("bounds are stated for 1 < alpha <= 2")
     if not res.lam >= 1.0:
         raise RegimeError("bounds are stated for lam >= 1")
-    base, beta, tau, sigma, xi = energy_floor(res.alpha), res.beta, res.tau, res.sigma, res.xi
+    base, beta, tau, sigma, xi = energy_floor(res.alpha), res.alpha - 1, res.tau, res.sigma, res.xi
     checks: list[BoundCheck] = []
     if sigma >= 2.0:
         log_gap = res.log_excess - math.log(XI_SIGMA_LARGE_CONSTANT) - 2.0 * sigma

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -69,14 +70,15 @@ class MapEvaluator(ABC):
 
 
 def _per_grid(density):
-    """``density``, kept read-only for the last grid given (by identity), not for points."""
+    """``density``, kept read-only for the last grid given (by identity, weakly), not for points."""
     @functools.wraps(density)
     def memoised(self, z):
-        grid = isinstance(z, QuadratureGrid)
-        if grid and getattr(self, "_memo", (None,))[0] is not z:
-            self._memo = (z, density(self, z))
+        if not isinstance(z, QuadratureGrid):
+            return density(self, z)
+        if getattr(self, "_memo", (lambda: None,))[0]() is not z:
+            self._memo = (weakref.ref(z), density(self, z))
             self._memo[1].flags.writeable = False
-        return self._memo[1] if grid else density(self, z)
+        return self._memo[1]
     return memoised
 
 

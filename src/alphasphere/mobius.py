@@ -115,15 +115,13 @@ class MobiusElement:
     def det(self) -> complex | np.ndarray:
         return self.a * self.d - self.b * self.c
 
-    def compose(self, other: "MobiusElement") -> "MobiusElement":
+    def __matmul__(self, other: "MobiusElement") -> "MobiusElement":
         return MobiusElement(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    __matmul__ = compose
 
     def inverse(self) -> "MobiusElement":
         return MobiusElement(self.d, -self.b, -self.c, self.a)

@@ -25,11 +25,11 @@ energy whose panel past the last node goes point by point through the
 reconstruction, which the 2-d map reads as well.  The degree is
 (1 - cos n pi) / 2, and each k pi crossing is bisected on its cell's cubic.
 
-The module provides the energy and the energies of the windows between the
-k pi crossings, a finite-difference residual for the above equation and a
-direct minimiser over nodal values (damped Newton with a banded Cholesky
-solve, Armijo backtracking and analytic discrete derivatives).  A grid's
-geometry is built once per N and shared read-only, a solve writes its own
+The module provides the window energies (the energy is the window from 0
+to pi), a finite-difference residual for the above equation and a direct
+minimiser over nodal values (damped Newton with a banded Cholesky solve,
+Armijo backtracking and analytic discrete derivatives).  A grid's geometry
+is built once per N and shared read-only, a solve writes its own
 workspace, and every sine comes from the half-angle tangent.  Importing it
 loads numpy alone: the first Newton step loads LAPACK's dpbsv from scipy's
 compiled module, without importing scipy.linalg.
@@ -48,7 +48,6 @@ import numpy as np
 __all__ = [
     "RadialProfile",
     "SolveResult",
-    "radial_energy",
     "window_energies",
     "radial_residual",
     "minimize_radial",
@@ -75,8 +74,8 @@ class RadialProfile:
 
     ``n`` is the winding count: f(0) = 0 and f(pi) = n*pi exactly.  Between
     nodes the profile is the local cubic that :func:`minimize_radial`
-    integrates, so :func:`radial_energy` of a profile is the discrete
-    objective the minimiser minimised.
+    integrates, so :func:`window_energies` of a profile over (0, pi) is
+    the discrete objective the minimiser minimised.
     """
 
     n: int
@@ -121,11 +120,9 @@ class RadialProfile:
         f, fp = _cubic(fe[c], fe[c + 1], fe[c + 2], fe[c + 3], u - c)
         return f, fp / self.h
 
-    def value(self, r):
-        return self.value_and_slope(r)[0]
-
     def resampled(self, N: int) -> "RadialProfile":
-        return self if N == self.N else RadialProfile.from_function(self.n, N, self.value)
+        return self if N == self.N else RadialProfile.from_function(
+            self.n, N, lambda r: self.value_and_slope(r)[0])
 
     @classmethod
     def linear(cls, n: int, N: int) -> "RadialProfile":
@@ -150,7 +147,7 @@ class SolveResult:
     profile; ``history`` holds it for the initial and every accepted
     iterate, and ``iterations`` counts the steps, both on the final grid
     alone (not the coarser levels that every start with n >= 2 and
-    N // 4 >= 500 descends through).  ``degree`` is n mod 2, the
+    N // 4 >= 500 descends through).  ``degree_int`` is n mod 2, the
     exact (1 - cos n pi) / 2.  ``crossings`` holds the first upward
     crossings of pi, 2 pi, ..., (n - 1) pi, which every finite profile has.
     """
@@ -160,7 +157,6 @@ class SolveResult:
     energy: float
     residual_sup: float
     grad_norm: float
-    degree: float
     degree_int: int
     crossings: tuple[float, ...]
     iterations: int
@@ -192,13 +188,6 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
     dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
     F[cut] += _PI * (dens * span) @ disc.w
     return np.diff(F).tolist()
-
-
-def radial_energy(profile: RadialProfile, alpha: float) -> float:
-    """Energy I(f) of the profile's local-cubic reconstruction: the sum of
-    the cell energies of the discrete objective :func:`minimize_radial`
-    minimises."""
-    return window_energies(profile, alpha, (0.0, _PI))[0]
 
 
 def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
@@ -540,7 +529,6 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         energy=val,
         residual_sup=residual_sup,
         grad_norm=float(np.max(np.abs(g))),
-        degree=float(n % 2),
         degree_int=n % 2,
         crossings=_crossings(final),
         iterations=it,

@@ -302,7 +302,8 @@ def c10_radial_n3(ctx: _Context) -> list[tuple]:
     deg = mp.degree(u, grid)[1]   # from the 2-d map's Jacobian, not from the solve
     r1, r2 = res.crossings
     disc_e, ann_e, cap_e = rd.window_energies(res.profile, 1.2, (0.0, r1, r2, math.pi))
-    err = max(abs(float(res.profile.value(r)) - k * math.pi) for k, r in ((1, r1), (2, r2)))
+    err = max(abs(float(res.profile.value_and_slope(r)[0]) - k * math.pi)
+              for k, r in ((1, r1), (2, r2)))
     return [
         ("converged", float(res.converged), 1.0, res.converged,
          f"{res.iterations} iterations"),

@@ -419,7 +419,7 @@ def test_readme_python_example_runs():
     (("energy", "--alpha", "1.5", "--grid", "40,8"),
      "map,alpha,e_alpha,e_dirichlet_plus_area,degree,degree_int,floor_2_2a1_pi,passes_floor"),
     (("radial-solve", "--alpha", "1.4", "--n", "1", "--N", "200"),
-     "alpha,n,N,energy,residual_sup,grad_norm,degree,degree_int,r1,r2,iterations,"
+     "alpha,n,N,energy,residual_sup,grad_norm,degree_int,r1,r2,iterations,"
      "converged,stop_reason"),
     (("verify", "--level", "quick", "--criteria", "c02"),
      "criterion,check,value,bound,passed,note"),

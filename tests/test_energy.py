@@ -29,7 +29,6 @@ from alphasphere import (
     minimize_radial,
     norm_grad_log_chi_L2,
     pullback,
-    radial_energy,
     radial_residual,
     window_energies,
 )
@@ -69,7 +68,7 @@ def test_alpha_energy_requires_alpha_geq_one(grid):
         alpha_energy(identity_map(), 0.9, grid)
     p = RadialProfile.linear(1, 200)
     with pytest.raises(ValueError):
-        radial_energy(p, 0.9)
+        window_energies(p, 0.9, (0.0, math.pi))
     with pytest.raises(ValueError):
         window_energies(p, 0.9, (0.0, 1.0))
 
@@ -152,7 +151,6 @@ def test_dilation_energy_symmetry_and_fields():
     assert r.value == dilation_energy(1.5, 4.0).value
     assert r.tau == pytest.approx(math.log(0.25))
     assert r.sigma == pytest.approx(0.5 * math.log(0.25))
-    assert r.beta == 0.5
     assert r.value == pytest.approx(energy_floor(1.5) * r.G, rel=1e-14)
 
 
@@ -558,7 +556,6 @@ def _guarded_calls():
         "d_energy_d_loglambda:lam": lambda x: d_energy_d_loglambda(u, 1.5, x, grid),
         "eaclose_gap:lam": lambda x: eaclose_gap(u, 1.5, x, grid),
         "window_energies": lambda x: window_energies(p, x, (0.0, math.pi)),
-        "radial_energy": lambda x: radial_energy(p, x),
         "radial_residual": lambda x: radial_residual(p, x),
         "minimize_radial": lambda x: minimize_radial(x, 3, 1000),
         "shoot_radial:alpha": lambda x: shoot_radial(x, 1, 1.0),

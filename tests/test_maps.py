@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -459,6 +461,19 @@ def test_memoised_density_equals_a_fresh_evaluators(build, grid):
     assert u.density(grid).tobytes() == kept.tobytes()
     assert build().density(grid).tobytes() == kept.tobytes()
     assert u.density(grid.zs).tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("build", _memo_maps(), ids=["mobius", "pullback", "radial"])
+def test_kept_density_does_not_keep_its_grid_alive(build, grid):
+    u = build()
+    dropped = make_grid(40, 8)
+    u.density(dropped)
+    ref = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert ref() is None
+    kept = u.density(grid)   # a live grid still reads its kept array
+    assert u.density(grid) is kept and not kept.flags.writeable
 
 
 def test_mobius_jacobian_reads_the_kept_density(grid):

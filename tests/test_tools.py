@@ -61,11 +61,37 @@ def test_change_is_relative_and_absolute(report_diff):
 
 
 def test_diff_cells_lists_each_differing_cell_of_shared_rows(report_diff, capsys):
-    # a column that one side lacks differs too, rather than stopping the run
+    # a column that one side lacks is the header's difference, not a cell's
     old = {"a": {"v": "1.0", "w": "x", "z": "1"}, "b": {"v": "2"}}
     new = {"a": {"v": "1.5", "w": "y"}, "c": {"v": "3"}}
-    assert report_diff.diff_cells(old, new) == [("a", (0.5, 0.5)), ("a", None), ("a", None)]
-    assert capsys.readouterr().out == "a v: 1.0 -> 1.5\na w: x -> y\na z: 1 -> None\n"
+    assert report_diff.diff_cells(old, new) == [("a", (0.5, 0.5)), ("a", None)]
+    assert capsys.readouterr().out == "a v: 1.0 -> 1.5\na w: x -> y\n"
+
+
+def test_header_changes_name_each_one_sided_column_once(report_diff):
+    assert report_diff.header_changes(["a", "b", "c"], ["a", "c", "d"], "REV") == [
+        "columns only in REV: b", "columns only in the working tree: d"]
+    assert report_diff.header_changes(["a", "b"], ["b", "a"], "REV") == []
+
+
+def test_a_lost_column_alone_fails_the_pin(report_diff, monkeypatch, capsys):
+    verify = ["criterion", "check", "value", "bound", "passed", "note"]
+    rows = [dict(zip(verify, ("c01", "x", "1", "1", "True", "")))]
+
+    def table(root, argv):
+        if argv[0] == "verify":
+            return 0, verify, rows
+        header = ["n", "degree", "energy"] if root != report_diff.ROOT else ["n", "energy"]
+        return 0, header, [{c: str(k) for c in header} for k in range(3)]
+
+    monkeypatch.setattr(report_diff, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(report_diff, "source_lines", lambda root: 0)
+    monkeypatch.setattr(report_diff, "readme_commands", lambda: [["radial-solve"]])
+    monkeypatch.setattr(report_diff, "table", table)
+    assert report_diff.main(["--parent", "REV"]) == 1
+    out = capsys.readouterr().out
+    assert "radial-solve: columns only in REV (000000000000): degree\n" in out
+    assert "0 cells differ; the header differs" in out and "-> None" not in out
 
 
 def test_idle_stall_times_one_fresh_battery(monkeypatch, capsys):

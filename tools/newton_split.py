@@ -108,7 +108,7 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         tval, _ = disc.value_and_grad(t)
         return tval <= val + 1e-4 * steps[0] * gd
 
-    points = res.profile.value(res.profile.rs[:-1] + disc.h * disc.t[:, None])
+    points = res.profile.value_and_slope(res.profile.rs[:-1] + disc.h * disc.t[:, None])[0]
     sin, cos, scratch = np.empty((3, *points.shape))
 
     def libm():

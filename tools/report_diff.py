@@ -9,14 +9,16 @@ stands on disk), ``alphasphere verify --level full --seed 2024`` and each
 command of this checkout's README command-line block that writes its report
 to stdout (those without ``-o`` or ``--profile-out``).  Prints the line
 count of ``src/alphasphere/*.py`` on both sides, then each cell
-that differs: a verify cell as ``criterion/check column: old -> new``, a
-check name that repeats within a criterion told apart by ``#k``, its k-th
-repeat; a README cell as ``command row k column: old -> new``.  Then
-prints one line per criterion or command with differing cells: how many,
-and the largest relative and the largest absolute change among its numeric
-cells.  Exits 1 when the verify reports differ in their set of rows or in
-their ``passed`` column, a README report in its header or its number of
-rows, or any run in its exit status, which is printed then; else 0.
+that differs in a column both sides have: a verify cell as
+``criterion/check column: old -> new``, a check name that repeats within a
+criterion told apart by ``#k``, its k-th repeat; a README cell as
+``command row k column: old -> new``.  A column that only one side has is
+named once, as ``columns only in REV: name``.  Then prints one line per
+criterion or command with differing cells: how many, and the largest
+relative and the largest absolute change among its numeric cells.  Exits 1
+when the verify reports differ in their set of rows or in their ``passed``
+column, any report in its header, a README report in its number of rows,
+or any run in its exit status, which is printed then; else 0.
 """
 
 from __future__ import annotations
@@ -90,15 +92,23 @@ def change(old: str, new: str) -> tuple[float, float] | None:
 
 def diff_cells(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]],
                prefix: str = "") -> list[tuple[str, tuple[float, float] | None]]:
-    """Print each cell of a row in both reports that differs; returns, per
-    such cell, its row key and its relative and absolute change."""
+    """Print each cell of a row and a column in both reports that differs;
+    returns, per such cell, its row key and its relative and absolute change."""
     changes = []
     for key in (key for key in old if key in new):
         for column, value in old[key].items():
-            if new[key].get(column) != value:
-                changes.append((key, change(value, new[key].get(column))))
-                print(f"{prefix}{key} {column}: {value} -> {new[key].get(column)}")
+            if column in new[key] and new[key][column] != value:
+                changes.append((key, change(value, new[key][column])))
+                print(f"{prefix}{key} {column}: {value} -> {new[key][column]}")
     return changes
+
+
+def header_changes(old: list[str], new: list[str], side: str) -> list[str]:
+    """One line per side whose report has columns that the other lacks,
+    naming each such column once; ``side`` names the old report's side."""
+    return [f"columns only in {where}: {', '.join(c for c in mine if c not in theirs)}"
+            for where, mine, theirs in ((side, old, new), ("the working tree", new, old))
+            if set(mine) - set(theirs)]
 
 
 def main(argv=None) -> int:
@@ -125,6 +135,8 @@ def main(argv=None) -> int:
                   f"{new_code} in the working tree")
             statuses_differ = True
 
+    for line in header_changes(olds[0][1], news[0][1], side):
+        print(f"{' '.join(ARGV)}: {line}")
     old, new = by_check(olds[0][2]), by_check(news[0][2])
     changes = diff_cells(old, new)
     groups: dict[str, list[tuple[float, float] | None]] = {}
@@ -136,14 +148,18 @@ def main(argv=None) -> int:
         print(f"{key}: only in the working tree")
     rows_differ = old.keys() != new.keys()
     passed_differ = any(old[k]["passed"] != new[k]["passed"] for k in old.keys() & new.keys())
+    header_differs = olds[0][1] != news[0][1]
     print(f"{' '.join(ARGV)}: {side} {len(old)} rows, working tree {len(new)} rows, "
           f"{len(changes)} cells differ"
           + ("; the row set differs" if rows_differ else "")
-          + ("; the passed column differs" if passed_differ else ""))
-    failed = statuses_differ or rows_differ or passed_differ
+          + ("; the passed column differs" if passed_differ else "")
+          + ("; the header differs" if header_differs else ""))
+    failed = statuses_differ or rows_differ or passed_differ or header_differs
 
     for command, (_, old_h, old_t), (_, new_h, new_t) in zip(commands[1:], olds[1:], news[1:]):
         name = shlex.join(command)
+        for line in header_changes(old_h, new_h, side):
+            print(f"{name}: {line}")
         changes = diff_cells(dict(enumerate(old_t)), dict(enumerate(new_t)), prefix=f"{name} row ")
         if changes:
             groups[name] = [cell for _, cell in changes]
