@@ -555,7 +555,9 @@ def _guarded_calls():
         "d_energy_d_loglambda:alpha": lambda x: d_energy_d_loglambda(u, x, 1.5, grid),
         "d_energy_d_loglambda:lam": lambda x: d_energy_d_loglambda(u, 1.5, x, grid),
         "eaclose_gap:lam": lambda x: eaclose_gap(u, 1.5, x, grid),
-        "window_energies": lambda x: window_energies(p, x, (0.0, math.pi)),
+        "window_energies": lambda x: window_energies(p, x, (0.0, 1.0, math.pi)),
+        # the total radial energy, the single window from 0 to pi
+        "radial_energy": lambda x: window_energies(p, x, (0.0, math.pi))[0],
         "radial_residual": lambda x: radial_residual(p, x),
         "minimize_radial": lambda x: minimize_radial(x, 3, 1000),
         "shoot_radial:alpha": lambda x: shoot_radial(x, 1, 1.0),
