@@ -25,8 +25,9 @@ file names.
 Each range or choice rule on a value lives in the library function or
 settings object that takes it.  Exit status: 0 when every requested check
 passes, 1 when any check fails or a radial Hessian leaves double range, 2
-on configuration errors: a malformed or missing option, or any ValueError
-that a command raises, reported in the library's words; stdout stays empty.
+on configuration errors: a malformed or missing option, an output path
+that cannot be written, or any ValueError that a command raises, reported
+in the library's words; stdout stays empty.
 """
 
 from __future__ import annotations
@@ -107,23 +108,26 @@ def _read_config_file(path: str) -> dict[str, str]:
     return data
 
 
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    p = Path(out)
+def _write_out(out: str, write) -> None:
+    """Call ``write(path)`` for output path ``out``, a bare name resolved under
+    $ALPHASPHERE_OUTDIR when set; a path that cannot be written is a
+    configuration error."""
+    path = Path(out)
     outdir = os.environ.get("ALPHASPHERE_OUTDIR")
-    if outdir and p.parent == Path("."):
-        p = Path(outdir) / p
-    return p
+    if outdir and path.parent == Path("."):
+        path = Path(outdir) / path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
-    if path is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_out(out, lambda path: path.write_text(text))
 
 
 _DILATION_COLUMNS = ["alpha", "lambda", "e_alpha", "xi", "G", "Gprime",
@@ -230,9 +234,7 @@ def _cmd_radial_solve(cfg: dict) -> tuple[list[str], list[dict], bool]:
                 rows.append(_solve_row(res, N))
                 init = res.profile
     if cfg["profile-out"]:
-        path = _resolve_out(cfg["profile-out"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rd.save_profile(res.profile, path)
+        _write_out(cfg["profile-out"], lambda path: rd.save_profile(res.profile, path))
     return _RADIAL_COLUMNS, rows, all(row["converged"] for row in rows)
 
 
@@ -320,13 +322,13 @@ def run(cfg: dict) -> int:
     returns the exit status."""
     try:
         columns, rows, ok = _COMMANDS[cfg["command"]](cfg)
-    except ValueError as exc:   # an argument check, the library's or this module's
+        _emit(_render(columns, rows, cfg["format"]), cfg["out"])
+    except ValueError as exc:   # an argument check, or an output path not writable
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, RuntimeError) as exc:   # an overflow, a defect, a failed quadrature
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(_render(columns, rows, cfg["format"]), cfg["out"])
     return 0 if ok else 1
 
 

@@ -17,13 +17,12 @@ is a Hermitian form of M*M on the lifted points, and its position
 (2 P conj(Q), |P|^2 - |Q|^2)/(|P|^2 + |Q|^2) reads off the image pair.
 Pulling a fractional linear map back by another multiplies the matrices, so
 :class:`PullbackMap`, at ``mobius_apply``'s image points, serves the others.
-Evaluators are immutable, so :class:`MobiusMap`, :class:`PullbackMap` and
-:class:`RadialMap` keep their density on the last grid given, read-only.
+Each evaluator gives its density and Jacobian from one hook, and keeps the
+pair for the last grid it was given until that grid is collected.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 import weakref
@@ -51,9 +50,11 @@ class NonIntegerDegreeWarning(UserWarning):
 class MapEvaluator(ABC):
     """Abstract pointwise description of a map from the sphere to itself.
 
-    The methods accept complex chart coordinates (entries may be inf for
-    the pole) or a grid, which reads as its chart coordinates wherever an
-    array is expected.
+    A subclass implements :meth:`position` and ``_fields``.  The methods
+    accept complex chart coordinates (entries may be inf for the pole) or a
+    grid, which reads as its chart coordinates wherever an array is
+    expected.  On a grid, both densities read the one ``_fields`` pair kept,
+    read-only, for the last grid given, and dropped once that grid is collected.
     """
 
     @abstractmethod
@@ -61,25 +62,26 @@ class MapEvaluator(ABC):
         """(3, N) array of image unit vectors."""
 
     @abstractmethod
+    def _fields(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Energy density e(u) >= 0 and signed Jacobian density J, |J| <= e."""
+
     def density(self, z: np.ndarray) -> np.ndarray:
         """Energy density e(u) >= 0."""
+        return self._kept(z)[0]
 
-    @abstractmethod
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Signed Jacobian density, |J| <= e pointwise."""
+        return self._kept(z)[1]
 
-
-def _per_grid(density):
-    """``density``, kept read-only for the last grid given (by identity, weakly), not for points."""
-    @functools.wraps(density)
-    def memoised(self, z):
+    def _kept(self, z):
         if not isinstance(z, QuadratureGrid):
-            return density(self, z)
-        if getattr(self, "_memo", (lambda: None,))[0]() is not z:
-            self._memo = (weakref.ref(z), density(self, z))
-            self._memo[1].flags.writeable = False
-        return self._memo[1]
-    return memoised
+            return self._fields(z)
+        kept = getattr(self, "_grid_fields", {})
+        if z not in kept:   # a new grid: the previous one's pair goes
+            self._grid_fields = kept = weakref.WeakKeyDictionary({z: self._fields(z)})
+            for values in kept[z]:
+                values.flags.writeable = False
+        return kept[z]
 
 
 class MobiusMap(MapEvaluator):
@@ -94,12 +96,9 @@ class MobiusMap(MapEvaluator):
     def position(self, z):
         return _sphere_xyz(*_image_pair(self.m, _lift(z)))
 
-    @_per_grid
-    def density(self, z):
-        return _form_density(self.m, _lift(z))
-
-    def jacobian(self, z):
-        return self.density(z)
+    def _fields(self, z):
+        factor = _form_density(self.m, _lift(z))
+        return factor, factor
 
 
 class ConjugationMap(MapEvaluator):
@@ -109,11 +108,9 @@ class ConjugationMap(MapEvaluator):
         pts = _lift(z)
         return _sphere_xyz(np.conj(pts.p), np.conj(pts.q))
 
-    def density(self, z):
-        return np.ones(np.asarray(z).shape)
-
-    def jacobian(self, z):
-        return -np.ones(np.asarray(z).shape)
+    def _fields(self, z):
+        ones = np.ones(np.shape(z))
+        return ones, -ones
 
 
 class ConstantMap(MapEvaluator):
@@ -123,11 +120,9 @@ class ConstantMap(MapEvaluator):
     def position(self, z):
         return np.multiply.outer([self.q.x, self.q.y, self.q.z], np.ones(np.shape(z)))
 
-    def density(self, z):
-        return np.zeros(np.asarray(z).shape)
-
-    def jacobian(self, z):
-        return np.zeros(np.asarray(z).shape)
+    def _fields(self, z):
+        zeros = np.zeros(np.shape(z))
+        return zeros, zeros
 
 
 class PullbackMap(MapEvaluator):
@@ -140,21 +135,14 @@ class PullbackMap(MapEvaluator):
         self.u = u
         self.m = m
 
-    def _factor_and_image(self, z):
-        pts = _lift(z)
-        return _form_density(self.m, pts), mobius_apply(self.m, pts)
-
     def position(self, z):
         return self.u.position(mobius_apply(self.m, z))
 
-    @_per_grid
-    def density(self, z):
-        factor, w = self._factor_and_image(z)
-        return factor * self.u.density(w)
-
-    def jacobian(self, z):
-        factor, w = self._factor_and_image(z)
-        return factor * self.u.jacobian(w)
+    def _fields(self, z):
+        pts = _lift(z)
+        factor = _form_density(self.m, pts)
+        density, jacobian = self.u._fields(mobius_apply(self.m, pts))
+        return factor * density, factor * jacobian
 
 
 class RadialMap(MapEvaluator):
@@ -170,7 +158,7 @@ class RadialMap(MapEvaluator):
     def __init__(self, profile: RadialProfile):
         self.profile = profile
 
-    def _fields(self, z):
+    def _profile_at(self, z):
         """f, f' and sin f / sin r at the chart points' polar angles r."""
         # arctan(inf) = pi/2, so the pole lands exactly on r = 0
         r = math.pi - 2.0 * np.arctan(np.abs(np.asarray(z, dtype=complex)))
@@ -180,18 +168,13 @@ class RadialMap(MapEvaluator):
         return f, fp, np.where(safe, np.sin(f) / np.where(safe, s, 1.0), fp)
 
     def position(self, z):
-        f = self._fields(z)[0]
+        f = self._profile_at(z)[0]
         sf, ang = np.sin(f), np.angle(z)
         return np.stack([sf * np.cos(ang), sf * np.sin(ang), np.cos(f)])
 
-    @_per_grid
-    def density(self, z):
-        _, fp, ratio = self._fields(z)
-        return 0.5 * (fp * fp + ratio * ratio)
-
-    def jacobian(self, z):
-        _, fp, ratio = self._fields(z)
-        return fp * ratio
+    def _fields(self, z):
+        _, fp, ratio = self._profile_at(z)
+        return 0.5 * (fp * fp + ratio * ratio), fp * ratio
 
 
 def identity_map() -> MobiusMap:

@@ -289,6 +289,9 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
     ("energy", "--config", "missing.cfg"),
     ("energy", "--config", "init.txt"),   # a profile file: no line holds '='
     ("energy", "--map", "identity"),
+    # an output path below a regular file, for the report and for the profile
+    ("dilation-table", "--alpha", "1.5", "--lambda", "2", "-o", "init.txt/x.csv"),
+    ("radial-solve", "--alpha", "1.5", "--n", "1", "--N", "200", "--profile-out", "init.txt/p.txt"),
 ])
 def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -175,9 +175,9 @@ def test_pullback_of_other_maps_stays_a_composition():
 class _ImageProbe(ConstantMap):
     """Constant map that records the points it was evaluated at."""
 
-    def density(self, z):
+    def _fields(self, z):
         self.seen = z
-        return super().density(z)
+        return super()._fields(z)
 
 
 def _closed_form_density(m, z):
@@ -348,11 +348,8 @@ class _ShrunkIdentity(MapEvaluator):
     def position(self, z):
         return self.u.position(z)
 
-    def density(self, z):
-        return self.scale * self.u.density(z)
-
-    def jacobian(self, z):
-        return self.u.jacobian(z)
+    def _fields(self, z):
+        return self.scale * self.u.density(z), self.u.jacobian(z)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
@@ -375,12 +372,9 @@ class _CountingMap(MapEvaluator):
     def position(self, z):
         return self.u.position(z)
 
-    def density(self, z):
+    def _fields(self, z):
         self.density_calls += 1
-        return self.u.density(z)
-
-    def jacobian(self, z):
-        return self.u.jacobian(z)
+        return self.u.density(z), self.u.jacobian(z)
 
 
 def test_energy_report_evaluates_the_density_once(grid):
@@ -474,6 +468,31 @@ def test_kept_density_does_not_keep_its_grid_alive(build, grid):
     assert ref() is None
     kept = u.density(grid)   # a live grid still reads its kept array
     assert u.density(grid) is kept and not kept.flags.writeable
+
+
+@pytest.mark.parametrize("build", _memo_maps(), ids=["mobius", "pullback", "radial"])
+def test_kept_pair_is_read_only_and_goes_with_its_grid(build, grid):
+    u = build()
+    kept = u.jacobian(grid)
+    assert u.jacobian(grid) is kept and not kept.flags.writeable
+    dropped = make_grid(500, 160)
+    refs = [weakref.ref(u.density(dropped)), weakref.ref(u.jacobian(dropped))]
+    del dropped
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_energy_report_of_a_radial_map_evaluates_its_profile_once(grid, monkeypatch):
+    u = RadialMap(RadialProfile.from_function(3, 300, lambda r: 3 * r + 0.2 * np.sin(2 * r)))
+    value_and_slope, calls = RadialProfile.value_and_slope, []
+
+    def counting(self, r):
+        calls.append(np.size(r))
+        return value_and_slope(self, r)
+
+    monkeypatch.setattr(RadialProfile, "value_and_slope", counting)
+    energy_report(u, 1.4, grid)
+    assert calls == [grid.zs.size]
 
 
 def test_mobius_jacobian_reads_the_kept_density(grid):

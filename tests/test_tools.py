@@ -94,6 +94,24 @@ def test_a_lost_column_alone_fails_the_pin(report_diff, monkeypatch, capsys):
     assert "0 cells differ; the header differs" in out and "-> None" not in out
 
 
+def test_public_names_are_counted_and_one_sided_ones_named(report_diff, monkeypatch, capsys):
+    verify = ["criterion", "check", "value", "bound", "passed", "note"]
+    rows = [dict(zip(verify, ("c01", "x", "1", "1", "True", "")))]
+    names = {"REV": ["maps.degree", "maps.pullback", "maps.old"],
+             "tree": ["maps.degree", "maps.new", "maps.pullback", "radial.newer"]}
+    monkeypatch.setattr(report_diff, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(report_diff, "source_lines", lambda root: 0)
+    monkeypatch.setattr(report_diff, "public_names",
+                        lambda root: names["tree" if root == report_diff.ROOT else "REV"])
+    monkeypatch.setattr(report_diff, "readme_commands", lambda: [])
+    monkeypatch.setattr(report_diff, "table", lambda root, argv: (0, verify, rows))
+    assert report_diff.main(["--parent", "REV"]) == 0
+    out = capsys.readouterr().out
+    assert "public names: REV (000000000000) 3, working tree 4 (+1)\n" in out
+    assert "names only in REV (000000000000): maps.old\n" in out
+    assert "names only in the working tree: maps.new, radial.newer\n" in out
+
+
 def test_idle_stall_times_one_fresh_battery(monkeypatch, capsys):
     import alphasphere
     monkeypatch.setenv("PYTHONPATH", str(Path(alphasphere.__file__).parents[1]))

@@ -8,7 +8,9 @@ directory and runs, there and in this checkout (the working tree as it
 stands on disk), ``alphasphere verify --level full --seed 2024`` and each
 command of this checkout's README command-line block that writes its report
 to stdout (those without ``-o`` or ``--profile-out``).  Prints the line
-count of ``src/alphasphere/*.py`` on both sides, then each cell
+count of ``src/alphasphere/*.py`` and the count of public names (those in
+each module's ``__all__``) on both sides, naming a name that only one side
+has once, as ``names only in REV: name``; then each cell
 that differs in a column both sides have: a verify cell as
 ``criterion/check column: old -> new``, a check name that repeats within a
 criterion told apart by ``#k``, its k-th repeat; a README cell as
@@ -24,6 +26,7 @@ or any run in its exit status, which is printed then; else 0.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import math
@@ -55,6 +58,18 @@ def source_lines(root: Path) -> int:
     """Lines of the package's modules, as ``wc -l src/alphasphere/*.py``
     counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "alphasphere").glob("*.py"))
+
+
+def public_names(root: Path) -> list[str]:
+    """``module.name`` for each name in the ``__all__`` of each module of the
+    package, read from its source without importing it."""
+    names = []
+    for path in sorted((root / "src" / "alphasphere").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                names += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)]
+    return names
 
 
 def table(root: Path, argv: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
@@ -103,10 +118,10 @@ def diff_cells(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]],
     return changes
 
 
-def header_changes(old: list[str], new: list[str], side: str) -> list[str]:
-    """One line per side whose report has columns that the other lacks,
-    naming each such column once; ``side`` names the old report's side."""
-    return [f"columns only in {where}: {', '.join(c for c in mine if c not in theirs)}"
+def header_changes(old: list[str], new: list[str], side: str, what: str = "columns") -> list[str]:
+    """One line per side whose list has ``what`` (report columns) that the
+    other lacks, naming each such item once; ``side`` names the old list's side."""
+    return [f"{what} only in {where}: {', '.join(c for c in mine if c not in theirs)}"
             for where, mine, theirs in ((side, old, new), ("the working tree", new, old))
             if set(mine) - set(theirs)]
 
@@ -119,7 +134,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="report-diff-"))
     try:
         sha = export(args.parent, tmp / "parent")
-        old_lines = source_lines(tmp / "parent")
+        old_lines, old_names = source_lines(tmp / "parent"), public_names(tmp / "parent")
         olds = [table(tmp / "parent", c) for c in commands]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -127,6 +142,11 @@ def main(argv=None) -> int:
     side = f"{args.parent} ({sha[:12]})"
     print(f"src/alphasphere/*.py: {side} {old_lines} lines, "
           f"working tree {source_lines(ROOT)} lines")
+    new_names = public_names(ROOT)
+    print(f"public names: {side} {len(old_names)}, working tree {len(new_names)} "
+          f"({len(new_names) - len(old_names):+d})")
+    for line in header_changes(old_names, new_names, side, "names"):
+        print(line)
 
     statuses_differ = False
     for command, (old_code, _, _), (new_code, _, _) in zip(commands, olds, news):
