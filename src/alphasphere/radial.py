@@ -121,8 +121,15 @@ class RadialProfile:
         return f, fp / self.h
 
     def resampled(self, N: int) -> "RadialProfile":
-        return self if N == self.N else RadialProfile.from_function(
-            self.n, N, lambda r: self.value_and_slope(r)[0])
+        """The profile on N cells: nested grids take nodes, or each cell's cubic at j / m."""
+        if self.N % N == 0:   # a coarser grid's nodes are among these
+            return self if N == self.N else RadialProfile(self.n, self.fs[::self.N // N].copy())
+        if N % self.N:
+            return RadialProfile.from_function(self.n, N, lambda r: self.value_and_slope(r)[0])
+        fe, fs = _reflect(self.fs, self.n), np.full(N + 1, self.n * _PI)
+        nodes = np.lib.stride_tricks.as_strided(fe, (4, self.N), 2 * fe.strides)   # (4, cells)
+        np.matmul(_fractions(N // self.N), nodes, out=fs[:-1].reshape(self.N, -1).T)
+        return RadialProfile(self.n, fs)
 
     @classmethod
     def linear(cls, n: int, N: int) -> "RadialProfile":
@@ -176,17 +183,19 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
     x = np.asarray(edges, dtype=float)
     if not (np.all((0.0 <= x) & (x <= _PI)) and np.all(np.diff(x) >= 0.0)):   # NaN fails
         raise ValueError("window must satisfy 0 <= a <= b <= pi")
-    disc, rs = _DiscreteEnergy(alpha, profile.n, profile.N), profile.rs
+    rs, (t, w) = profile.rs, _geometry(profile.N)[:2]
     c = np.searchsorted(rs, x, "right") - 1   # the node at or before x, in [0, N]
-    cells = disc.cell_energies(profile.fs)
+    kept_alpha, cells = getattr(profile, "_cells", (None, None))   # a solve's, at its alpha
+    if kept_alpha != alpha or profile.fs.flags.writeable:   # kept only while fs cannot change
+        cells = _DiscreteEnergy(alpha, profile.n, profile.N).cell_energies(profile.fs)
     F = np.array([np.sum(cells[:j]) for j in c])   # pairwise, as the solve sums
     cut = x > rs[c]   # an edge on a node has no panel (at r = 0 its density is 0/0)
     span = (x - rs[c])[cut, None]
-    xg = rs[c[cut], None] + span * disc.t
+    xg = rs[c[cut], None] + span * t
     f, fp = profile.value_and_slope(xg)
     s = _sincos(xg)[0]
     dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
-    F[cut] += _PI * (dens * span) @ disc.w
+    F[cut] += _PI * (dens * span) @ w
     return np.diff(F).tolist()
 
 
@@ -205,13 +214,13 @@ def radial_residual(profile: RadialProfile, alpha: float) -> np.ndarray:
         raise ValueError("alpha must be >= 1")
     fs, h = profile.fs, profile.h
     e = _reflect(fs, profile.n)   # e[k:k + N - 1] is f_{k-1} .. f_{k+N-3}
-    fp = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
-    fpp = (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
-    s, c = _sincos(profile.rs[1:-1])
+    fp = (8.0 * e[3:-1] - e[4:] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)   # b - a is -a + b
+    fpp = (16.0 * e[3:-1] - e[4:] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
+    s, c, s2, s3, cot = _geometry(profile.N)[8:]
     sf, cf = _sincos(fs[1:-1])
-    W = fp * fp + (sf / s) ** 2
-    Wp = 2.0 * fp * fpp + 2.0 * sf * cf * fp / (s * s) - 2.0 * sf * sf * c / (s ** 3)
-    return fpp + (c / s) * fp - sf * cf / (s * s) + (alpha - 1.0) * fp * Wp / (2.0 + W)
+    W, sc = fp * fp + (sf / s) ** 2, sf * cf
+    half_Wp = fp * fpp + sc * fp / s2 - sf * sf * c / s3   # its 2 moves exactly into 2 alpha - 2
+    return fpp + cot * fp - sc / s2 + (2.0 * alpha - 2.0) * fp * half_Wp / (2.0 + W)
 
 
 def _reflect(fs: np.ndarray, n: int, out=None) -> np.ndarray:
@@ -235,8 +244,8 @@ def _cubic(f0, f1, f2, f3, t):
 
 @functools.lru_cache(maxsize=16)
 def _geometry(N: int) -> tuple:
-    """The read-only grid data that _DiscreteEnergy reads on N cells: t, w,
-    B, Bp, Dp, table, inv_sin2 and wgt."""
+    """The read-only grid data on N cells: _DiscreteEnergy's t, w, B, Bp, Dp,
+    table, inv_sin2, wgt; radial_residual's interior sin, cos, sin^2, sin^3, cot."""
     h = _PI / N
     t, w = 0.5 * (np.array(_CELL_X) + 1.0), 0.5 * np.array(_CELL_W)   # the rule on [0, 1]
     # the local cubic's Lagrange basis: row k is the cubic through the
@@ -249,11 +258,22 @@ def _geometry(N: int) -> tuple:
     # hessian_band's basis products at a block's entries k <= l
     Bq, (k, l) = Bp / h, np.transpose(_PAIRS)
     table = np.hstack((Bq[k] * Bq[l], Bq[k] * B[l] + B[k] * Bq[l], B[k] * B[l]))
-    sin_xg = _sincos(np.linspace(0.0, _PI, N + 1)[:-1] + h * t[:, None])[0]
-    out = (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg), _PI * h * w[:, None] * sin_xg)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    rs = np.linspace(0.0, _PI, N + 1)
+    sin_xg, (s, c) = _sincos(rs[:-1] + h * t[:, None])[0], _sincos(rs[1:-1])
+    return tuple(map(_read_only, (t, w, B, Bp, Dp, table, 1.0 / (sin_xg * sin_xg),
+                                  _PI * h * w[:, None] * sin_xg, s, c, s * s, s ** 3, c / s)))
+
+
+@functools.lru_cache(maxsize=4)
+def _fractions(m: int) -> np.ndarray:
+    """The local cubic's Lagrange basis at t = j / m: row j, shape (m, 4)."""
+    return _read_only(_cubic(*np.eye(4)[:, :, None], np.arange(m) / m)[0].T.copy())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: shared by callers, or kept beside what it was computed from."""
+    a.flags.writeable = False
+    return a
 
 
 def _sincos(x, out=None):
@@ -287,7 +307,7 @@ class _DiscreteEnergy:
     def __init__(self, alpha: float, n: int, N: int):
         self.alpha, self.n, self.N, self.h = alpha, n, N, _PI / N
         (self.t, self.w, self.B, self.Bp, self.Dp, self.table,
-         self.inv_sin2, self.wgt) = _geometry(N)
+         self.inv_sin2, self.wgt) = _geometry(N)[:8]
         self._work = np.empty((12, len(self.t), N))
         # cell c reads the extended nodes c .. c+3, i.e. f_{c-1} .. f_{c+2}
         self._fe, self._dfe = np.empty(N + 3), np.empty(N + 2)
@@ -440,7 +460,7 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
     ``init`` (None: f = n r) resampled to N.  With n >= 2 and N // 4 >= 500
     it first runs on N // 4 cells, recursively, from ``init`` resampled there
     and starts from that level's nodes.  Returns the final nodal values,
-    energy, interior gradient, steps, stop reason and energy history."""
+    energy, gradient, steps, stop reason, energy history and _DiscreteEnergy."""
     if n >= 2 and N // _COARSEN >= _COARSEST:
         coarse = None if init is None else init.resampled(N // _COARSEN)
         init = RadialProfile(n, _newton_solve(alpha, n, N // _COARSEN, coarse, max_iters)[0])
@@ -480,7 +500,7 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
         if stalled:
             stop_reason = "stagnation"
             break
-    return fs, val, g, it, stop_reason, history
+    return fs, val, g, it, stop_reason, history, disc
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
@@ -518,8 +538,10 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         raise ValueError("minimize_radial requires alpha > 1")
     if init is not None and init.n != n:
         raise ValueError("init profile has the wrong winding count")
-    fs, val, g, it, stop_reason, history = _newton_solve(alpha, n, N, init, max_iters)
-    final = RadialProfile(n, fs)
+    fs, val, g, it, stop_reason, history, disc = _newton_solve(alpha, n, N, init, max_iters)
+    final = RadialProfile(n, _read_only(fs))   # so that the cell energies kept below stay its own
+    if np.array_equal(disc._key, fs):   # the last fields are fs's: keep its cells for windows
+        object.__setattr__(final, "_cells", (alpha, _read_only(disc.cell_energies(fs))))
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from alphasphere import (
 )
 from alphasphere import radial
 from alphasphere.radial import (_crossings, _cubic, _DiscreteEnergy, _geometry, _newton_direction,
-                                _sincos)
+                                _reflect, _sincos)
 
 import shooting
 from shooting import ShootFailedError, shoot_radial
@@ -65,6 +66,29 @@ def test_profile_resample_preserves_endpoints():
     assert q.fs[0] == 0.0 and q.fs[-1] == 3 * math.pi
     assert abs(q.value_and_slope(1.0)[0] - p.value_and_slope(1.0)[0]) < 1e-8
     assert p.resampled(400) is p   # its own grid needs no resampling
+
+
+@pytest.mark.parametrize("N", [2000, 4000, 8000, 16000, 32000, 64000])
+def test_restriction_takes_the_fine_nodes_bit_for_bit(N):
+    # the coarse nodes snap onto fine ones, where the cubic returns nodal values
+    p = RadialProfile.from_function(
+        3, N, lambda r: 3 * r + 0.3 * np.sin(2 * r) - 0.1 * np.sin(5 * r))
+    for m in (2, 4):
+        q = p.resampled(N // m)
+        assert np.array_equal(q.fs, p.value_and_slope(np.linspace(0.0, math.pi, N // m + 1))[0])
+        assert q.fs.flags.writeable and not np.shares_memory(q.fs, p.fs)
+
+
+@pytest.mark.parametrize("N, m", [(1000, 2), (1000, 4), (8000, 4), (500, 8)])
+def test_prolongation_reads_each_cells_cubic_at_exact_fractions(N, m):
+    p = minimize_radial(1.2, 3, N).profile
+    q = p.resampled(m * N)
+    fe = _reflect(p.fs, 3)
+    c, t = np.repeat(np.arange(N), m), np.tile(np.arange(m) / m, N)
+    cubic = _cubic(fe[c], fe[c + 1], fe[c + 2], fe[c + 3], t)[0]
+    assert np.max(np.abs(q.fs[:-1] - cubic)) <= 2.0 * np.spacing(np.max(np.abs(p.fs)))
+    assert np.array_equal(q.fs[::m], p.fs)   # the fine nodes on coarse ones are exact
+    assert q.fs[0] == 0.0 and q.fs[-1] == 3 * math.pi
 
 
 def test_profile_save_load_roundtrip(tmp_path):
@@ -133,6 +157,19 @@ def test_import_leaves_scipy_interpolate_out():
     for module in ("alphasphere", "alphasphere.cli"):
         code = f"import sys, {module}; print(sorted(set({_LAZY_SCIPY!r}) & set(sys.modules)))"
         assert _fresh_python(code).strip() == "[]", module
+
+
+def test_import_fills_no_per_grid_cache_and_loads_no_scipy():
+    # import-time work shows in every process's set-up: the per-grid caches
+    # (geometry with its node trigonometry, quadrature rules, dpbsv) fill on use
+    code = ("import sys, alphasphere\n"
+            "mods = [m for k, m in list(sys.modules.items()) if k.startswith('alphasphere')]\n"
+            "caches = {k: v.cache_info().currsize for m in mods for k, v in vars(m).items()\n"
+            "          if hasattr(v, 'cache_info')}\n"
+            "print(repr((caches, sorted({k.split('.')[0] for k in sys.modules} & {'scipy'}))))")
+    caches, scipy = ast.literal_eval(_fresh_python(code))
+    assert {"_geometry", "_dpbsv"} <= set(caches) and not any(caches.values()), caches
+    assert scipy == []
 
 
 def test_library_imports_scipy_linalg_alone():
@@ -295,6 +332,22 @@ def test_residual_zero_for_rotation():
     for alpha in (1.0, 1.5, 2.0):
         res = radial_residual(RadialProfile.linear(1, 500), alpha)
         assert np.max(np.abs(res)) < 1e-9
+
+
+@pytest.mark.parametrize("N", [1000, 4000, 32000])
+def test_residual_reads_the_grids_node_trigonometry_bit_for_bit(N):
+    # the cached sin, cos, sin^2, sin^3 and cot r are the inline expressions' bits
+    p = RadialProfile.from_function(3, N, lambda r: 3 * r + 0.3 * np.sin(2 * r))
+    fs, h, e = p.fs, p.h, _reflect(p.fs, 3)
+    fp = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
+    fpp = (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * h * h)
+    s, c = _sincos(p.rs[1:-1])
+    sf, cf = _sincos(fs[1:-1])
+    W = fp * fp + (sf / s) ** 2
+    Wp = 2.0 * fp * fpp + 2.0 * sf * cf * fp / (s * s) - 2.0 * sf * sf * c / (s ** 3)
+    inline = fpp + (c / s) * fp - sf * cf / (s * s) + (1.2 - 1.0) * fp * Wp / (2.0 + W)
+    assert np.array_equal(radial_residual(p, 1.2), inline)
+    assert not any(a.flags.writeable for a in _geometry(N)[8:])
 
 
 def test_residual_refinement_order(n3_solve):
@@ -1073,6 +1126,54 @@ def test_annulus_split(n3_solve):
     # the n = 3 case of the windows between the crossings
     edges = (0.0, *n3_solve.crossings, math.pi)
     assert annulus_split(n3_solve) == tuple(window_energies(n3_solve.profile, 1.2, edges))
+
+
+def _count_fields(monkeypatch):
+    calls, fields = [], _DiscreteEnergy._fields
+
+    def counted(self, fs):
+        calls.append(len(fs))
+        return fields(self, fs)
+
+    monkeypatch.setattr(_DiscreteEnergy, "_fields", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, N", [(1.2, 1000), (1.5, 4000), (1.2, 32000)])
+def test_windows_of_a_solve_read_its_cell_energies(monkeypatch, alpha, N):
+    # the solve's last fields are its final nodes', so its windows form none
+    res = minimize_radial(alpha, 3, N)
+    calls, edges = _count_fields(monkeypatch), sorted((0.0, *res.crossings, 2.0, math.pi))
+    split, windows = annulus_split(res), window_energies(res.profile, res.alpha, edges)
+    assert calls == []
+    copy = RadialProfile(3, res.profile.fs.copy())
+    assert split == tuple(window_energies(copy, alpha, (0.0, *res.crossings, math.pi)))
+    assert windows == window_energies(copy, alpha, edges) and calls == [N + 1, N + 1]
+
+
+def test_solved_values_are_read_only_and_other_exponents_form_fresh_energies(monkeypatch):
+    res = minimize_radial(1.2, 3, 4000)
+    with pytest.raises(ValueError):
+        res.profile.fs[1] = 0.0
+    calls, edges = _count_fields(monkeypatch), (0.0, *res.crossings, math.pi)
+    copy = RadialProfile(3, res.profile.fs.copy())
+    assert window_energies(res.profile, 1.3, edges) == window_energies(copy, 1.3, edges)
+    assert len(calls) == 2
+    # a deep copy's values are writable again, so its kept energies are not read
+    moved = deepcopy(res.profile)
+    moved.fs[1:-1] += 1e-3 * np.sin(moved.rs[1:-1])
+    fresh = RadialProfile(3, moved.fs.copy())
+    assert window_energies(moved, 1.2, edges) == window_energies(fresh, 1.2, edges)
+    assert len(calls) == 4
+
+
+def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatch):
+    # at N = 32000 the n = 1 start stops by stagnation and rejects its trial
+    res = minimize_radial(1.2, 1, 32000)
+    assert (res.stop_reason, res.iterations) == ("stagnation", 1)
+    calls = _count_fields(monkeypatch)
+    [energy] = window_energies(res.profile, 1.2, (0.0, math.pi))
+    assert energy == res.energy and len(calls) == 1
 
 
 def test_annulus_split_rejects_wrong_winding():

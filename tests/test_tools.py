@@ -27,6 +27,7 @@ def test_newton_split_times_the_solvers_own_solve(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
     parts = importlib.import_module("newton_split").split(400)
     assert all(ms >= 0.0 for ms, _ in parts.values())
+    assert {"restriction N -> N/4", "prolongation N/4 -> N", "windows of the solve"} <= set(parts)
 
 
 @pytest.fixture

@@ -15,8 +15,9 @@ HEAD`` measures uncommitted work against its base):
 - traced (``--trace 1``) once per seed in ``TRACE_SEEDS``, for the
   workload's per-layer metrics: the per-criterion times and the
   maps/mobius/energy/quadrature counts for verify, the per-size solve
-  medians and the Newton, energy and residual times for the radial
-  ladder, the Newton iterations per solve and their cost for the
+  medians, the Newton, energy, residual and resampling times, the
+  iterations per solve and the converged share for the radial ladder, the
+  Newton iterations per solve, their cost and the resampling time for the
   continuation chains;
 - untraced (``--trace 0``) once per seed in ``E2E_SEEDS``, for the
   end-to-end metrics that BENCHMARK.json declares.
@@ -52,9 +53,10 @@ TOPICS = {
     "radial-ladder": ("radial", (*(f"radial.N{N}_p50_s" for N in (1000, 2000, 4000, 8000,
                                                                   16000, 32000)),
                                  "radial.s_per_iter_kcell", "radial.energy_s",
-                                 "radial.residual_s")),
+                                 "radial.residual_s", "radial.resample_s",
+                                 "radial.iters_per_solve", "radial.converged_ratio")),
     "radial-continuation": ("continuation", ("radial.iters_per_solve",
-                                             "radial.s_per_iter_kcell")),
+                                             "radial.s_per_iter_kcell", "radial.resample_s")),
 }
 
 

@@ -26,6 +26,11 @@ any checkout):
 - crossings and residual: ``_crossings`` and ``radial_residual`` of the
   minimiser, which ``minimize_radial`` calls once per solve after its last
   step;
+- restriction and prolongation: ``resampled`` of the minimiser to N // 4
+  cells, and of that profile back to N, the transfers between a solve's
+  levels;
+- windows: ``window_energies`` of the solved profile at its own alpha
+  between 0, the crossings and pi, the disc/annulus/cap split;
 - instance set-up: ``_DiscreteEnergy(alpha, n, N)``, once with the grid
   geometry's cache cleared before each call (a first solve on N cells) and
   once with it warm (every later solve on N cells).
@@ -56,7 +61,7 @@ import numpy as np
 from alphasphere import radial
 from alphasphere.radial import (RadialProfile, _crossings, _DiscreteEnergy, _dpbsv, _geometry,
                                 _newton_direction, _newton_solve, _sincos, minimize_radial,
-                                radial_residual)
+                                radial_residual, window_energies)
 
 ALPHA, N_WIND, SIZES, REPEATS = 1.2, 3, (4000, 32000), 20
 WARM_FROM, MAX_ITERS = 1.3, 200   # the warm solve's start; minimize_radial's default budget
@@ -77,7 +82,8 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     linear = RadialProfile.linear(N_WIND, N)
     warm = minimize_radial(WARM_FROM, N_WIND, N).profile
     res = minimize_radial(ALPHA, N_WIND, N)
-    fs = res.profile.fs
+    fs, coarse = res.profile.fs, res.profile.resampled(N // 4)
+    edges = (0.0, *res.crossings, np.pi)
     other = fs.copy()
     other[1:-1] += 1e-9 * np.sin(np.arange(1, N))
     disc = _DiscreteEnergy(ALPHA, N_WIND, N)
@@ -137,6 +143,9 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "sine and cosine, _sincos": measure(lambda: _sincos(points, out=(sin, cos, scratch))),
         "crossings": measure(lambda: _crossings(res.profile)),
         "residual": measure(lambda: radial_residual(res.profile, ALPHA)),
+        "restriction N -> N/4": measure(lambda: res.profile.resampled(N // 4)),
+        "prolongation N/4 -> N": measure(lambda: coarse.resampled(N)),
+        "windows of the solve": measure(lambda: window_energies(res.profile, ALPHA, edges)),
         "instance set-up, cold": measure(make, setup=_geometry.cache_clear),
         "instance set-up, warm": measure(make),
     }
