@@ -150,31 +150,26 @@ class RadialMap(MapEvaluator):
 
     The chart radius fixes the polar angle r = pi - 2 arctan|zeta| from the
     north pole; the image is (sin f cos t, sin f sin t, cos f) with t the
-    chart argument.  e = (f'^2 + (sin f / sin r)^2)/2 and
-    J = f' sin f / sin r; near the poles the ratio sin f / sin r is replaced
-    by its limit f'.
+    chart argument.  e = (f'^2 + q^2)/2 and J = f' q, where the profile
+    gives f' and q = sin f / sin r with its limits at both poles.
     """
 
     def __init__(self, profile: RadialProfile):
         self.profile = profile
 
-    def _profile_at(self, z):
-        """f, f' and sin f / sin r at the chart points' polar angles r."""
+    @staticmethod
+    def _angle(z):
         # arctan(inf) = pi/2, so the pole lands exactly on r = 0
-        r = math.pi - 2.0 * np.arctan(np.abs(np.asarray(z, dtype=complex)))
-        f, fp = self.profile.value_and_slope(r)
-        s = np.sin(r)
-        safe = s > 1e-7
-        return f, fp, np.where(safe, np.sin(f) / np.where(safe, s, 1.0), fp)
+        return math.pi - 2.0 * np.arctan(np.abs(np.asarray(z, dtype=complex)))
 
     def position(self, z):
-        f = self._profile_at(z)[0]
+        f = self.profile.value_and_slope(self._angle(z))[0]
         sf, ang = np.sin(f), np.angle(z)
         return np.stack([sf * np.cos(ang), sf * np.sin(ang), np.cos(f)])
 
     def _fields(self, z):
-        _, fp, ratio = self._profile_at(z)
-        return 0.5 * (fp * fp + ratio * ratio), fp * ratio
+        fp, q, _ = self.profile._slope_and_ratio(self._angle(z))
+        return 0.5 * (fp * fp + q * q), fp * q
 
 
 def identity_map() -> MobiusMap:

@@ -21,8 +21,8 @@ with nodes beyond the endpoints supplied by the odd reflections that every
 regular profile satisfies; 4-point Gauss-Legendre on each cell integrates
 it.  This one per-cell integrator serves the minimiser's objective, the
 reported energy and the window energies, differences of one cumulative
-energy whose panel past the last node goes point by point through the
-reconstruction, which the 2-d map reads as well.  The degree is
+energy whose panel past the last node reads f' and sin f / sin r point by
+point from the reconstruction, as the 2-d map does.  The degree is
 (1 - cos n pi) / 2, and each k pi crossing is bisected on its cell's cubic.
 
 The module provides the window energies (the energy is the window from 0
@@ -120,6 +120,13 @@ class RadialProfile:
         f, fp = _cubic(fe[c], fe[c + 1], fe[c + 2], fe[c + 3], u - c)
         return f, fp / self.h
 
+    def _slope_and_ratio(self, r):
+        """f', q = sin f / sin r and sin r at polar angles r, every sine from _sincos.  Where
+        sin r <= 1e-7, q is its limit: f' at 0, (-1)^(n+1) f' = lim sin(n pi - f' x) / x at pi."""
+        (f, fp), s = self.value_and_slope(r), _sincos(r)[0]
+        far, pole = s > 1e-7, np.where(r < 0.5 * _PI, fp, (-1) ** (self.n + 1) * fp)
+        return fp, np.where(far, _sincos(f)[0] / np.where(far, s, 1.0), pole), s
+
     def resampled(self, N: int) -> "RadialProfile":
         """The profile on N cells: nested grids take nodes, or each cell's cubic at j / m."""
         if self.N % N == 0:   # a coarser grid's nodes are among these
@@ -192,10 +199,8 @@ def window_energies(profile: RadialProfile, alpha: float, edges) -> list[float]:
     cut = x > rs[c]   # an edge on a node has no panel (at r = 0 its density is 0/0)
     span = (x - rs[c])[cut, None]
     xg = rs[c[cut], None] + span * t
-    f, fp = profile.value_and_slope(xg)
-    s = _sincos(xg)[0]
-    dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
-    F[cut] += _PI * (dens * span) @ w
+    fp, q, s = profile._slope_and_ratio(xg)
+    F[cut] += _PI * ((2.0 + fp * fp + q ** 2) ** alpha * s * span) @ w
     return np.diff(F).tolist()
 
 

@@ -23,6 +23,7 @@ from alphasphere import (
     energy_report,
     identity_map,
     make_grid,
+    minimize_radial,
     mobius_svd,
     pullback,
 )
@@ -310,11 +311,16 @@ def test_conformal_invariance_of_dirichlet_part(grid):
 
 def test_radial_map_of_linear_profile_is_identity(grid):
     u = RadialMap(RadialProfile.linear(1, 400))
+    z = np.append(grid.zs, [0.0, math.inf])
+    e, j = u.density(z), u.jacobian(z)
+    assert np.max(np.abs(e[-2:] - 1.0)) <= 1e-12 and np.max(np.abs(j[-2:] - 1.0)) <= 1e-12
+    # elsewhere f and r each carry an ulp of pi, which sin f / sin r divides by
+    # sin r = 2 |zeta| / (1 + |zeta|^2): 5.6e-12 at the node nearest the south pole
+    az = np.abs(grid.zs)
+    tol = 1e-12 + 4.0 * np.spacing(math.pi) * (1.0 + az * az) / (2.0 * az)
+    assert np.all(np.abs(e[:-2] - 1.0) <= tol) and np.all(np.abs(j[:-2] - 1.0) <= tol)
     z = grid.zs[::53]
-    ident = identity_map()
-    assert np.max(np.abs(u.density(z) - 1.0)) < 1e-10
-    assert np.max(np.abs(u.jacobian(z) - 1.0)) < 1e-10
-    assert np.max(np.abs(u.position(z) - ident.position(z))) < 1e-10
+    assert np.max(np.abs(u.position(z) - identity_map().position(z))) < 1e-10
 
 
 def test_radial_map_at_the_poles():
@@ -325,6 +331,34 @@ def test_radial_map_at_the_poles():
     assert e[0] == pytest.approx(9.0, rel=1e-9)   # slope 3 at the pole
     assert j[0] == pytest.approx(9.0, rel=1e-9)
     assert pos[2, 1] == pytest.approx(math.cos(3 * math.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_radial_map_takes_its_pole_limits(n):
+    # near r = pi, sin f / sin r tends to (-1)^(n+1) f'(pi): J < 0 there for even n
+    u = RadialMap(RadialProfile.from_function(n, 400, lambda r: n * r + 0.3 * np.sin(r)))
+    for pole, near in ((0.0, 1e-6), (math.inf, 1e6)):
+        z = np.array([pole, near, near * 1j, -near], dtype=complex)
+        for values in (u.density(z), u.jacobian(z)):
+            assert values[1:] == pytest.approx(values[0], rel=1e-5)
+    assert u.jacobian(np.array([0.0]))[0] == pytest.approx((-1) ** (n + 1) * (n - 0.3) ** 2)
+
+
+def _libm_radial_fields(profile, z):
+    """RadialMap's density and Jacobian through libm sines, away from the poles."""
+    r = math.pi - 2.0 * np.arctan(np.abs(np.asarray(z, dtype=complex)))
+    f, fp = profile.value_and_slope(r)
+    ratio = np.sin(f) / np.sin(r)
+    return 0.5 * (fp * fp + ratio * ratio), fp * ratio
+
+
+@pytest.mark.parametrize("shape", [(600, 8), (400, 96)], ids=["c10", "c11"])
+def test_radial_map_on_verify_grids_matches_libm_sines(shape):
+    profile = minimize_radial(1.2, 3, 4000).profile
+    grid, u = make_grid(*shape), RadialMap(profile)
+    fields = u.density(grid), u.jacobian(grid)
+    for got, want in zip(fields, _libm_radial_fields(profile, grid)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 # ---------------------------------------------------------------- report

@@ -1176,6 +1176,30 @@ def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatc
     assert energy == res.energy and len(calls) == 1
 
 
+def _inline_cut_panels(profile, alpha, edges):
+    """window_energies with its cut panels written out from value_and_slope and _sincos."""
+    x, (t, w) = np.asarray(edges, dtype=float), _geometry(profile.N)[:2]
+    c = np.searchsorted(profile.rs, x, "right") - 1
+    cells = _DiscreteEnergy(alpha, profile.n, profile.N).cell_energies(profile.fs)
+    F = np.array([np.sum(cells[:j]) for j in c])
+    cut = x > profile.rs[c]
+    span = (x - profile.rs[c])[cut, None]
+    xg = profile.rs[c[cut], None] + span * t
+    f, fp = profile.value_and_slope(xg)
+    s = _sincos(xg)[0]
+    dens = (2.0 + fp * fp + (_sincos(f)[0] / s) ** 2) ** alpha * s
+    F[cut] += math.pi * (dens * span) @ w
+    return np.diff(F).tolist()
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.35])   # the solve's kept cells, and fresh ones
+def test_window_panels_keep_the_bits_of_their_inline_expression(alpha):
+    res = minimize_radial(1.2, 3, 4000)   # verify's c10 solve
+    edges = (0.0, *res.crossings, math.pi)
+    inline = _inline_cut_panels(res.profile, alpha, edges)
+    assert window_energies(res.profile, alpha, edges) == inline
+
+
 def test_annulus_split_rejects_wrong_winding():
     res = minimize_radial(1.3, 1, 200)
     with pytest.raises(ValueError, match="winding count 3"):

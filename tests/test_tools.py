@@ -122,3 +122,19 @@ def test_idle_stall_times_one_fresh_battery(monkeypatch, capsys):
     line, = capsys.readouterr().out.splitlines()
     c01, battery = (float(s) for s in re.findall(r"(\d+\.\d+) s", line))
     assert line.startswith("process 1:") and 0.0 < c01 < battery
+
+
+def test_traffic_names_the_statements_a_reduced_op_list_leaves_unrun(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    traffic = importlib.import_module("traffic")
+    summary, unrun = traffic.traffic([(1.2, 3, 1000)], [(1.15, 2000, False, (1.3,))], ["c10"],
+                                     [["energy", "--map", "identity", "--alpha", "1.5"]])
+    assert summary == ["radial-ladder: 1 ops, 0 failed", "radial-continuation: 1 ops, 0 failed",
+                       "verify: 1 criteria, 8 rows, 0 failed", "README: 1 commands, 0 failed"]
+    radial, maps = set(unrun["radial.py"].values()), set(unrun["maps.py"].values())
+    # the Levenberg shift and the halvings run nowhere here; the windows and the 2-d map do
+    assert {"shift = max(2.0 * shift, 1e-12 * base)", "s *= 0.5"} <= radial
+    assert "fp, q, s = profile._slope_and_ratio(xg)" not in radial
+    assert "fp, q, _ = self.profile._slope_and_ratio(self._angle(z))" not in maps
+    assert "f = self.profile.value_and_slope(self._angle(z))[0]" in maps   # no position
+    assert not unrun["__init__.py"] and list(unrun) == sorted(unrun)
