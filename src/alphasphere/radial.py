@@ -60,7 +60,7 @@ _PI = math.pi
 # 4-point Gauss-Legendre per cell: leggauss(4)'s bits, to which every radial number is pinned
 _CELL_X = (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526)
 _CELL_W = (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357)
-_GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h max(1, I)
+_GRAD_TOL = 1e-8       # gradient sup-norm of a "gradient" stop, per h I
 _RESIDUAL_TOL = 1e-2   # sup of radial_residual that a converged solve may leave
 _COARSEN, _COARSEST = 4, 500   # a solve's coarse levels: N // 4 cells, at least 500
 _EPS = float(np.finfo(float).eps)
@@ -156,14 +156,14 @@ class SolveResult:
     """Outcome of a radial minimisation.
 
     ``stop_reason`` names the rule that ended the iteration: "gradient",
-    "stagnation", "max_iters" or "line_search".  ``energy`` is the
-    discrete objective the iteration minimised, evaluated at the final
-    profile; ``history`` holds it for the initial and every accepted
-    iterate, and ``iterations`` counts the steps, both on the final grid
-    alone (not the coarser levels that every start with n >= 2 and
-    N // 4 >= 500 descends through).  ``degree_int`` is n mod 2, the
-    exact (1 - cos n pi) / 2.  ``crossings`` holds the first upward
-    crossings of pi, 2 pi, ..., (n - 1) pi, which every finite profile has.
+    "stagnation" (its full step taken), "max_iters" or "line_search".
+    ``energy`` is the discrete objective the iteration minimised, evaluated at
+    the final profile; ``history`` holds it for the initial and every accepted
+    iterate, and ``iterations`` counts the steps, both on the final grid alone
+    (not the coarser levels that every start with n >= 2 and N // 4 >= 500
+    descends through).  ``degree_int`` is n mod 2, the exact (1 - cos n pi) / 2.
+    ``crossings`` holds the first upward crossings of pi, 2 pi, ...,
+    (n - 1) pi, which every finite profile has.
     """
 
     profile: RadialProfile
@@ -479,15 +479,15 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
     stop_reason = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= _GRAD_TOL * disc.h * max(1.0, abs(val)):
+        floor = _EPS * abs(val) * N   # the energy's roundoff: no test resolves a change below it
+        if np.max(np.abs(g)) <= max(_GRAD_TOL * disc.h * abs(val), floor):
             stop_reason = "gradient"
             break
         d = _newton_direction(disc, fs, g)
         gd = float(np.dot(g, d))
-        # a predicted decrease below the energy's roundoff leaves the energy
-        # unable to judge the full step; the gradient still can
-        stalled = -gd <= _EPS * abs(val) * N
+        # a predicted decrease at the floor leaves the energy unable to judge
+        # the full step: it is taken, and the solve ends
+        stalled = -gd <= floor
         s = 1.0
         for _ in range(60):
             trial = fs.copy()
@@ -499,9 +499,8 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
         else:
             stop_reason = "line_search"
             break
-        if not stalled or float(np.max(np.abs(tgrad))) < gnorm:
-            fs, val, g = trial, tval, tgrad[1:-1]
-            history.append(val)
+        fs, val, g = trial, tval, tgrad[1:-1]
+        history.append(val)
         if stalled:
             stop_reason = "stagnation"
             break
@@ -526,10 +525,9 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
     resampled to N.  The iteration stops on the first of:
 
     - "gradient": the sup-norm of the analytic discrete gradient is at or
-      below ``1e-8 * h * max(1, I)``;
-    - "stagnation": the Newton decrement -g.d is at or below the roundoff
-      floor eps * |I| * N, where no line search can resolve a decrease; the
-      full step is kept if it lowers the gradient's sup-norm;
+      below the larger of ``1e-8 * h * |I|`` and the roundoff floor eps * |I| * N;
+    - "stagnation": the Newton decrement -g.d is at or below that floor, where no
+      line search can resolve a decrease; the full step is taken, and the solve ends;
     - "line_search": 60 halvings found no sufficient decrease;
     - "max_iters": the iteration budget ran out.
 

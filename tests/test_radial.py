@@ -561,8 +561,9 @@ def test_minimize_validates():
 
 
 def test_minimize_cold_large_grid_stops():
-    # the gradient stalls at roundoff above its tolerance at this size; the
-    # stagnation stop must end the solve instead of the iteration budget
+    # at this size the gradient's roundoff lies above 1e-8 h I; both stops
+    # read the roundoff floor eps I N, which must end the solve instead of
+    # the iteration budget
     t0 = time.perf_counter()
     res = minimize_radial(1.2, 3, 32000)
     assert time.perf_counter() - t0 < 10.0
@@ -635,9 +636,13 @@ def test_cold_start_leaves_few_fine_steps():
 
 
 def test_cold_start_of_winding_one_stays_linear():
-    # f = r is the minimiser, so a coarse solve would only add work
-    res = minimize_radial(1.2, 1, 16000)
-    assert (res.stop_reason, res.iterations) == ("gradient", 1)
+    # f = r is the minimiser, so a coarse solve would only add work; its
+    # gradient is roundoff, below the floor eps I N that the gradient test
+    # reads where 1e-8 h I is smaller (N >= 32000)
+    for alpha in (1.01, 1.2, 1.5, 2.0):
+        for N in (16000, 32000, 64000):
+            res = minimize_radial(alpha, 1, N)
+            assert (res.stop_reason, res.iterations) == ("gradient", 1), (alpha, N)
 
 
 def _levels(monkeypatch):
@@ -719,20 +724,29 @@ def test_minimize_reports_max_iters():
     assert res.iterations == 2
 
 
-def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
-    # every evaluation after a discretisation's first reports that first
-    # energy plus one, so no Armijo trial lowers it
-    from alphasphere.cli import main
+def _after_the_first(monkeypatch, patch):
+    """Make every evaluation after a discretisation's first return
+    patch(first (value, gradient), this (value, gradient))."""
     plain = _DiscreteEnergy.value_and_grad
 
-    def rising(self, fs):
-        val, grad = plain(self, fs)
-        if not hasattr(self, "first_energy"):
-            self.first_energy = val
-            return val, grad
-        return self.first_energy + 1.0, grad
+    def patched(self, fs):
+        this = plain(self, fs)
+        if not hasattr(self, "first"):
+            self.first = this
+            return this
+        return patch(self.first, this)
 
-    monkeypatch.setattr(_DiscreteEnergy, "value_and_grad", rising)
+    monkeypatch.setattr(_DiscreteEnergy, "value_and_grad", patched)
+
+
+def _rising_energy(monkeypatch):
+    """Every trial reports the first energy plus one, so no Armijo trial lowers it."""
+    _after_the_first(monkeypatch, lambda first, this: (first[0] + 1.0, this[1]))
+
+
+def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
+    from alphasphere.cli import main
+    _rising_energy(monkeypatch)
     res = minimize_radial(1.2, 3, 400)
     assert res.stop_reason == "line_search"
     assert not res.converged
@@ -740,6 +754,19 @@ def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
     assert np.array_equal(res.profile.fs, RadialProfile.linear(3, 400).fs)
     assert main(["radial-solve", "--alpha", "1.2", "--n", "3", "--N", "400"]) == 1
     assert capsys.readouterr().out.endswith(",1,false,line_search\n")
+
+
+def test_a_stalled_full_step_is_kept_even_when_it_raises_the_gradient(monkeypatch):
+    # from f = r at this alpha and N the gradient lies above the floor and
+    # the decrement at or below it; every trial reports twice the start's
+    # gradient
+    _after_the_first(monkeypatch, lambda first, this: (this[0], 2.0 * first[1]))
+    res = minimize_radial(5.0, 1, 16000)
+    assert (res.stop_reason, res.iterations, len(res.history)) == ("stagnation", 1, 2)
+    start = _DiscreteEnergy(5.0, 1, 16000).value_and_grad(RadialProfile.linear(1, 16000).fs)
+    assert res.grad_norm == 2.0 * np.max(np.abs(start[1]))
+    assert res.energy == res.history[-1]
+    assert not np.array_equal(res.profile.fs, RadialProfile.linear(1, 16000).fs)
 
 
 # ------------------------------------------------------- discrete Hessian
@@ -1167,10 +1194,25 @@ def test_solved_values_are_read_only_and_other_exponents_form_fresh_energies(mon
     assert len(calls) == 4
 
 
-def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatch):
-    # at N = 32000 the n = 1 start stops by stagnation and rejects its trial
+def test_a_cold_winding_one_solve_keeps_its_cell_energies(monkeypatch):
+    # at N = 32000 the start f = r ends the solve by the gradient test, so
+    # the last fields are the final nodes'
     res = minimize_radial(1.2, 1, 32000)
-    assert (res.stop_reason, res.iterations) == ("stagnation", 1)
+    calls = _count_fields(monkeypatch)
+    [energy] = window_energies(res.profile, 1.2, (0.0, math.pi))
+    assert energy == res.energy and calls == []
+
+
+def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatch):
+    # a failed line search keeps the start and rejects its last trial; its
+    # directions are 2^60 times Newton's, so that the trial after 60
+    # halvings is not the start to the bit
+    _rising_energy(monkeypatch)
+    newton = radial._newton_direction
+    monkeypatch.setattr(radial, "_newton_direction", lambda *args: 2.0 ** 60 * newton(*args))
+    res = minimize_radial(1.2, 3, 400)
+    assert res.stop_reason == "line_search"
+    assert np.array_equal(res.profile.fs, RadialProfile.linear(3, 400).fs)
     calls = _count_fields(monkeypatch)
     [energy] = window_energies(res.profile, 1.2, (0.0, math.pi))
     assert energy == res.energy and len(calls) == 1

@@ -21,13 +21,21 @@ def test_tool_imports_without_running(path, monkeypatch):
     assert callable(module.main)
 
 
-def test_newton_split_times_the_solvers_own_solve(monkeypatch):
+def test_newton_split_times_the_solvers_own_solve(monkeypatch, capsys):
     # split checks that its timed dpbsv call returns _newton_direction's
     # solution bit for bit, so a layout flag that disagrees with the band fails
     monkeypatch.syspath_prepend(str(TOOLS))
-    parts = importlib.import_module("newton_split").split(400)
+    newton_split, runs = importlib.import_module("newton_split"), {}
+    plain = newton_split.split
+    monkeypatch.setattr(newton_split, "split", lambda N: runs.setdefault(N, plain(N)))
+    monkeypatch.setattr(newton_split, "SIZES", (400,))
+    assert newton_split.main() == 0
+    parts = runs[400]
     assert all(ms >= 0.0 for ms, _ in parts.values())
     assert {"restriction N -> N/4", "prolongation N/4 -> N", "windows of the solve"} <= set(parts)
+    # the start f = r of a cold n = 1 solve lies below the floor both stops read
+    margin = re.search(r"stop margin \|g\| / floor at f = r, n = 1: (\S+)\n", capsys.readouterr().out)
+    assert margin and float(margin[1]) < 1.0
 
 
 @pytest.fixture

@@ -47,6 +47,11 @@ median wall time and minor page faults per solve.  Faults count the fresh pages 
 handed back to the system and maps again; a piece repeated alone keeps its
 blocks, so they show most in the whole solve, which builds its instance
 and interleaves the pieces.
+
+Last, for each N, the stop margin: the discrete gradient's sup-norm at the
+exact minimiser f = r of winding count 1, at alpha = 1.2, over the roundoff
+floor eps * |I| * N that both of ``minimize_radial``'s stops read.  Below 1,
+a cold n = 1 solve ends on its start by the gradient test.
 """
 
 from __future__ import annotations
@@ -158,11 +163,18 @@ def split(N: int) -> dict[str, tuple[float, float]]:
     return parts
 
 
+def stop_margin(N: int) -> float:
+    """|g| / floor at f = r, n = 1, alpha = ALPHA on N cells."""
+    val, grad = _DiscreteEnergy(ALPHA, 1, N).value_and_grad(RadialProfile.linear(1, N).fs)
+    return float(np.max(np.abs(grad))) / (radial._EPS * abs(val) * N)
+
+
 def main() -> int:
     for N in SIZES:
         print(f"N = {N}: median ms, minor page faults per call (per solve for whole solves)")
         for piece, (ms, faults) in split(N).items():
             print(f"  {piece:<30}{ms:8.3f} ms {faults:9.0f} faults")
+        print(f"  stop margin |g| / floor at f = r, n = 1: {stop_margin(N):.3f}")
     return 0
 
 
