@@ -464,8 +464,8 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
     """The Newton iteration of :func:`minimize_radial` on N cells, from
     ``init`` (None: f = n r) resampled to N.  With n >= 2 and N // 4 >= 500
     it first runs on N // 4 cells, recursively, from ``init`` resampled there
-    and starts from that level's nodes.  Returns the final nodal values,
-    energy, gradient, steps, stop reason, energy history and _DiscreteEnergy."""
+    and starts from that level's nodes.  Returns the final nodal values, interior gradient, stop
+    reason, energy history (the start's, then one per step) and _DiscreteEnergy."""
     if n >= 2 and N // _COARSEN >= _COARSEST:
         coarse = None if init is None else init.resampled(N // _COARSEN)
         init = RadialProfile(n, _newton_solve(alpha, n, N // _COARSEN, coarse, max_iters)[0])
@@ -477,8 +477,7 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
     g = grad[1:-1]
     history = [val]
     stop_reason = "max_iters"
-    it = 0
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         floor = _EPS * abs(val) * N   # the energy's roundoff: no test resolves a change below it
         if np.max(np.abs(g)) <= max(_GRAD_TOL * disc.h * abs(val), floor):
             stop_reason = "gradient"
@@ -504,7 +503,7 @@ def _newton_solve(alpha: float, n: int, N: int, init: RadialProfile | None,
         if stalled:
             stop_reason = "stagnation"
             break
-    return fs, val, g, it, stop_reason, history, disc
+    return fs, g, stop_reason, history, disc
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _newton_direction reports an overflow
@@ -541,22 +540,21 @@ def minimize_radial(alpha: float, n: int, N: int = 2000,
         raise ValueError("minimize_radial requires alpha > 1")
     if init is not None and init.n != n:
         raise ValueError("init profile has the wrong winding count")
-    fs, val, g, it, stop_reason, history, disc = _newton_solve(alpha, n, N, init, max_iters)
+    fs, g, stop_reason, history, disc = _newton_solve(alpha, n, N, init, max_iters)
     final = RadialProfile(n, _read_only(fs))   # so that the cell energies kept below stay its own
-    if np.array_equal(disc._key, fs):   # the last fields are fs's: keep its cells for windows
-        object.__setattr__(final, "_cells", (alpha, _read_only(disc.cell_energies(fs))))
+    object.__setattr__(final, "_cells", (alpha, _read_only(disc.cell_energies(fs))))   # for windows
     residual_sup = float(np.max(np.abs(radial_residual(final, alpha))))
     converged = (stop_reason in ("gradient", "stagnation")
                  and residual_sup <= _RESIDUAL_TOL)
     return SolveResult(
         profile=final,
         alpha=alpha,
-        energy=val,
+        energy=history[-1],
         residual_sup=residual_sup,
         grad_norm=float(np.max(np.abs(g))),
         degree_int=n % 2,
         crossings=_crossings(final),
-        iterations=it,
+        iterations=len(history) - 1,
         converged=converged,
         stop_reason=stop_reason,
         history=tuple(history),

@@ -642,7 +642,8 @@ def test_cold_start_of_winding_one_stays_linear():
     for alpha in (1.01, 1.2, 1.5, 2.0):
         for N in (16000, 32000, 64000):
             res = minimize_radial(alpha, 1, N)
-            assert (res.stop_reason, res.iterations) == ("gradient", 1), (alpha, N)
+            assert (res.stop_reason, res.iterations) == ("gradient", 0), (alpha, N)
+            assert len(res.history) == 1, (alpha, N)
 
 
 def _levels(monkeypatch):
@@ -750,10 +751,10 @@ def test_minimize_reports_a_failed_line_search(monkeypatch, capsys):
     res = minimize_radial(1.2, 3, 400)
     assert res.stop_reason == "line_search"
     assert not res.converged
-    assert res.iterations == 1 and len(res.history) == 1
+    assert res.iterations == 0 and len(res.history) == 1
     assert np.array_equal(res.profile.fs, RadialProfile.linear(3, 400).fs)
     assert main(["radial-solve", "--alpha", "1.2", "--n", "3", "--N", "400"]) == 1
-    assert capsys.readouterr().out.endswith(",1,false,line_search\n")
+    assert capsys.readouterr().out.endswith(",0,false,line_search\n")
 
 
 def test_a_stalled_full_step_is_kept_even_when_it_raises_the_gradient(monkeypatch):
@@ -767,6 +768,21 @@ def test_a_stalled_full_step_is_kept_even_when_it_raises_the_gradient(monkeypatc
     assert res.grad_norm == 2.0 * np.max(np.abs(start[1]))
     assert res.energy == res.history[-1]
     assert not np.array_equal(res.profile.fs, RadialProfile.linear(1, 16000).fs)
+
+
+@pytest.mark.parametrize("stop_reason, n, N, max_iters", [
+    ("gradient", 1, 4000, 200), ("stagnation", 3, 4000, 200), ("max_iters", 3, 1000, 2),
+    ("line_search", 3, 400, 200)])   # the last with no trial lowering the energy
+def test_every_stop_counts_the_steps_of_its_history_and_keeps_its_cells(monkeypatch, stop_reason,
+                                                                         n, N, max_iters):
+    if stop_reason == "line_search":
+        _rising_energy(monkeypatch)
+    res = minimize_radial(1.2, n, N, max_iters=max_iters)
+    assert res.stop_reason == stop_reason
+    assert res.iterations == len(res.history) - 1
+    calls = _count_fields(monkeypatch)
+    window_energies(res.profile, res.alpha, (0.0, math.pi))
+    assert calls == []
 
 
 # ------------------------------------------------------- discrete Hessian
@@ -1203,10 +1219,10 @@ def test_a_cold_winding_one_solve_keeps_its_cell_energies(monkeypatch):
     assert energy == res.energy and calls == []
 
 
-def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatch):
+def test_a_solve_whose_last_fields_are_a_trial_keeps_its_own_cell_energies(monkeypatch):
     # a failed line search keeps the start and rejects its last trial; its
     # directions are 2^60 times Newton's, so that the trial after 60
-    # halvings is not the start to the bit
+    # halvings is not the start to the bit, and the start's cells are formed again
     _rising_energy(monkeypatch)
     newton = radial._newton_direction
     monkeypatch.setattr(radial, "_newton_direction", lambda *args: 2.0 ** 60 * newton(*args))
@@ -1215,7 +1231,7 @@ def test_a_solve_whose_last_fields_are_a_trial_keeps_no_cell_energies(monkeypatc
     assert np.array_equal(res.profile.fs, RadialProfile.linear(3, 400).fs)
     calls = _count_fields(monkeypatch)
     [energy] = window_energies(res.profile, 1.2, (0.0, math.pi))
-    assert energy == res.energy and len(calls) == 1
+    assert energy == res.energy and calls == []
 
 
 def _inline_cut_panels(profile, alpha, edges):

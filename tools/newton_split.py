@@ -155,7 +155,7 @@ def split(N: int) -> dict[str, tuple[float, float]]:
         "instance set-up, warm": measure(make),
     }
     with mock.patch.object(radial, "_COARSEST", N + 1):   # N cells alone
-        steps = level()[3]
+        steps = len(level()[3]) - 1   # the energy history: the start's, then one per step
         level_ms, level_faults = measure(level, repeats=5)
     parts["one level, per iteration"] = (level_ms / steps, level_faults)
     parts["cold solve, total"] = measure(cold_solve, repeats=5)
